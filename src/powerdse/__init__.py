@@ -96,6 +96,7 @@ from .harness import (
     ExperimentError,
     ExperimentReport,
     FilterMetrics,
+    TrajectoryTable,
     config_from_dict,
     default_prior,
     format_report,

@@ -89,20 +89,34 @@ class MachineParams:
         return self.h.size
 
 
-def swing_derivatives(x: DynamicState, params: MachineParams,
-                      net: ReducedNetwork) -> DynamicState:
-    """Time derivatives of the rotor states.
+def swing_rates(delta: np.ndarray, omega: np.ndarray, p_e: np.ndarray,
+                params: MachineParams) -> tuple[np.ndarray, np.ndarray]:
+    """Angle and speed rates at electrical power ``p_e``, on (..., n) arrays.
 
     Angles advance with the speed deviation scaled to electrical rad/s;
     speeds accelerate with the per-unit power imbalance over twice the
     inertia constant, less speed-proportional damping.
     """
+    dev = omega - 1.0
+    return (params.omega0 * dev,
+            (params.p_mech - p_e - params.d * dev) / (2.0 * params.h))
+
+
+def swing_derivatives(x: DynamicState, params: MachineParams,
+                      net: ReducedNetwork) -> DynamicState:
+    """Time derivatives of the rotor states (see ``swing_rates``)."""
     p_e = electrical_power(x.delta, params.e_mag, net)
-    dev = x.omega - 1.0
-    return DynamicState(
-        delta=params.omega0 * dev,
-        omega=(params.p_mech - p_e - params.d * dev) / (2.0 * params.h),
-    )
+    rate_delta, rate_omega = swing_rates(x.delta, x.omega, p_e, params)
+    return DynamicState(delta=rate_delta, omega=rate_omega)
+
+
+def euler_step(delta: np.ndarray, omega: np.ndarray, p_e: np.ndarray,
+               params: MachineParams, dt: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """One forward-Euler step of the swing dynamics from (..., n) angles
+    and speeds, given the electrical power ``p_e`` at those angles."""
+    rate_delta, rate_omega = swing_rates(delta, omega, p_e, params)
+    return delta + dt * rate_delta, omega + dt * rate_omega
 
 
 def step_process(x: DynamicState, params: MachineParams, net: ReducedNetwork,
@@ -111,9 +125,9 @@ def step_process(x: DynamicState, params: MachineParams, net: ReducedNetwork,
 
     ``noise`` is an optional stacked (angles, speeds) additive disturbance.
     """
-    deriv = swing_derivatives(x, params, net)
-    delta = x.delta + dt * deriv.delta
-    omega = x.omega + dt * deriv.omega
+    delta, omega = euler_step(x.delta, x.omega,
+                              electrical_power(x.delta, params.e_mag, net),
+                              params, dt)
     if noise is not None:
         w = np.asarray(noise, dtype=float)
         n = delta.size

@@ -19,16 +19,22 @@ from .dynamics import (
     FaultScenario,
     MachineParams,
     Trajectory,
+    euler_step,
     scenario_networks,
-    step_process,
 )
 from .measurement import (
     MeasurementFrame,
     machine_outputs,
+    machine_outputs_linearized,
     measurement_indices,
 )
 from .powerflow import PowerFlowSolution
-from .reduction import ReducedNetwork, machine_init
+from .reduction import (
+    ReducedNetwork,
+    electrical_power,
+    electrical_power_linearized,
+    machine_init,
+)
 
 
 class FilterNumericsError(RuntimeError):
@@ -46,20 +52,38 @@ class GaussianBelief:
 @dataclass(frozen=True)
 class ProcessModel:
     """One-step state transition: ``step`` maps x to x', ``jacobian`` gives
-    its derivative at x.  ``step_many`` optionally maps (k, n) stacks."""
+    its derivative at x.  ``step_many`` optionally maps (k, n) stacks, and
+    ``fused`` optionally gives both at one state from one evaluation."""
 
     step: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     step_many: Callable[[np.ndarray], np.ndarray] | None = None
+    fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+    def linearize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(step(x), jacobian(x))."""
+        if self.fused is None:
+            return self.step(x), self.jacobian(x)
+        return self.fused(x)
 
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Observation map: ``observe`` maps x to the predicted measurement."""
+    """Observation map: ``observe`` maps x to the predicted measurement,
+    ``jacobian`` gives its derivative at x.  ``observe_many`` optionally maps
+    (k, n) stacks, and ``fused`` optionally gives both at one state from one
+    evaluation."""
 
     observe: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     observe_many: Callable[[np.ndarray], np.ndarray] | None = None
+    fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+    def linearize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(observe(x), jacobian(x))."""
+        if self.fused is None:
+            return self.observe(x), self.jacobian(x)
+        return self.fused(x)
 
 
 @dataclass(frozen=True)
@@ -130,8 +154,7 @@ def finite_difference_jacobian(func: Callable[[np.ndarray], np.ndarray],
 def ekf_predict(belief: GaussianBelief, model: ProcessModel,
                 q: np.ndarray) -> GaussianBelief:
     """Propagate the belief through the process model and inflate by q."""
-    jac = model.jacobian(belief.x_hat)
-    x = model.step(belief.x_hat)
+    x, jac = model.linearize(belief.x_hat)
     p = jac.dot(belief.p).dot(jac.T) + q
     return GaussianBelief(x_hat=x, p=_symmetrize(p))
 
@@ -139,8 +162,7 @@ def ekf_predict(belief: GaussianBelief, model: ProcessModel,
 def ekf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
                r: np.ndarray) -> GaussianBelief:
     """Condition the belief on one measurement via the linearized gain."""
-    jac = model.jacobian(belief.x_hat)
-    innovation = z - model.observe(belief.x_hat)
+    z_hat, jac = model.linearize(belief.x_hat)
     jp = jac.dot(belief.p)
     s = jp.dot(jac.T) + r
     try:
@@ -148,7 +170,7 @@ def ekf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
     except np.linalg.LinAlgError as exc:
         raise FilterNumericsError(
             f"singular innovation covariance (cond {np.linalg.cond(s):.3e})") from exc
-    x = belief.x_hat + gain.dot(innovation)
+    x = belief.x_hat + gain.dot(z - z_hat)
     p = belief.p - gain.dot(jp)
     return GaussianBelief(x_hat=x, p=_symmetrize(p))
 
@@ -237,44 +259,24 @@ def ukf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
         raise FilterNumericsError(
             f"singular innovation covariance (cond {np.linalg.cond(p_zz):.3e})") from exc
     x = belief.x_hat + gain.dot(z - z_hat)
-    p = belief.p - gain.dot(p_zz).dot(gain.T)
+    p = belief.p - p_xz.dot(gain.T)   # K P_zz K^T with K = P_xz P_zz^-1
     return GaussianBelief(x_hat=x, p=_symmetrize(p))
 
 
 # --- swing-model bindings ----------------------------------------------------
 
 
-def _power_sensitivity(emf: np.ndarray, net: ReducedNetwork) -> np.ndarray:
-    """Derivative of the complex machine powers S = P + jQ with respect to
-    the angles, from the emf phasors:
-    dS_i/d delta_k = j (delta_ik S_i - emf_i conj(Y_ik emf_k)).  Its real and
-    imaginary parts are the P and Q Jacobians."""
-    flow = emf[:, None] * np.conj(net.y_red * emf)
-    return 1j * (np.diag(flow.sum(axis=1)) - flow)
-
-
 def electrical_power_jacobian(delta: np.ndarray, e_mag: np.ndarray,
                               net: ReducedNetwork) -> np.ndarray:
     """Derivative of per-machine electrical power with respect to the angles."""
-    return _power_sensitivity(e_mag * np.exp(1j * delta), net).real
+    return electrical_power_linearized(delta, e_mag, net)[1]
 
 
 def reactive_power_jacobian(delta: np.ndarray, e_mag: np.ndarray,
                             net: ReducedNetwork) -> np.ndarray:
     """Derivative of per-machine reactive power with respect to the angles."""
-    return _power_sensitivity(e_mag * np.exp(1j * delta), net).imag
-
-
-def _process_jacobian_blocks(params: MachineParams,
-                             dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The state-independent part of the process Jacobian, and the row
-    scaling that carries the power sensitivity into the speed rows."""
-    nm = params.n_machines
-    base = np.zeros((2 * nm, 2 * nm))
-    base[:nm, :nm] = np.eye(nm)
-    base[:nm, nm:] = dt * params.omega0 * np.eye(nm)
-    base[nm:, nm:] = np.diag(1.0 - dt * params.d / (2.0 * params.h))
-    return base, (-dt / (2.0 * params.h))[:, None]
+    nm = delta.size
+    return machine_outputs_linearized(delta, e_mag, net)[1][nm:2 * nm]
 
 
 def process_jacobian(x: DynamicState, params: MachineParams,
@@ -284,11 +286,7 @@ def process_jacobian(x: DynamicState, params: MachineParams,
     Block form: identity on angles plus dt-scaled speed coupling; the speed
     rows carry the electrical-power sensitivity and the damping decay.
     """
-    nm = params.n_machines
-    jac, coupling = _process_jacobian_blocks(params, dt)
-    jac[nm:, :nm] = coupling * electrical_power_jacobian(x.delta, params.e_mag,
-                                                         net)
-    return jac
+    return swing_process_model(params, net, dt).jacobian(x.as_vector())
 
 
 def measurement_jacobian(x: DynamicState, params: MachineParams,
@@ -300,47 +298,47 @@ def measurement_jacobian(x: DynamicState, params: MachineParams,
     ValueError if a reconstructed bus voltage is zero, where the angle
     derivative is undefined.
     """
-    emf = params.e_mag * np.exp(1j * x.delta)
-    v = net.r_v.dot(emf)
-    vm = np.abs(v)
-    dead = np.flatnonzero(vm < 1e-12)
-    if dead.size:
-        bus = net.bus_order[int(dead[0])]
-        raise ValueError(f"reconstructed voltage at bus {bus} is zero; "
-                         "angle derivative undefined")
-    ds = _power_sensitivity(emf, net)
-    # d|V|/d delta and |V| d(angle V)/d delta, from conj(V) dV/d delta / |V|
-    dv = np.conj(v / vm)[:, None] * net.r_v * (1j * emf)
-    angle_cols = np.concatenate([ds.real, ds.imag, dv.real,
-                                 dv.imag / vm[:, None]])
-    return np.concatenate([angle_cols, np.zeros_like(angle_cols)], axis=1)
+    return swing_measurement_model(params, net).jacobian(x.as_vector())
 
 
 def swing_process_model(params: MachineParams, net: ReducedNetwork, dt: float,
                         use_fd: bool = False) -> ProcessModel:
     """Forward-Euler rotor transition bound to one network topology.
 
-    ``step`` takes one state vector or a (k, 2n) stack of them.
+    ``step`` takes one state vector or a (k, 2n) stack of them.  The
+    analytic model is fused: one angle-difference matrix gives the
+    electrical power of the step and its sensitivity in the Jacobian.
     """
     nm = params.n_machines
-    base, coupling = _process_jacobian_blocks(params, dt)
 
     def step(vec: np.ndarray) -> np.ndarray:
-        x = DynamicState(delta=vec[..., :nm], omega=vec[..., nm:])
-        nxt = step_process(x, params, net, dt)
-        return np.concatenate([nxt.delta, nxt.omega], axis=-1)
+        delta = vec[..., :nm]
+        p_e = electrical_power(delta, params.e_mag, net)
+        return np.concatenate(euler_step(delta, vec[..., nm:], p_e, params, dt),
+                              axis=-1)
 
     if use_fd:
-        def jacobian(vec: np.ndarray) -> np.ndarray:
-            return finite_difference_jacobian(step, vec)
-    else:
-        def jacobian(vec: np.ndarray) -> np.ndarray:
-            jac = base.copy()
-            jac[nm:, :nm] = coupling * electrical_power_jacobian(
-                vec[:nm], params.e_mag, net)
-            return jac
+        return ProcessModel(
+            step=step, step_many=step,
+            jacobian=lambda vec: finite_difference_jacobian(step, vec))
 
-    return ProcessModel(step=step, jacobian=jacobian, step_many=step)
+    # The state-independent part of the Jacobian, and the row scaling that
+    # carries the power sensitivity into the speed rows.
+    base = np.zeros((2 * nm, 2 * nm))
+    base[:nm, :nm] = np.eye(nm)
+    base[:nm, nm:] = dt * params.omega0 * np.eye(nm)
+    base[nm:, nm:] = np.diag(1.0 - dt * params.d / (2.0 * params.h))
+    coupling = (-dt / (2.0 * params.h))[:, None]
+
+    def fused(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        delta = vec[:nm]
+        p_e, sens = electrical_power_linearized(delta, params.e_mag, net)
+        jac = base.copy()
+        jac[nm:, :nm] = coupling * sens
+        return np.concatenate(euler_step(delta, vec[nm:], p_e, params, dt)), jac
+
+    return ProcessModel(step=step, step_many=step, fused=fused,
+                        jacobian=lambda vec: fused(vec)[1])
 
 
 def swing_measurement_model(params: MachineParams, net: ReducedNetwork,
@@ -350,7 +348,8 @@ def swing_measurement_model(params: MachineParams, net: ReducedNetwork,
     Voltage angles use the continuous convention of ``measure``, so predicted
     measurements stay comparable to unwrapped frames without residual fixups.
     ``observe`` takes one state vector or a (k, 2n) stack of them and uses the
-    same kernel as ``measure``.
+    same kernel as ``measure``; the analytic model is fused, with the
+    Jacobian from the same emfs, powers and voltages as the prediction.
     """
     nm = params.n_machines
 
@@ -359,18 +358,40 @@ def swing_measurement_model(params: MachineParams, net: ReducedNetwork,
             machine_outputs(vec[..., :nm], params.e_mag, net), axis=-1)
 
     if use_fd:
-        def jacobian(vec: np.ndarray) -> np.ndarray:
-            return finite_difference_jacobian(observe, vec)
-    else:
-        def jacobian(vec: np.ndarray) -> np.ndarray:
-            x = DynamicState(delta=vec[:nm], omega=vec[nm:])
-            return measurement_jacobian(x, params, net)
+        return MeasurementModel(
+            observe=observe, observe_many=observe,
+            jacobian=lambda vec: finite_difference_jacobian(observe, vec))
 
-    return MeasurementModel(observe=observe, jacobian=jacobian,
-                            observe_many=observe)
+    speed_cols = np.zeros((2 * nm + 2 * len(net.bus_order), nm))
+
+    def fused(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z, angle_cols = machine_outputs_linearized(vec[:nm], params.e_mag, net)
+        return z, np.concatenate([angle_cols, speed_cols], axis=1)
+
+    return MeasurementModel(observe=observe, observe_many=observe, fused=fused,
+                            jacobian=lambda vec: fused(vec)[1])
 
 
 # --- full scenario run -------------------------------------------------------
+
+
+def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
+                  zs: list[np.ndarray], n_machines: int) -> None:
+    """Raise FilterNumericsError naming the first frame, its time and its
+    channel (the column name of ``measurements.csv``) that is not finite."""
+    if np.isfinite(times).all() and np.isfinite(np.concatenate(zs)).all():
+        return
+    for k, (fr, z) in enumerate(zip(frames, zs)):
+        names = (["t"]
+                 + [f"p_g_{i + 1}" for i in range(n_machines)]
+                 + [f"q_g_{i + 1}" for i in range(n_machines)]
+                 + [f"v_mag_{b}" for b in fr.bus_ids]
+                 + [f"v_ang_{b}" for b in fr.bus_ids])
+        bad = np.flatnonzero(~np.isfinite(np.concatenate([[fr.t], z])))
+        if bad.size:
+            raise FilterNumericsError(
+                f"frame {k} (t={fr.t:.4f}s): measurement {names[bad[0]]} "
+                "is not finite")
 
 
 def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
@@ -381,71 +402,64 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     The first frame seeds nothing: the estimate at its time is ``b0``.  Each
     later frame triggers one predict with the topology in force at the start
     of the interval, then one update with the topology at the frame time.
-    Returns the estimate trajectory and the belief after every frame.
+    Every frame is checked before the first step: a non-finite value raises
+    FilterNumericsError naming the frame, its time and its channel.  Returns
+    the estimate trajectory and the belief after every frame.
     """
     nets = scenario_networks(case, pf, scenario)
     init = machine_init(case, pf, net=nets.pre)
     params = MachineParams.from_case(case, init)
     nm = params.n_machines
     all_bus_ids = tuple(b.id for b in case.buses)
-    freq = case.frequency
-
-    def unpack(belief: GaussianBelief) -> DynamicState:
-        return DynamicState(delta=belief.x_hat[:nm].copy(),
-                            omega=belief.x_hat[nm:].copy())
-
-    times = np.array([fr.t for fr in frames])
     use_fd = cfg.jacobian_mode == "finite_difference"
-    process_cache: dict = {}
-    observe_cache: dict = {}
-    r_cache: dict = {}
 
-    def process_for(regime, dt: float) -> ProcessModel:
-        key = (regime, dt)
-        if key not in process_cache:
-            process_cache[key] = swing_process_model(
-                params, nets.for_regime(regime), dt, use_fd)
-        return process_cache[key]
+    stamps = np.array([fr.t for fr in frames])
+    zs = [fr.z_vector() for fr in frames]
+    _check_frames(frames, stamps, zs, nm)
+    times = stamps.tolist()
+    regimes = [scenario.regime(t, case.frequency) for t in times]
 
-    def observe_for(regime) -> MeasurementModel:
-        if regime not in observe_cache:
-            observe_cache[regime] = swing_measurement_model(
+    # The plan: per frame, the process model of the interval before it, the
+    # measurement model and covariance block of its layout, and its vector.
+    # Intervals differ from dt only in their last bits, so a handful of
+    # (regime, interval) models recur.
+    processes: dict = {}
+    observers: dict = {}
+    r_blocks: dict = {}
+    plan = []
+    for k in range(1, len(frames)):
+        key = (regimes[k - 1], times[k] - times[k - 1])
+        if key not in processes:
+            processes[key] = swing_process_model(
+                params, nets.for_regime(key[0]), key[1], use_fd)
+        regime = regimes[k]
+        if regime not in observers:
+            observers[regime] = swing_measurement_model(
                 params, nets.for_regime(regime), use_fd)
-        return observe_cache[regime]
-
-    def r_for(layout: tuple[int, ...]) -> np.ndarray:
-        if layout not in r_cache:
+        layout = frames[k].bus_ids
+        if layout not in r_blocks:
             idx = measurement_indices(all_bus_ids, layout, nm)
-            r_cache[layout] = cfg.r[np.ix_(idx, idx)]
-        return r_cache[layout]
+            r_blocks[layout] = cfg.r[np.ix_(idx, idx)]
+        plan.append((processes[key], observers[regime], r_blocks[layout], zs[k]))
+
+    if cfg.kind == "ekf":
+        def advance(belief, process, measure, r, z):
+            return ekf_update(ekf_predict(belief, process, cfg.q), z, measure, r)
+    else:
+        def advance(belief, process, measure, r, z):
+            predicted, _ = ukf_predict(belief, process, cfg.q, cfg)
+            return ukf_update(predicted, z, measure, r, cfg)
 
     belief = b0
     beliefs = [belief]
-    states = [unpack(belief)]
-    regimes = [scenario.regime(float(times[0]), freq)]
-
-    for k in range(1, len(frames)):
-        t_prev, t_now = float(times[k - 1]), float(times[k])
-        frame = frames[k]
-        regime_now = scenario.regime(t_now, freq)
+    for k, step in enumerate(plan, start=1):
         try:
-            model = process_for(scenario.regime(t_prev, freq), t_now - t_prev)
-            if cfg.kind == "ekf":
-                belief = ekf_predict(belief, model, cfg.q)
-            else:
-                belief, _ = ukf_predict(belief, model, cfg.q, cfg)
-
-            obs_model = observe_for(regime_now)
-            r = r_for(frame.bus_ids)
-            if cfg.kind == "ekf":
-                belief = ekf_update(belief, frame.z_vector(), obs_model, r)
-            else:
-                belief = ukf_update(belief, frame.z_vector(), obs_model, r, cfg)
+            belief = advance(belief, *step)
         except FilterNumericsError as exc:
             raise FilterNumericsError(
-                f"frame {k} (t={t_now:.4f}s): {exc}") from exc
+                f"frame {k} (t={times[k]:.4f}s): {exc}") from exc
         beliefs.append(belief)
-        states.append(unpack(belief))
-        regimes.append(regime_now)
 
-    return Trajectory(times=times, states=states, regime=regimes), beliefs
+    x = np.array([b.x_hat for b in beliefs])
+    states = [DynamicState(delta=row[:nm], omega=row[nm:]) for row in x]
+    return Trajectory(times=stamps, states=states, regime=regimes), beliefs

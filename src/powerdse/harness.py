@@ -9,9 +9,9 @@ in memory only, never written to disk.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .cases import load_case
 from .dynamics import (
     FaultScenario,
     MachineParams,
+    Regime,
     Trajectory,
     scenario_networks,
     simulate,
@@ -120,6 +121,37 @@ class ExperimentReport:
     Acceptance criteria 6 and 7 bound this number."""
 
 
+@dataclass(frozen=True)
+class TrajectoryTable:
+    """A trajectory stacked once: sample times, angle and speed matrices
+    (samples, machines) and the regime of each sample."""
+
+    times: np.ndarray
+    delta: np.ndarray
+    omega: np.ndarray
+    regime: list[Regime]
+
+    @classmethod
+    def of(cls, traj: Trajectory) -> "TrajectoryTable":
+        return cls(times=traj.times, delta=traj.delta_matrix(),
+                   omega=traj.omega_matrix(), regime=traj.regime)
+
+    @cached_property
+    def cells(self) -> tuple[list[str], list[str], list[str]]:
+        """Per sample, the CSV cells of the time, of the angles and of the
+        speeds, each group joined by commas; formatted on first use, then
+        shared by every file that has these columns."""
+        return (list(map(repr, self.times.tolist())), _joined_rows(self.delta),
+                _joined_rows(self.omega))
+
+
+def _rms_by_machine(d_err: np.ndarray, o_err: np.ndarray) -> dict[str, np.ndarray]:
+    return {
+        "delta": np.sqrt(np.mean(d_err ** 2, axis=0)),
+        "omega": np.sqrt(np.mean(o_err ** 2, axis=0)),
+    }
+
+
 def rmse(reference: Trajectory, estimate: Trajectory,
          t_min: float | None = None) -> dict[str, np.ndarray]:
     """Per-machine root-mean-square angle and speed errors.
@@ -136,24 +168,26 @@ def rmse(reference: Trajectory, estimate: Trajectory,
         mask = reference.times >= t_min
     if not mask.any():
         raise ValueError(f"no samples at or after t={t_min}")
-    d_err = reference.delta_matrix()[mask] - estimate.delta_matrix()[mask]
-    o_err = reference.omega_matrix()[mask] - estimate.omega_matrix()[mask]
-    return {
-        "delta": np.sqrt(np.mean(d_err ** 2, axis=0)),
-        "omega": np.sqrt(np.mean(o_err ** 2, axis=0)),
-    }
+    return _rms_by_machine(
+        reference.delta_matrix()[mask] - estimate.delta_matrix()[mask],
+        reference.omega_matrix()[mask] - estimate.omega_matrix()[mask])
 
 
-def _metrics(truth: Trajectory, estimate: Trajectory, t_clear: float) -> FilterMetrics:
-    full = rmse(truth, estimate)
-    post = rmse(truth, estimate, t_min=t_clear)
+def _metrics(truth: TrajectoryTable, x_hat: np.ndarray,
+             t_clear: float) -> FilterMetrics:
+    """Errors of the stacked estimates ``x_hat`` (samples, angles then
+    speeds) against the truth on the same samples."""
+    nm = truth.delta.shape[1]
+    d_err = truth.delta - x_hat[:, :nm]
+    o_err = truth.omega - x_hat[:, nm:]
     mask = truth.times >= t_clear
-    d_err = np.abs(truth.delta_matrix()[mask] - estimate.delta_matrix()[mask])
-    o_err = np.abs(truth.omega_matrix()[mask] - estimate.omega_matrix()[mask])
+    full = _rms_by_machine(d_err, o_err)
+    post = _rms_by_machine(d_err[mask], o_err[mask])
     return FilterMetrics(
         rmse_delta=full["delta"], rmse_omega=full["omega"],
         post_rmse_delta=post["delta"], post_rmse_omega=post["omega"],
-        post_max_delta=float(d_err.max()), post_max_omega=float(o_err.max()),
+        post_max_delta=float(np.abs(d_err[mask]).max()),
+        post_max_omega=float(np.abs(o_err[mask]).max()),
     )
 
 
@@ -204,7 +238,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(truth, out_dir / "truth.csv")
+    table = TrajectoryTable.of(truth)
+    write_trajectory_csv(table, out_dir / "truth.csv")
     write_measurements_csv(frames, all_bus_ids, out_dir / "measurements.csv")
 
     metrics: dict[str, FilterMetrics] = {}
@@ -213,10 +248,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     kind=kind, q=q, r=r, jitter=cfg.jitter,
                     jacobian_mode=cfg.jacobian_mode,
                     sigma_scheme=cfg.sigma_scheme)
-        estimate, beliefs = _stage(f"filter-{kind}", run_filter,
-                                   fc, case, pf, cfg.scenario, frames, prior)
-        metrics[kind] = _metrics(truth, estimate, t_clear)
-        write_estimates_csv(truth, estimate, beliefs,
+        _, beliefs = _stage(f"filter-{kind}", run_filter,
+                            fc, case, pf, cfg.scenario, frames, prior)
+        x_hat = np.array([b.x_hat for b in beliefs])
+        metrics[kind] = _metrics(table, x_hat, t_clear)
+        p_diag = np.array([b.p.diagonal() for b in beliefs])
+        write_estimates_csv(table, x_hat, p_diag,
                             out_dir / f"estimate_{kind}.csv")
 
     report = ExperimentReport(
@@ -259,25 +296,34 @@ def format_report(report: ExperimentReport) -> str:
     return "\n".join(lines)
 
 
-def _cells(values: list[float]) -> list[str]:
-    """``repr`` of each float, so files round-trip exactly."""
-    return list(map(repr, values))
+# The writers join cells themselves.  Their bytes equal those of csv.writer
+# with its default dialect: no cell holds a comma, a quote or a line break
+# (floats are written by repr, the labels are fixed), so none is quoted, and
+# each row ends in csv.writer's "\r\n".
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+def _joined_rows(table: np.ndarray) -> list[str]:
+    """Each row of a float table as its ``repr`` cells joined by commas, so
+    files round-trip exactly."""
+    fmt = ",".join(["%r"] * table.shape[1])
+    return [fmt % row for row in map(tuple, table.tolist())]
+
+
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row + "\r\n" for row in rows)
+
+
+def write_trajectory_csv(table: TrajectoryTable, path: Path) -> None:
     """Columns: t, per-machine angles, per-machine speeds, regime."""
-    nm = traj.states[0].delta.size
+    nm = table.delta.shape[1]
     header = (["t"]
               + [f"delta_{i + 1}" for i in range(nm)]
               + [f"omega_{i + 1}" for i in range(nm)]
               + ["regime"])
-    table = np.column_stack([traj.times, traj.delta_matrix(),
-                             traj.omega_matrix()])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(_cells(row) + [regime.value]
-                         for row, regime in zip(table.tolist(), traj.regime))
+    _write_rows(path, header, map(",".join, zip(
+        *table.cells, (regime.value for regime in table.regime))))
 
 
 def write_measurements_csv(frames: list[MeasurementFrame],
@@ -292,23 +338,36 @@ def write_measurements_csv(frames: list[MeasurementFrame],
               + [f"q_g_{i + 1}" for i in range(nm)]
               + [f"v_mag_{b}" for b in all_bus_ids]
               + [f"v_ang_{b}" for b in all_bus_ids])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+    # Per layout: a row template with a blank for every absent bus, and the
+    # positions in the frame vector of the values it takes, in column order.
+    layouts: dict[tuple[int, ...], tuple[str, np.ndarray]] = {}
+
+    def rows():
         for fr in frames:
-            vm = dict(zip(fr.bus_ids, _cells(fr.v_mag.tolist())))
-            va = dict(zip(fr.bus_ids, _cells(fr.v_ang.tolist())))
-            writer.writerow([repr(float(fr.t))]
-                            + _cells(fr.p_g.tolist()) + _cells(fr.q_g.tolist())
-                            + [vm.get(b, "") for b in all_bus_ids]
-                            + [va.get(b, "") for b in all_bus_ids])
+            if fr.bus_ids not in layouts:
+                pos = {bus: i for i, bus in enumerate(fr.bus_ids)}
+                nb = len(fr.bus_ids)
+                cells = ["%r"] * (1 + 2 * nm)
+                take = list(range(2 * nm))
+                for offset in (2 * nm, 2 * nm + nb):
+                    cells += ["%r" if b in pos else "" for b in all_bus_ids]
+                    take += [offset + pos[b] for b in all_bus_ids if b in pos]
+                layouts[fr.bus_ids] = (",".join(cells), np.array(take))
+            template, take = layouts[fr.bus_ids]
+            yield template % (float(fr.t), *fr.z_vector()[take].tolist())
+
+    _write_rows(path, header, rows())
 
 
-def write_estimates_csv(truth: Trajectory, estimate: Trajectory,
-                        beliefs: list[GaussianBelief], path: Path) -> None:
+def write_estimates_csv(truth: TrajectoryTable, x_hat: np.ndarray,
+                        p_diag: np.ndarray, path: Path) -> None:
     """Columns: t, per-machine true and estimated angles, true and estimated
-    speeds, then the belief covariance diagonal (angle block, speed block)."""
-    nm = estimate.states[0].delta.size
+    speeds, then the belief covariance diagonal (angle block, speed block).
+
+    ``x_hat`` and ``p_diag`` hold one row per truth sample: the estimate
+    (angles then speeds) and its covariance diagonal.
+    """
+    nm = truth.delta.shape[1]
     header = (["t"]
               + [f"delta_true_{i + 1}" for i in range(nm)]
               + [f"delta_est_{i + 1}" for i in range(nm)]
@@ -316,16 +375,10 @@ def write_estimates_csv(truth: Trajectory, estimate: Trajectory,
               + [f"omega_est_{i + 1}" for i in range(nm)]
               + [f"p_delta_{i + 1}" for i in range(nm)]
               + [f"p_omega_{i + 1}" for i in range(nm)])
-    table = np.column_stack([
-        estimate.times,
-        truth.delta_matrix(), estimate.delta_matrix(),
-        truth.omega_matrix(), estimate.omega_matrix(),
-        [np.diag(b.p) for b in beliefs],
-    ])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(map(_cells, table.tolist()))
+    times, delta, omega = truth.cells
+    _write_rows(path, header, map(",".join, zip(
+        times, delta, _joined_rows(x_hat[:, :nm]), omega,
+        _joined_rows(np.column_stack([x_hat[:, nm:], p_diag])))))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

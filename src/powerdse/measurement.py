@@ -71,6 +71,15 @@ def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("ij,...j->...i", mat, vec)
 
 
+def _phasors(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean rotor angle, emfs referenced to it, complex machine powers and
+    bus voltages for rotor angles (..., n)."""
+    ref = delta.sum(axis=-1, keepdims=True) / delta.shape[-1]
+    emf = e_mag * np.exp(1j * (delta - ref))
+    return ref, emf, emf * np.conj(_apply(net.y_red, emf)), _apply(net.r_v, emf)
+
+
 def machine_outputs(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Machine powers and bus voltages for rotor angles (..., n).
@@ -82,11 +91,37 @@ def machine_outputs(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
     ``continuous_voltage_angles``).  Each row of a stack is bitwise the value
     that row gives alone, so batched and single evaluations agree exactly.
     """
-    ref = delta.sum(axis=-1, keepdims=True) / delta.shape[-1]
-    emf = e_mag * np.exp(1j * (delta - ref))
-    power = emf * np.conj(_apply(net.y_red, emf))
-    v = _apply(net.r_v, emf)
+    ref, _, power, v = _phasors(delta, e_mag, net)
     return power.real, power.imag, np.abs(v), ref + np.angle(v)
+
+
+def machine_outputs_linearized(delta: np.ndarray, e_mag: np.ndarray,
+                               net: ReducedNetwork
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """The outputs of ``machine_outputs`` at one angle vector (n,), stacked
+    in frame order and bitwise equal to it, with their derivative with
+    respect to the angles, (2n + 2 buses, n).
+
+    Both come from one set of emfs, powers and bus voltages.  The common
+    rotation of the emfs cancels in every product the derivative uses.
+    Raises ValueError if a reconstructed bus voltage is zero, where the
+    angle derivative is undefined.
+    """
+    ref, emf, power, v = _phasors(delta, e_mag, net)
+    vm = np.abs(v)
+    dead = np.flatnonzero(vm < 1e-12)
+    if dead.size:
+        bus = net.bus_order[int(dead[0])]
+        raise ValueError(f"reconstructed voltage at bus {bus} is zero; "
+                         "angle derivative undefined")
+    # dS_i/d delta_k = j (delta_ik S_i - emf_i conj(Y_ik emf_k)): its real
+    # and imaginary parts are the P and Q rows.
+    ds = 1j * (np.diag(power) - emf[:, None] * np.conj(net.y_red * emf))
+    # (dV/d delta) / V = d ln|V| + j d(angle V)
+    dv = net.r_v * (1j * emf) / v[:, None]
+    outputs = np.concatenate([power.real, power.imag, vm, ref + np.angle(v)])
+    return outputs, np.concatenate([ds.real, ds.imag, vm[:, None] * dv.real,
+                                    dv.imag])
 
 
 def reactive_power(delta: np.ndarray, e_mag: np.ndarray,

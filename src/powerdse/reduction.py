@@ -138,6 +138,24 @@ def electrical_power(delta: np.ndarray, e_mag: np.ndarray,
     return e_mag * (net.y_mag * e_mag * np.cos(angles)).sum(axis=-1)
 
 
+def electrical_power_linearized(delta: np.ndarray, e_mag: np.ndarray,
+                                net: ReducedNetwork
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """``electrical_power`` at one angle vector (n,) and its derivative
+    with respect to the angles (n, n), from one angle-difference matrix.
+
+    The power is the same expression as ``electrical_power``, so it is
+    bitwise that value.  With S_ij = E_i |Y_ij| E_j sin(delta_i - delta_j -
+    angle Y_ij), dP_i/d delta_k is S_ik off the diagonal and minus the sum of
+    S_ij over j != i on it.
+    """
+    angles = delta[:, None] - delta[None, :] - net.y_ang
+    weights = net.y_mag * e_mag
+    power = e_mag * (weights * np.cos(angles)).sum(axis=-1)
+    sens = e_mag[:, None] * weights * np.sin(angles)
+    return power, sens - np.diag(sens.sum(axis=-1))
+
+
 @dataclass(frozen=True)
 class MachineInit:
     """Internal emf magnitudes, equilibrium rotor angles, mechanical powers."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from powerdse import (
     NoiseSpec,
     ProcessModel,
     ReducedNetwork,
+    Regime,
     init_belief,
     ekf_predict,
     ekf_update,
@@ -121,7 +124,8 @@ def test_process_jacobian_matches_fd(name, request, rng):
     params = request.getfixturevalue(f"{name}_params")
     model = swing_process_model(params, net, dt=0.01)
     for x in random_states(rng, init, 10):
-        jac = model.jacobian(x.as_vector())
+        _, jac = model.linearize(x.as_vector())
+        assert np.array_equal(jac, model.jacobian(x.as_vector()))
         jac_fd = central_difference(model.step, x.as_vector(), eps=1e-6)
         assert np.max(np.abs(jac - jac_fd)) / np.max(np.abs(jac_fd)) < 1e-6
 
@@ -154,9 +158,69 @@ def test_measurement_jacobian_matches_fd(name, request, rng):
     params = request.getfixturevalue(f"{name}_params")
     model = swing_measurement_model(params, net)
     for x in random_states(rng, init, 10):
-        jac = model.jacobian(x.as_vector())
+        _, jac = model.linearize(x.as_vector())
+        assert np.array_equal(jac, model.jacobian(x.as_vector()))
         jac_fd = central_difference(model.observe, x.as_vector(), eps=1e-6)
         assert np.max(np.abs(jac - jac_fd)) / np.max(np.abs(jac_fd)) < 1e-5
+
+
+def swing_models(name, request):
+    init = request.getfixturevalue(f"{name}_init")
+    net = request.getfixturevalue(f"{name}_net")
+    params = request.getfixturevalue(f"{name}_params")
+    return (init, swing_process_model(params, net, dt=0.01),
+            swing_measurement_model(params, net))
+
+
+@pytest.mark.parametrize("name", ["wecc9", "ne39"])
+def test_linearize_value_is_bitwise_the_model(name, request, rng):
+    # ekf_update's zero-innovation identity needs observe and linearize to
+    # agree exactly; the UKF evaluates the same maps on a stack
+    init, process, measure = swing_models(name, request)
+    stack = np.array([x.as_vector() for x in random_states(rng, init, 12)])
+    stepped, observed = process.step(stack), measure.observe(stack)
+    for k, x in enumerate(stack):
+        x_next, _ = process.linearize(x)
+        z, _ = measure.linearize(x)
+        assert np.array_equal(x_next, process.step(x))
+        assert np.array_equal(x_next, stepped[k])
+        assert np.array_equal(z, measure.observe(x))
+        assert np.array_equal(z, observed[k])
+
+
+@pytest.mark.parametrize("name", ["wecc9", "ne39"])
+def test_linearize_keeps_equilibrium_fixed(name, request):
+    init, process, _ = swing_models(name, request)
+    x0 = np.concatenate([init.delta0, np.ones_like(init.delta0)])
+    x_next, _ = process.linearize(x0)
+    assert np.array_equal(x_next, x0)
+
+
+def test_linearize_finite_difference_mode_agrees(wecc9_params, wecc9_net,
+                                                 wecc9_init, rng):
+    models = [(swing_process_model(wecc9_params, wecc9_net, 0.01),
+               swing_process_model(wecc9_params, wecc9_net, 0.01, use_fd=True)),
+              (swing_measurement_model(wecc9_params, wecc9_net),
+               swing_measurement_model(wecc9_params, wecc9_net, use_fd=True))]
+    for x in random_states(rng, wecc9_init, 5):
+        vec = x.as_vector()
+        for analytic, numeric in models:
+            value, jac = analytic.linearize(vec)
+            value_fd, jac_fd = numeric.linearize(vec)
+            assert np.array_equal(value, value_fd)
+            assert np.max(np.abs(jac - jac_fd)) / np.max(np.abs(jac)) < 1e-5
+
+
+def test_linearize_falls_back_to_plain_callables():
+    a = np.array([[1.0, 0.1], [0.0, 0.9]])
+    model = linear_process(a)
+    x = np.array([0.3, -1.2])
+    value, jac = model.linearize(x)
+    assert np.array_equal(value, a @ x)
+    assert np.array_equal(jac, a)
+    measure = MeasurementModel(observe=lambda v: v[:1], jacobian=lambda v: a[:1])
+    z, h = measure.linearize(x)
+    assert np.array_equal(z, x[:1]) and np.array_equal(h, a[:1])
 
 
 def test_measurement_jacobian_speed_columns_zero(wecc9_params, wecc9_net,
@@ -542,3 +606,37 @@ def test_finite_difference_mode_agrees(wecc9, wecc9_pf, wecc9_net,
         wecc9, wecc9_pf, scen, frames, b0)
     diff = np.abs(analytic.delta_matrix() - numeric.delta_matrix())
     assert np.max(diff) < 1e-6
+
+
+def preset_filter_config(kind, noise):
+    return FilterConfig(
+        kind=kind,
+        q=np.diag(np.maximum(process_variances(noise, 3), 1e-12)),
+        r=np.diag(np.maximum(measurement_variances(noise, 3, 9), 1e-12)))
+
+
+def with_nan(frames, k, field, index):
+    values = getattr(frames[k], field).copy()
+    values[index] = np.nan
+    frames = list(frames)
+    frames[k] = dataclasses.replace(frames[k], **{field: values})
+    return frames
+
+
+@pytest.mark.parametrize("kind", ["ekf", "ukf"])
+def test_run_filter_rejects_non_finite_frames(kind, wecc9, wecc9_pf, wecc9_run):
+    # frame 500 is post-fault; frame 101 (t=1.01 s) is fault-on, where bus 8
+    # is absent and bus 9 is the eighth bus of the layout
+    scen = wecc9_run.cfg.scenario
+    cfg = preset_filter_config(kind, wecc9_run.cfg.noise)
+    b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
+                     1e-2 * np.eye(6))
+    assert wecc9_run.truth.regime[101] is Regime.FaultOn
+    assert wecc9_run.frames[101].bus_ids[7] == 9
+    cases = [(500, "p_g", 0, r"frame 500 \(t=5\.0000s\).*p_g_1"),
+             (101, "v_ang", 7, r"frame 101 \(t=1\.0100s\).*v_ang_9")]
+    for k, field, index, message in cases:
+        frames = with_nan(wecc9_run.frames, k, field, index)
+        with pytest.raises(FilterNumericsError, match=message):
+            run_filter(cfg, wecc9, wecc9_pf, scen, frames, b0)
+    assert np.all(np.isfinite(wecc9_run.frames[500].p_g))

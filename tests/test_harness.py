@@ -6,20 +6,26 @@ import numpy as np
 import pytest
 import yaml
 
+from powerdse import harness
 from powerdse import (
     DynamicState,
     ExperimentConfig,
     ExperimentError,
     FaultScenario,
+    MeasurementFrame,
     NoiseSpec,
     Regime,
     Trajectory,
+    TrajectoryTable,
     config_from_dict,
     format_report,
     load_experiment_config,
     preset,
     rmse,
     run_experiment,
+    write_estimates_csv,
+    write_measurements_csv,
+    write_trajectory_csv,
 )
 
 
@@ -366,3 +372,86 @@ def test_seed_field_overrides_noise_seed(tmp_path):
                                     seed=5, filters=("ekf",)))
     assert (a.out_dir / "measurements.csv").read_bytes() == \
         (b.out_dir / "measurements.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["ekf", "ukf"])
+def test_stage_tag_non_finite_frame(kind, tmp_path, monkeypatch):
+    real = harness.synthesize
+
+    def corrupted(*args):
+        frames = real(*args)
+        p_g = frames[150].p_g.copy()
+        p_g[0] = np.nan
+        frames[150] = replace(frames[150], p_g=p_g)
+        return frames
+
+    monkeypatch.setattr(harness, "synthesize", corrupted)
+    cfg = quick_config(tmp_path / "x", filters=(kind,))
+    with pytest.raises(ExperimentError,
+                       match=rf"\[filter-{kind}\] frame 150 .*p_g_1") as info:
+        run_experiment(cfg)
+    assert info.value.stage == f"filter-{kind}"
+
+
+def csv_writer_file(path, header, rows):
+    """The artifact layout written with csv.writer, the writers' reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_writers_match_csv_writer(tmp_path):
+    odd = np.array([-0.0, 1e-300, 0.1 + 0.2, -2.5e-7, 1.0 - 1e-16, 123456.789])
+    times = np.array([0.0, 0.1 + 0.2, 0.5])
+    deltas = [odd[:2], odd[2:4], odd[4:]]
+    omegas = [1.0 + odd[1:3], 1.0 - odd[3:5], odd[::3]]
+    traj = Trajectory(times=times,
+                      states=[DynamicState(delta=d, omega=w)
+                              for d, w in zip(deltas, omegas)],
+                      regime=[Regime.PreFault, Regime.FaultOn, Regime.PostFault])
+    # the fault-on frame lacks bus 2; the last one lists its buses out of order
+    frames = [MeasurementFrame(t=0.0, p_g=odd[:2], q_g=odd[2:4],
+                               v_mag=odd[:3], v_ang=odd[3:], bus_ids=(1, 2, 3)),
+              MeasurementFrame(t=0.1 + 0.2, p_g=odd[4:], q_g=-odd[:2],
+                               v_mag=odd[1:3], v_ang=odd[4:], bus_ids=(1, 3)),
+              MeasurementFrame(t=0.5, p_g=odd[1:3], q_g=odd[3:5],
+                               v_mag=odd[2:5], v_ang=odd[1:4], bus_ids=(3, 1, 2))]
+    x_hat = np.column_stack([odd[::-1][:3], odd[:3], odd[1:4], odd[3:]])
+    p_diag = 1e-3 * x_hat[:, ::-1] ** 2
+
+    table = TrajectoryTable.of(traj)
+    write_trajectory_csv(table, tmp_path / "truth.csv")
+    write_measurements_csv(frames, (1, 2, 3), tmp_path / "measurements.csv")
+    write_estimates_csv(table, x_hat, p_diag, tmp_path / "estimate.csv")
+
+    def cells(values):
+        return [repr(float(v)) for v in values]
+
+    assert (tmp_path / "truth.csv").read_bytes() == csv_writer_file(
+        tmp_path / "truth_ref.csv",
+        ["t", "delta_1", "delta_2", "omega_1", "omega_2", "regime"],
+        [cells([t, *s.delta, *s.omega]) + [g.value]
+         for t, s, g in zip(times, traj.states, traj.regime)])
+
+    rows = []
+    for fr in frames:
+        vm = dict(zip(fr.bus_ids, cells(fr.v_mag)))
+        va = dict(zip(fr.bus_ids, cells(fr.v_ang)))
+        rows.append(cells([fr.t, *fr.p_g, *fr.q_g])
+                    + [vm.get(b, "") for b in (1, 2, 3)]
+                    + [va.get(b, "") for b in (1, 2, 3)])
+    assert rows[1][6] == "" and rows[1][9] == ""
+    assert (tmp_path / "measurements.csv").read_bytes() == csv_writer_file(
+        tmp_path / "measurements_ref.csv",
+        ["t", "p_g_1", "p_g_2", "q_g_1", "q_g_2", "v_mag_1", "v_mag_2",
+         "v_mag_3", "v_ang_1", "v_ang_2", "v_ang_3"], rows)
+
+    header = ["t"] + [f"{name}_{i}" for name in
+                      ("delta_true", "delta_est", "omega_true", "omega_est",
+                       "p_delta", "p_omega") for i in (1, 2)]
+    assert (tmp_path / "estimate.csv").read_bytes() == csv_writer_file(
+        tmp_path / "estimate_ref.csv", header,
+        [cells([t, *s.delta, *x[:2], *s.omega, *x[2:], *p])
+         for t, s, x, p in zip(times, traj.states, x_hat, p_diag)])
