@@ -41,6 +41,7 @@ from .reduction import (
     remove_bus,
 )
 from .dynamics import (
+    SUBSTEPS,
     DynamicState,
     FaultScenario,
     InstabilityError,

@@ -11,7 +11,7 @@ import click
 import numpy as np
 
 from .cases import NetworkCase, load_case, total_load
-from .dynamics import FaultScenario
+from .dynamics import SUBSTEPS, FaultScenario
 from .dynamics import simulate as run_simulation
 from .harness import (
     PRESETS,
@@ -113,7 +113,8 @@ def powerflow(case_ref: str, tol: float, max_iter: int, out: str | None):
               help="End buses of the line opened to clear the fault.")
 @click.option("--t-end", type=float, default=10.0, show_default=True)
 @click.option("--dt", type=float, default=0.01, show_default=True)
-@click.option("--substeps", type=int, default=10, show_default=True)
+@click.option("--substeps", type=int, default=SUBSTEPS, show_default=True,
+              help="Integration steps per dt.")
 @click.option("--out", default=None, help="Write the trajectory CSV here.")
 def simulate(case_ref: str, fault_bus: int, t_fault: float, cycles: float,
              clear_line: tuple[int, int], t_end: float, dt: float,

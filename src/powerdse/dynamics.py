@@ -29,6 +29,9 @@ from .reduction import (
 )
 
 SPEED_LIMIT = 0.2  # per-unit speed deviation treated as loss of synchronism
+# Truth-model integration steps per sample interval: the default of
+# ``simulate``, ``ExperimentConfig`` and ``dse simulate``.
+SUBSTEPS = 2
 
 
 class ScenarioError(ValueError):
@@ -257,14 +260,25 @@ class Trajectory:
         return len(self.states)
 
 
-# Classical RK4: stage coefficients a_ij and weights b_i.
-_RK4_STAGES = ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
-_RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+# Butcher's seven-stage sixth-order Runge-Kutta ("On Runge-Kutta processes
+# of high order", J. Austral. Math. Soc. 4, 1964): stage coefficients a_ij
+# and weights b_i.
+_RK_STAGES = (
+    (),
+    (1 / 3,),
+    (0.0, 2 / 3),
+    (1 / 12, 1 / 3, -1 / 12),
+    (-1 / 16, 9 / 8, -3 / 16, -3 / 8),
+    (0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2),
+    (9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11),
+)
+_RK_WEIGHTS = (11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120)
 
 
-def _rk4_stepper(params: MachineParams, net: ReducedNetwork,
-                 h: float) -> Callable[[np.ndarray, int], np.ndarray]:
-    """Classical RK4 substeps of length ``h`` on one topology.
+def _rk_stepper(params: MachineParams, net: ReducedNetwork,
+                h: float) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Runge-Kutta steps of length ``h`` on one topology, with the
+    ``_RK_STAGES``/``_RK_WEIGHTS`` tableau.
 
     On y = (angles, speed deviations) the swing right-hand side is
     semilinear:
@@ -278,10 +292,12 @@ def _rk4_stepper(params: MachineParams, net: ReducedNetwork,
     that sum from the speed rows.  This is the cosine sum to rounding.
 
     Each stage argument A (y_i, 1) and the update are therefore linear in
-    z = (y, 1, g_1, .., g_4), and those maps are built here once.  A substep
-    is then four (product, cosine, product) stage evaluations and one
-    update: on a few machines numpy's per-call dispatch, not arithmetic, is
-    the cost.  Returns ``advance(y, n_sub)``, which runs ``n_sub`` substeps.
+    z = (y, 1, g_1, .., g_s), and those maps are built here once.  A step is
+    then s (product, cosine, product) stage evaluations and one update: on a
+    few machines numpy's per-call dispatch, not arithmetic, is the cost, so
+    the stepper also owns its ``z`` and cosine buffers.  Returns
+    ``advance(y, n_sub)``, which runs ``n_sub`` steps from ``y`` and returns
+    a view of its own buffer, valid until its next call.
     """
     n = params.n_machines
     m = 2 * n
@@ -299,12 +315,14 @@ def _rk4_stepper(params: MachineParams, net: ReducedNetwork,
     pick[:, :n] = np.vstack([eye, eye])
     pick[n:, m] = -0.5 * np.pi   # cos(delta - pi/2) = sin(delta)
 
-    width = m + 1 + 4 * m
+    n_stages = len(_RK_STAGES)
+    width = m + 1 + n_stages * m
     home = np.eye(m + 1, width)   # (y, 1) read off z
-    slots = [slice(m + 1 + i * m, m + 1 + (i + 1) * m) for i in range(4)]
+    slots = [slice(m + 1 + i * m, m + 1 + (i + 1) * m)
+             for i in range(n_stages)]
     stages: list[tuple[np.ndarray, slice]] = []
     slopes: list[np.ndarray] = []
-    for coeffs, slot in zip(_RK4_STAGES, slots):
+    for coeffs, slot in zip(_RK_STAGES, slots):
         state = home.copy()
         for a, slope in zip(coeffs, slopes):
             state[:m] += (a * h) * slope
@@ -313,69 +331,96 @@ def _rk4_stepper(params: MachineParams, net: ReducedNetwork,
         slope[:, slot] += drain
         slopes.append(slope)
     update = home[:m].copy()
-    for b, slope in zip(_RK4_WEIGHTS, slopes):
+    for b, slope in zip(_RK_WEIGHTS, slopes):
         update += (b * h) * slope
 
-    def advance(y: np.ndarray, n_sub: int) -> np.ndarray:
-        z = np.zeros(width)
-        z[:m] = y
-        z[m] = 1.0
-        # each stage writes its powers in place, through a view into z
-        powers = [(arg, z[slot]) for arg, slot in stages]
+    z = np.zeros(width)
+    z[m] = 1.0
+    y = z[:m]
+    c = np.empty(m)
+    # each stage writes its powers in place, through a view into z
+    powers = [(arg, z[slot]) for arg, slot in stages]
+
+    def advance(y0: np.ndarray, n_sub: int) -> np.ndarray:
+        y[:] = y0
         for _ in range(n_sub):
             for arg, power in powers:
-                c = np.cos(arg.dot(z))
+                np.cos(arg.dot(z), out=c)
                 np.multiply(c, rotate.dot(c), out=power)
-            z[:m] = update.dot(z)
-        return z[:m].copy()
+            y[:] = update.dot(z)
+        return y
 
     return advance
 
 
 def simulate(case: NetworkCase, pf: PowerFlowSolution, scenario: FaultScenario,
-             substeps: int = 10) -> Trajectory:
+             substeps: int = SUBSTEPS) -> Trajectory:
     """Reference trajectory through the fault, sampled every ``scenario.dt``.
 
-    Integrates with classical RK4 using ``substeps`` substeps per sample
-    interval, splitting any interval that contains the fault or clearing
-    instant so every integration span sees a single topology.  Raises
-    InstabilityError if any machine's speed leaves the stable band.
+    Integrates with Butcher's sixth-order Runge-Kutta (``_rk_stepper``) in
+    ``substeps`` equal steps of ``dt / substeps`` per sample interval.  An
+    interval that contains the fault or clearing instant is split there, so
+    every step sees a single topology, and each part takes its share of the
+    ``substeps`` steps, rounded up.  Raises InstabilityError at the first
+    sample where a machine's speed leaves the stable band.
     """
     nets = scenario_networks(case, pf, scenario)
     init = machine_init(case, pf, net=nets.pre)
     params = MachineParams.from_case(case, init)
     n = params.n_machines
-    # Sample intervals differ from dt only in their last bits, so a handful
-    # of distinct (topology, span) pairs recur; build each stepper once.
-    steppers: dict[tuple[Regime, float], tuple[int, Callable]] = {}
+    freq = case.frequency
 
     n_steps = int(round(scenario.t_end / scenario.dt))
     times = np.arange(n_steps + 1) * scenario.dt
-    switch_times = (scenario.t_fault, scenario.t_clear(case.frequency))
+    regimes = [scenario.regime(t, freq) for t in times.tolist()]
+
+    def stepper(regime: Regime, h: float) -> Callable:
+        return _rk_stepper(params, nets.for_regime(regime), h)
+
+    # The plan: the (advance, n_sub) spans of each sample interval.  An
+    # interval that a switching instant splits gets a stepper per part, each
+    # part taking its share of the steps; whole intervals share one stepper
+    # per regime.
+    plan: list[tuple[tuple[Callable, int], ...] | None] = [None] * n_steps
+    splits: dict[int, list[float]] = {}
+    for s in (scenario.t_fault, scenario.t_clear(freq)):
+        k = int(np.searchsorted(times, s)) - 1   # times[k] < s <= times[k + 1]
+        if 0 <= k < n_steps and s < times[k + 1]:
+            splits.setdefault(k, []).append(s)
+    for k, inner in splits.items():
+        cuts = [float(times[k]), *inner, float(times[k + 1])]
+        spans = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            # the tolerance keeps a share that is whole but for rounding
+            n_sub = max(1, math.ceil(substeps * (b - a) / scenario.dt - 1e-9))
+            spans.append((stepper(scenario.regime(a, freq), (b - a) / n_sub),
+                          n_sub))
+        plan[k] = tuple(spans)
+    whole: dict[Regime, tuple[tuple[Callable, int]]] = {}
+    for k, regime in enumerate(regimes[:-1]):
+        if plan[k] is None:
+            if regime not in whole:
+                whole[regime] = ((stepper(regime, scenario.dt / substeps),
+                                  substeps),)
+            plan[k] = whole[regime]
 
     # Integrate the speed deviation: at rest it is exactly zero, so the
     # equilibrium loses nothing to cancellation against the nominal speed.
-    y = np.concatenate([init.delta0, np.zeros_like(init.delta0)])
-    states = [DynamicState(delta=y[:n], omega=1.0 + y[n:])]
-    regimes = [scenario.regime(float(times[0]), case.frequency)]
-
-    for k in range(n_steps):
-        t0, t1 = float(times[k]), float(times[k + 1])
-        cuts = [t0] + [s for s in switch_times if t0 < s < t1] + [t1]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            key = (scenario.regime(a, case.frequency), b - a)
-            if key not in steppers:
-                n_sub = max(1, math.ceil(substeps * (b - a) / scenario.dt))
-                steppers[key] = (n_sub, _rk4_stepper(
-                    params, nets.for_regime(key[0]), (b - a) / n_sub))
-            n_sub, advance = steppers[key]
+    ys = np.empty((n_steps + 1, 2 * n))
+    ys[0, :n] = init.delta0
+    ys[0, n:] = 0.0
+    for k, spans in enumerate(plan):
+        y = ys[k]
+        for advance, n_sub in spans:
             y = advance(y, n_sub)
-        omega = 1.0 + y[n:]
-        if np.max(np.abs(y[n:])) > SPEED_LIMIT:
-            worst = int(np.argmax(np.abs(y[n:])))
-            raise InstabilityError(machine=worst + 1, t=t1,
-                                   omega=float(omega[worst]))
-        states.append(DynamicState(delta=y[:n], omega=omega))
-        regimes.append(scenario.regime(t1, case.frequency))
+        ys[k + 1] = y
+        dev = y[n:]
+        # One call screens the band: max |dev| > limit needs dev.dev > limit^2.
+        if dev.dot(dev) > SPEED_LIMIT ** 2 and np.abs(dev).max() > SPEED_LIMIT:
+            worst = int(np.argmax(np.abs(dev)))
+            raise InstabilityError(machine=worst + 1, t=float(times[k + 1]),
+                                   omega=float(1.0 + y[n + worst]))
 
+    omega = 1.0 + ys[:, n:]
+    states = [DynamicState(delta=d, omega=w) for d, w in zip(ys[:, :n], omega)]
     return Trajectory(times=times, states=states, regime=regimes)

@@ -19,6 +19,7 @@ import yaml
 
 from .cases import load_case
 from .dynamics import (
+    SUBSTEPS,
     FaultScenario,
     MachineParams,
     Regime,
@@ -62,7 +63,7 @@ class ExperimentConfig:
     filters: tuple[str, ...] = ("ekf", "ukf")
     out_dir: str = "out"
     seed: int | None = None
-    substeps: int = 10
+    substeps: int = SUBSTEPS
     prior_angle_shift: float = 0.05
     prior_cov: float = 1e-2
     jitter: float = 1e-9
@@ -428,7 +429,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         filters=tuple(data.get("filters", ("ekf", "ukf"))),
         out_dir=str(data.get("out_dir", "out")),
         seed=None if seed is None else int(seed),
-        substeps=int(data.get("substeps", 10)),
+        substeps=int(data.get("substeps", SUBSTEPS)),
         prior_angle_shift=float(data.get("prior_angle_shift", 0.05)),
         prior_cov=float(data.get("prior_cov", 1e-2)),
         jitter=float(data.get("jitter", 1e-9)),

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from powerdse import dynamics
 from powerdse import (
+    SUBSTEPS,
     DynamicState,
     FaultScenario,
     InstabilityError,
@@ -12,6 +14,7 @@ from powerdse import (
     Regime,
     ScenarioError,
     electrical_power,
+    preset,
     scenario_networks,
     simulate,
     step_process,
@@ -225,16 +228,57 @@ def test_substep_self_convergence(wecc9, wecc9_pf):
     assert np.max(np.abs(coarse.delta_matrix() - fine.delta_matrix())) < 1e-6
 
 
-def test_rk4_fourth_order(wecc9, wecc9_pf):
-    scen = wecc9_scenario()
+def test_rk6_sixth_order(wecc9, wecc9_pf):
+    # a 2 s window keeps the angles small, so the error sits well above the
+    # roundoff floor at both step counts
+    scen = wecc9_scenario(t_end=2.0)
 
     def terminal(substeps):
         return simulate(wecc9, wecc9_pf, scen, substeps=substeps).states[-1]
 
     ref = terminal(16).as_vector()
+    err1 = np.max(np.abs(terminal(1).as_vector() - ref))
     err2 = np.max(np.abs(terminal(2).as_vector() - ref))
-    err4 = np.max(np.abs(terminal(4).as_vector() - ref))
-    assert 8.0 < err2 / err4 < 32.0
+    assert 32.0 < err1 / err2 < 128.0
+
+
+@pytest.mark.parametrize("name,bound", [("wecc9", 1e-9), ("ne39", 1e-10)])
+def test_default_steps_accuracy(name, bound, request):
+    # the default step count stays within the error of the classical RK4 at
+    # 10 substeps that it replaced, against a 16-step run
+    run = request.getfixturevalue(f"{name}_run")
+    assert run.cfg.substeps == SUBSTEPS
+    fine = simulate(run.case, run.pf, run.cfg.scenario, substeps=16)
+    assert np.max(np.abs(run.truth.delta_matrix()
+                         - fine.delta_matrix())) <= bound
+
+
+def test_step_plan_counts(wecc9, wecc9_pf, monkeypatch):
+    # Whole intervals run exactly SUBSTEPS steps of dt / SUBSTEPS, one
+    # stepper per regime; only the interval split by the clearing instant
+    # takes other steps, one stepper per part.
+    scen = preset("wecc9-fault8").scenario
+    builds, calls = [], []
+    build = dynamics._rk_stepper
+
+    def counting(params, net, h):
+        builds.append(h)
+        advance = build(params, net, h)
+
+        def counted(y, n_sub):
+            calls.append((h, n_sub))
+            return advance(y, n_sub)
+        return counted
+
+    monkeypatch.setattr(dynamics, "_rk_stepper", counting)
+    simulate(wecc9, wecc9_pf, scen)
+    whole = scen.dt / SUBSTEPS
+    assert len(builds) <= 5
+    assert builds.count(whole) == 3
+    assert calls.count((whole, SUBSTEPS)) == 999
+    split = [(h, n_sub) for h, n_sub in calls if h != whole]
+    assert len(split) == 2
+    assert sum(h * n_sub for h, n_sub in split) == pytest.approx(scen.dt)
 
 
 def test_against_adaptive_integrator(wecc9_run):

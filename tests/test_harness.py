@@ -1,5 +1,6 @@
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import yaml
 
 from powerdse import harness
 from powerdse import (
+    SUBSTEPS,
     DynamicState,
     ExperimentConfig,
     ExperimentError,
@@ -23,10 +25,12 @@ from powerdse import (
     preset,
     rmse,
     run_experiment,
+    simulate,
     write_estimates_csv,
     write_measurements_csv,
     write_trajectory_csv,
 )
+from powerdse.cli import simulate as cli_simulate
 
 
 def toy_trajectory(deltas, omegas=None, dt=0.01):
@@ -139,6 +143,22 @@ def test_config_from_dict_defaults():
     assert cfg.noise == NoiseSpec()
     assert cfg.seed is None
     assert cfg.prior_angle_shift == 0.05
+
+
+def test_substeps_defaults_follow_dynamics():
+    # one source for the truth model's step count
+    loaded = config_from_dict({
+        "case": "wecc9",
+        "scenario": {"fault_bus": 8, "cleared_line": [8, 9]},
+    })
+    field = {f.name: f for f in fields(ExperimentConfig)}["substeps"]
+    option = {p.name: p for p in cli_simulate.params}["substeps"]
+    assert loaded.substeps == SUBSTEPS
+    assert field.default == SUBSTEPS
+    assert option.default == SUBSTEPS
+    assert signature(simulate).parameters["substeps"].default == SUBSTEPS
+    assert preset("wecc9-fault8").substeps == SUBSTEPS
+    assert preset("ne39-fault4").substeps == SUBSTEPS
 
 
 def test_config_from_dict_full():
