@@ -35,6 +35,7 @@ from .reduction import (
     MachineInit,
     ReducedNetwork,
     ReductionError,
+    electrical_power,
     extend_network,
     kron_reduce,
     machine_init,
@@ -50,24 +51,18 @@ from .dynamics import (
     ScenarioError,
     ScenarioNetworks,
     Trajectory,
-    electrical_power,
     scenario_networks,
     simulate,
-    step_process,
-    swing_derivatives,
     validate_scenario,
 )
 from .measurement import (
     MeasurementFrame,
     NoiseSpec,
-    bus_voltages,
-    continuous_voltage_angles,
     machine_outputs,
     measure,
     measurement_indices,
     measurement_variances,
     process_variances,
-    reactive_power,
     synthesize,
 )
 from .filters import (
@@ -78,12 +73,7 @@ from .filters import (
     ProcessModel,
     ekf_predict,
     ekf_update,
-    electrical_power_jacobian,
-    finite_difference_jacobian,
     init_belief,
-    measurement_jacobian,
-    process_jacobian,
-    reactive_power_jacobian,
     run_filter,
     sigma_points,
     swing_measurement_model,

@@ -21,7 +21,6 @@ from .powerflow import PowerFlowSolution
 from .reduction import (
     MachineInit,
     ReducedNetwork,
-    electrical_power,
     extend_network,
     kron_reduce,
     machine_init,
@@ -59,12 +58,6 @@ class DynamicState:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.delta, self.omega])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "DynamicState":
-        vec = np.asarray(vec, dtype=float)
-        n = vec.size // 2
-        return cls(delta=vec[:n].copy(), omega=vec[n:].copy())
 
 
 @dataclass(frozen=True)
@@ -105,14 +98,6 @@ def swing_rates(delta: np.ndarray, omega: np.ndarray, p_e: np.ndarray,
             (params.p_mech - p_e - params.d * dev) / (2.0 * params.h))
 
 
-def swing_derivatives(x: DynamicState, params: MachineParams,
-                      net: ReducedNetwork) -> DynamicState:
-    """Time derivatives of the rotor states (see ``swing_rates``)."""
-    p_e = electrical_power(x.delta, params.e_mag, net)
-    rate_delta, rate_omega = swing_rates(x.delta, x.omega, p_e, params)
-    return DynamicState(delta=rate_delta, omega=rate_omega)
-
-
 def euler_step(delta: np.ndarray, omega: np.ndarray, p_e: np.ndarray,
                params: MachineParams, dt: float
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -120,23 +105,6 @@ def euler_step(delta: np.ndarray, omega: np.ndarray, p_e: np.ndarray,
     and speeds, given the electrical power ``p_e`` at those angles."""
     rate_delta, rate_omega = swing_rates(delta, omega, p_e, params)
     return delta + dt * rate_delta, omega + dt * rate_omega
-
-
-def step_process(x: DynamicState, params: MachineParams, net: ReducedNetwork,
-                 dt: float, noise: np.ndarray | None = None) -> DynamicState:
-    """One forward-Euler step of the swing dynamics, the estimators' model.
-
-    ``noise`` is an optional stacked (angles, speeds) additive disturbance.
-    """
-    delta, omega = euler_step(x.delta, x.omega,
-                              electrical_power(x.delta, params.e_mag, net),
-                              params, dt)
-    if noise is not None:
-        w = np.asarray(noise, dtype=float)
-        n = delta.size
-        delta = delta + w[:n]
-        omega = omega + w[n:]
-    return DynamicState(delta=delta, omega=omega)
 
 
 class Regime(Enum):
@@ -361,9 +329,12 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution, scenario: FaultScenario,
     ``substeps`` equal steps of ``dt / substeps`` per sample interval.  An
     interval that contains the fault or clearing instant is split there, so
     every step sees a single topology, and each part takes its share of the
-    ``substeps`` steps, rounded up.  Raises InstabilityError at the first
-    sample where a machine's speed leaves the stable band.
+    ``substeps`` steps, rounded up.  Raises ScenarioError if ``substeps`` is
+    below 1, and InstabilityError at the first sample where a machine's
+    speed leaves the stable band.
     """
+    if substeps < 1:
+        raise ScenarioError(f"substeps must be at least 1, got {substeps}")
     nets = scenario_networks(case, pf, scenario)
     init = machine_init(case, pf, net=nets.pre)
     params = MachineParams.from_case(case, init)

@@ -1,8 +1,8 @@
 """Gaussian state estimators: an extended and an unscented Kalman filter.
 
-Both filters are generic over a process model and a measurement model given
-as plain callables on flat state vectors, so the same code runs the rotor
-estimation problem and ordinary linear-Gaussian systems.  Swing-specific
+Both filters are generic over a process model and a measurement model, each
+a map on flat state vectors and its linearization, so the same code runs the
+rotor estimation problem and ordinary linear-Gaussian systems.  Swing-specific
 bindings build those models from machine parameters and a reduced network.
 """
 
@@ -38,7 +38,7 @@ from .reduction import (
 
 
 class FilterNumericsError(RuntimeError):
-    """A covariance factorization or solve broke down."""
+    """A covariance factorization or solve broke down, or a frame is unusable."""
 
 
 @dataclass(frozen=True)
@@ -51,39 +51,22 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class ProcessModel:
-    """One-step state transition: ``step`` maps x to x', ``jacobian`` gives
-    its derivative at x.  ``step_many`` optionally maps (k, n) stacks, and
-    ``fused`` optionally gives both at one state from one evaluation."""
+    """One-step state transition: ``step`` maps one state (n,) or a (k, n)
+    stack of them to the next; ``linearize`` gives ``step(x)`` and its
+    derivative at one state x."""
 
     step: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    step_many: Callable[[np.ndarray], np.ndarray] | None = None
-    fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-
-    def linearize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(step(x), jacobian(x))."""
-        if self.fused is None:
-            return self.step(x), self.jacobian(x)
-        return self.fused(x)
+    linearize: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Observation map: ``observe`` maps x to the predicted measurement,
-    ``jacobian`` gives its derivative at x.  ``observe_many`` optionally maps
-    (k, n) stacks, and ``fused`` optionally gives both at one state from one
-    evaluation."""
+    """Observation map: ``observe`` maps one state (n,) or a (k, n) stack of
+    them to the predicted measurements; ``linearize`` gives ``observe(x)``
+    and its derivative at one state x."""
 
     observe: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    observe_many: Callable[[np.ndarray], np.ndarray] | None = None
-    fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-
-    def linearize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(observe(x), jacobian(x))."""
-        if self.fused is None:
-            return self.observe(x), self.jacobian(x)
-        return self.fused(x)
+    linearize: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -100,7 +83,6 @@ class FilterConfig:
     q: np.ndarray
     r: np.ndarray
     jitter: float = 1e-9
-    jacobian_mode: str = "analytic"
     sigma_scheme: str = "symmetric"
     ut_alpha: float = 1e-3
     ut_beta: float = 2.0
@@ -109,8 +91,6 @@ class FilterConfig:
     def __post_init__(self):
         if self.kind not in ("ekf", "ukf"):
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.jacobian_mode not in ("analytic", "finite_difference"):
-            raise ValueError(f"unknown jacobian mode {self.jacobian_mode!r}")
         if self.sigma_scheme not in ("symmetric", "scaled"):
             raise ValueError(f"unknown sigma scheme {self.sigma_scheme!r}")
 
@@ -131,21 +111,6 @@ def init_belief(x0: np.ndarray, p0: np.ndarray) -> GaussianBelief:
     if eigs.min() < -1e-10:
         raise ValueError(f"initial covariance has negative eigenvalue {eigs.min():.3e}")
     return GaussianBelief(x_hat=x0, p=_symmetrize(p0))
-
-
-def finite_difference_jacobian(func: Callable[[np.ndarray], np.ndarray],
-                               x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of ``func`` at ``x``."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        step = eps * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += step
-        xm[j] -= step
-        cols.append((func(xp) - func(xm)) / (2.0 * step))
-    return np.stack(cols, axis=1)
 
 
 # --- extended filter ---------------------------------------------------------
@@ -221,12 +186,6 @@ def _sigma_set(belief: GaussianBelief,
     return pts, wm, wc
 
 
-def _through(points: np.ndarray, one: Callable, many: Callable | None) -> np.ndarray:
-    if many is not None:
-        return many(points)
-    return np.array([one(p) for p in points])
-
-
 def ukf_predict(belief: GaussianBelief, model: ProcessModel, q: np.ndarray,
                 cfg: "FilterConfig") -> tuple[GaussianBelief, np.ndarray]:
     """Propagate sigma points through the process model.
@@ -235,7 +194,7 @@ def ukf_predict(belief: GaussianBelief, model: ProcessModel, q: np.ndarray,
     draws a fresh set from the predicted belief rather than reusing these).
     """
     pts, wm, wc = _sigma_set(belief, cfg)
-    prop = _through(pts, model.step, model.step_many)
+    prop = model.step(pts)
     x = wm.dot(prop)
     dev = prop - x
     p = (dev * wc[:, None]).T.dot(dev) + q
@@ -246,7 +205,7 @@ def ukf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
                r: np.ndarray, cfg: "FilterConfig") -> GaussianBelief:
     """Condition the predicted belief on a measurement via fresh sigma points."""
     pts, wm, wc = _sigma_set(belief, cfg)
-    obs = _through(pts, model.observe, model.observe_many)
+    obs = model.observe(pts)
     z_hat = wm.dot(obs)
     dz = obs - z_hat
     dx = pts - belief.x_hat
@@ -266,48 +225,13 @@ def ukf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
 # --- swing-model bindings ----------------------------------------------------
 
 
-def electrical_power_jacobian(delta: np.ndarray, e_mag: np.ndarray,
-                              net: ReducedNetwork) -> np.ndarray:
-    """Derivative of per-machine electrical power with respect to the angles."""
-    return electrical_power_linearized(delta, e_mag, net)[1]
-
-
-def reactive_power_jacobian(delta: np.ndarray, e_mag: np.ndarray,
-                            net: ReducedNetwork) -> np.ndarray:
-    """Derivative of per-machine reactive power with respect to the angles."""
-    nm = delta.size
-    return machine_outputs_linearized(delta, e_mag, net)[1][nm:2 * nm]
-
-
-def process_jacobian(x: DynamicState, params: MachineParams,
-                     net: ReducedNetwork, dt: float) -> np.ndarray:
-    """Derivative of the one-step Euler transition with respect to the state.
-
-    Block form: identity on angles plus dt-scaled speed coupling; the speed
-    rows carry the electrical-power sensitivity and the damping decay.
-    """
-    return swing_process_model(params, net, dt).jacobian(x.as_vector())
-
-
-def measurement_jacobian(x: DynamicState, params: MachineParams,
-                         net: ReducedNetwork) -> np.ndarray:
-    """Derivative of the stacked observation map with respect to the state.
-
-    Rows follow the frame layout (active power, reactive power, voltage
-    magnitudes, voltage angles); speed columns are identically zero.  Raises
-    ValueError if a reconstructed bus voltage is zero, where the angle
-    derivative is undefined.
-    """
-    return swing_measurement_model(params, net).jacobian(x.as_vector())
-
-
-def swing_process_model(params: MachineParams, net: ReducedNetwork, dt: float,
-                        use_fd: bool = False) -> ProcessModel:
+def swing_process_model(params: MachineParams, net: ReducedNetwork,
+                        dt: float) -> ProcessModel:
     """Forward-Euler rotor transition bound to one network topology.
 
-    ``step`` takes one state vector or a (k, 2n) stack of them.  The
-    analytic model is fused: one angle-difference matrix gives the
-    electrical power of the step and its sensitivity in the Jacobian.
+    ``step`` takes one state vector or a (k, 2n) stack of them.  In
+    ``linearize`` one angle-difference matrix gives the electrical power of
+    the step and its sensitivity in the Jacobian.
     """
     nm = params.n_machines
 
@@ -317,11 +241,6 @@ def swing_process_model(params: MachineParams, net: ReducedNetwork, dt: float,
         return np.concatenate(euler_step(delta, vec[..., nm:], p_e, params, dt),
                               axis=-1)
 
-    if use_fd:
-        return ProcessModel(
-            step=step, step_many=step,
-            jacobian=lambda vec: finite_difference_jacobian(step, vec))
-
     # The state-independent part of the Jacobian, and the row scaling that
     # carries the power sensitivity into the speed rows.
     base = np.zeros((2 * nm, 2 * nm))
@@ -330,26 +249,26 @@ def swing_process_model(params: MachineParams, net: ReducedNetwork, dt: float,
     base[nm:, nm:] = np.diag(1.0 - dt * params.d / (2.0 * params.h))
     coupling = (-dt / (2.0 * params.h))[:, None]
 
-    def fused(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def linearize(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         delta = vec[:nm]
         p_e, sens = electrical_power_linearized(delta, params.e_mag, net)
         jac = base.copy()
         jac[nm:, :nm] = coupling * sens
         return np.concatenate(euler_step(delta, vec[nm:], p_e, params, dt)), jac
 
-    return ProcessModel(step=step, step_many=step, fused=fused,
-                        jacobian=lambda vec: fused(vec)[1])
+    return ProcessModel(step=step, linearize=linearize)
 
 
-def swing_measurement_model(params: MachineParams, net: ReducedNetwork,
-                            use_fd: bool = False) -> MeasurementModel:
+def swing_measurement_model(params: MachineParams,
+                            net: ReducedNetwork) -> MeasurementModel:
     """Power-and-voltage observation map bound to one network topology.
 
     Voltage angles use the continuous convention of ``measure``, so predicted
     measurements stay comparable to unwrapped frames without residual fixups.
     ``observe`` takes one state vector or a (k, 2n) stack of them and uses the
-    same kernel as ``measure``; the analytic model is fused, with the
-    Jacobian from the same emfs, powers and voltages as the prediction.
+    same kernel as ``measure``.  ``linearize`` takes the Jacobian from the
+    same emfs, powers and voltages as the prediction, and raises ValueError
+    where a reconstructed bus voltage is zero.
     """
     nm = params.n_machines
 
@@ -357,29 +276,31 @@ def swing_measurement_model(params: MachineParams, net: ReducedNetwork,
         return np.concatenate(
             machine_outputs(vec[..., :nm], params.e_mag, net), axis=-1)
 
-    if use_fd:
-        return MeasurementModel(
-            observe=observe, observe_many=observe,
-            jacobian=lambda vec: finite_difference_jacobian(observe, vec))
-
     speed_cols = np.zeros((2 * nm + 2 * len(net.bus_order), nm))
 
-    def fused(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def linearize(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z, angle_cols = machine_outputs_linearized(vec[:nm], params.e_mag, net)
         return z, np.concatenate([angle_cols, speed_cols], axis=1)
 
-    return MeasurementModel(observe=observe, observe_many=observe, fused=fused,
-                            jacobian=lambda vec: fused(vec)[1])
+    return MeasurementModel(observe=observe, linearize=linearize)
 
 
 # --- full scenario run -------------------------------------------------------
 
 
 def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
-                  zs: list[np.ndarray], n_machines: int) -> None:
+                  zs: list[np.ndarray], n_machines: int, dt: float) -> None:
     """Raise FilterNumericsError naming the first frame, its time and its
-    channel (the column name of ``measurements.csv``) that is not finite."""
+    channel (the column name of ``measurements.csv``) that is not finite,
+    else the first frame k stamped off k * dt by more than 1e-9 relative."""
     if np.isfinite(times).all() and np.isfinite(np.concatenate(zs)).all():
+        grid = np.arange(times.size) * dt
+        off = np.flatnonzero(np.abs(times - grid) > 1e-9 * np.maximum(grid, dt))
+        if off.size:
+            k = int(off[0])
+            raise FilterNumericsError(
+                f"frame {k} (t={times[k]:.4f}s): stamp is off the sample "
+                f"grid, {k} * dt = {grid[k]:g}s")
         return
     for k, (fr, z) in enumerate(zip(frames, zs)):
         names = (["t"]
@@ -402,45 +323,45 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     The first frame seeds nothing: the estimate at its time is ``b0``.  Each
     later frame triggers one predict with the topology in force at the start
     of the interval, then one update with the topology at the frame time.
-    Every frame is checked before the first step: a non-finite value raises
-    FilterNumericsError naming the frame, its time and its channel.  Returns
-    the estimate trajectory and the belief after every frame.
+    Frame k must be stamped k * ``scenario.dt``, so the process models are
+    one per regime.  Every frame is checked before the first step: a
+    non-finite value or an off-grid stamp raises FilterNumericsError naming
+    the frame and its time.  Returns the estimate trajectory and the belief
+    after every frame.
     """
     nets = scenario_networks(case, pf, scenario)
     init = machine_init(case, pf, net=nets.pre)
     params = MachineParams.from_case(case, init)
     nm = params.n_machines
     all_bus_ids = tuple(b.id for b in case.buses)
-    use_fd = cfg.jacobian_mode == "finite_difference"
 
     stamps = np.array([fr.t for fr in frames])
     zs = [fr.z_vector() for fr in frames]
-    _check_frames(frames, stamps, zs, nm)
+    _check_frames(frames, stamps, zs, nm, scenario.dt)
     times = stamps.tolist()
     regimes = [scenario.regime(t, case.frequency) for t in times]
 
-    # The plan: per frame, the process model of the interval before it, the
-    # measurement model and covariance block of its layout, and its vector.
-    # Intervals differ from dt only in their last bits, so a handful of
-    # (regime, interval) models recur.
+    # The plan: per frame, the process model of the regime at the start of
+    # the interval before it, the measurement model of the regime at the
+    # frame and the covariance block of its layout, and its vector.
     processes: dict = {}
     observers: dict = {}
     r_blocks: dict = {}
     plan = []
     for k in range(1, len(frames)):
-        key = (regimes[k - 1], times[k] - times[k - 1])
-        if key not in processes:
-            processes[key] = swing_process_model(
-                params, nets.for_regime(key[0]), key[1], use_fd)
-        regime = regimes[k]
+        before, regime = regimes[k - 1], regimes[k]
+        if before not in processes:
+            processes[before] = swing_process_model(
+                params, nets.for_regime(before), scenario.dt)
         if regime not in observers:
             observers[regime] = swing_measurement_model(
-                params, nets.for_regime(regime), use_fd)
+                params, nets.for_regime(regime))
         layout = frames[k].bus_ids
         if layout not in r_blocks:
             idx = measurement_indices(all_bus_ids, layout, nm)
             r_blocks[layout] = cfg.r[np.ix_(idx, idx)]
-        plan.append((processes[key], observers[regime], r_blocks[layout], zs[k]))
+        plan.append((processes[before], observers[regime], r_blocks[layout],
+                     zs[k]))
 
     if cfg.kind == "ekf":
         def advance(belief, process, measure, r, z):

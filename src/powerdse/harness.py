@@ -67,7 +67,6 @@ class ExperimentConfig:
     prior_angle_shift: float = 0.05
     prior_cov: float = 1e-2
     jitter: float = 1e-9
-    jacobian_mode: str = "analytic"
     sigma_scheme: str = "symmetric"
 
 
@@ -247,7 +246,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for kind in cfg.filters:
         fc = _stage(f"filter-{kind}", FilterConfig,
                     kind=kind, q=q, r=r, jitter=cfg.jitter,
-                    jacobian_mode=cfg.jacobian_mode,
                     sigma_scheme=cfg.sigma_scheme)
         _, beliefs = _stage(f"filter-{kind}", run_filter,
                             fc, case, pf, cfg.scenario, frames, prior)
@@ -386,12 +384,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed YAML mapping, rejecting unknown keys."""
     known = {"case", "scenario", "noise", "filters", "out_dir", "seed",
              "substeps", "prior_angle_shift", "prior_cov", "jitter",
-             "jacobian_mode", "sigma_scheme"}
+             "sigma_scheme"}
     extra = set(data) - known
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
     if "case" not in data or "scenario" not in data:
         raise ValueError("config needs at least 'case' and 'scenario'")
+    filters = data.get("filters", ["ekf", "ukf"])
+    if not isinstance(filters, (list, tuple)):
+        raise ValueError(f"config key 'filters' must be a list, got {filters!r}")
 
     scen = dict(data["scenario"])
     scen_known = {"fault_bus", "t_fault", "clearing_cycles", "cleared_line",
@@ -426,14 +427,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         case=str(data["case"]),
         scenario=scenario,
         noise=noise,
-        filters=tuple(data.get("filters", ("ekf", "ukf"))),
+        filters=tuple(filters),
         out_dir=str(data.get("out_dir", "out")),
         seed=None if seed is None else int(seed),
         substeps=int(data.get("substeps", SUBSTEPS)),
         prior_angle_shift=float(data.get("prior_angle_shift", 0.05)),
         prior_cov=float(data.get("prior_cov", 1e-2)),
         jitter=float(data.get("jitter", 1e-9)),
-        jacobian_mode=str(data.get("jacobian_mode", "analytic")),
         sigma_scheme=str(data.get("sigma_scheme", "symmetric")),
     )
 

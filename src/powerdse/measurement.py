@@ -85,11 +85,12 @@ def machine_outputs(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
     """Machine powers and bus voltages for rotor angles (..., n).
 
     Returns active power, reactive power (..., n), then voltage magnitude and
-    continuous voltage angle (..., buses).  The emfs are referenced to the
-    mean rotor angle first, which leaves the powers and magnitudes unchanged
-    and keeps each bus angle a continuous function of the state (see
-    ``continuous_voltage_angles``).  Each row of a stack is bitwise the value
-    that row gives alone, so batched and single evaluations agree exactly.
+    continuous voltage angle (..., buses).  Plain ``np.angle`` folds angles
+    into (-pi, pi], which breaks the series once the rotors drift a full
+    turn; referencing the emfs to the mean rotor angle first keeps each bus
+    angle a continuous function of the state, equal to ``np.angle`` modulo
+    2pi and with the same Jacobian, and leaves powers and magnitudes as they
+    are.  Each row of a stack is bitwise the value that row gives alone.
     """
     ref, _, power, v = _phasors(delta, e_mag, net)
     return power.real, power.imag, np.abs(v), ref + np.angle(v)
@@ -122,31 +123,6 @@ def machine_outputs_linearized(delta: np.ndarray, e_mag: np.ndarray,
     outputs = np.concatenate([power.real, power.imag, vm, ref + np.angle(v)])
     return outputs, np.concatenate([ds.real, ds.imag, vm[:, None] * dv.real,
                                     dv.imag])
-
-
-def reactive_power(delta: np.ndarray, e_mag: np.ndarray,
-                   net: ReducedNetwork) -> np.ndarray:
-    """Per-machine reactive power over the reduced network, in per unit."""
-    return machine_outputs(delta, e_mag, net)[1]
-
-
-def bus_voltages(delta: np.ndarray, e_mag: np.ndarray,
-                 net: ReducedNetwork) -> np.ndarray:
-    """Complex voltages of the eliminated buses, reconstructed from the emfs."""
-    return net.r_v @ (e_mag * np.exp(1j * delta))
-
-
-def continuous_voltage_angles(delta: np.ndarray, e_mag: np.ndarray,
-                              net: ReducedNetwork) -> np.ndarray:
-    """Bus voltage angles tracking the rotor angles' common mode.
-
-    Plain ``np.angle`` folds everything into (-pi, pi], which breaks the
-    angle series once the rotor angles drift a full turn.  Referencing the
-    phasors to the mean rotor angle first keeps each bus angle a continuous
-    function of the state; the result agrees with ``np.angle`` modulo 2pi
-    and has the same Jacobian.
-    """
-    return machine_outputs(delta, e_mag, net)[3]
 
 
 def measure(x: DynamicState, params: MachineParams, net: ReducedNetwork,

@@ -133,11 +133,11 @@ def test_criterion_4_jacobian_suites(verdict, request):
         for _ in range(100):
             x = np.concatenate([init.delta0 + rng.uniform(-0.5, 0.5, nm),
                                 1.0 + rng.uniform(-0.01, 0.01, nm)])
-            jf = proc.jacobian(x)
+            _, jf = proc.linearize(x)
             jf_fd = central_difference(proc.step, x, eps=1e-6)
             worst_f = max(worst_f,
                           np.max(np.abs(jf - jf_fd)) / np.max(np.abs(jf_fd)))
-            jh = meas.jacobian(x)
+            _, jh = meas.linearize(x)
             jh_fd = central_difference(meas.observe, x, eps=1e-6)
             worst_h = max(worst_h,
                           np.max(np.abs(jh - jh_fd)) / np.max(np.abs(jh_fd)))
@@ -167,10 +167,11 @@ def test_criterion_5_linear_gaussian_equivalence(verdict):
         zs.append(c @ x + lr @ rng.normal(size=m))
 
     ref_means, ref_covs = linear_kalman(a, c, q, r, x0, p0, zs)
-    proc = ProcessModel(step=lambda v: a @ v, jacobian=lambda v: a,
-                        step_many=lambda pts: pts @ a.T)
-    meas = MeasurementModel(observe=lambda v: c @ v, jacobian=lambda v: c,
-                            observe_many=lambda pts: pts @ c.T)
+    # x @ a.T maps one state and a (k, n) stack of sigma points alike
+    proc = ProcessModel(step=lambda v: v @ a.T,
+                        linearize=lambda v: (v @ a.T, a))
+    meas = MeasurementModel(observe=lambda v: v @ c.T,
+                            linearize=lambda v: (v @ c.T, c))
     cfg = FilterConfig(kind="ukf", q=q, r=r)
     ekf_b, ukf_b = init_belief(x0, p0), init_belief(x0, p0)
     worst = 0.0

@@ -76,6 +76,16 @@ def test_simulate_rejects_bad_scenario(runner):
     assert "77" in result.output
 
 
+def test_simulate_rejects_substeps_below_one(runner):
+    result = runner.invoke(main, [
+        "simulate", "wecc9", "--fault-bus", "8", "--clear-line", "8", "9",
+        "--t-end", "1.5", "--substeps", "0",
+    ])
+    assert result.exit_code != 0
+    assert result.output.splitlines() == [
+        "Error: substeps must be at least 1, got 0"]
+
+
 def test_reduce_prints_and_writes(runner, tmp_path, wecc9_net):
     out_dir = tmp_path / "red"
     result = runner.invoke(main, ["reduce", "wecc9", "--out-dir",
@@ -164,3 +174,35 @@ def test_seed_flag_changes_measurements(runner, tmp_path):
         assert result.exit_code == 0
         paths.append(out_dir / "measurements.csv")
     assert paths[0].read_bytes() != paths[1].read_bytes()
+
+
+def test_run_repeat_sweeps_seeds(runner, tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    out_dir = tmp_path / "sweep"
+    cfg.write_text(
+        "case: wecc9\n"
+        "scenario:\n"
+        "  fault_bus: 8\n"
+        "  cleared_line: [8, 9]\n"
+        "  t_end: 1.5\n"
+        "filters: [ekf]\n"
+    )
+    result = runner.invoke(main, ["run", str(cfg), "--seed", "4",
+                                  "--out", str(out_dir), "--repeat", "2"])
+    assert result.exit_code == 0, result.output
+    assert "noise seed: 4" in result.output
+    assert "noise seed: 5" in result.output
+    reports = [(out_dir / f"seed{k}" / "report.txt").read_text()
+               for k in (4, 5)]
+    assert "noise seed: 4" in reports[0] and "noise seed: 5" in reports[1]
+    rmse = np.array([[float(v) for v in next(
+        line for line in report.splitlines()
+        if "post-clearing rmse, angle" in line).split(":")[1].split()]
+        for report in reports])
+    summary = result.output.split("over 2 seeds (4..5):\n")[1].splitlines()
+    mean = [float(v) for v in summary[0].split(":")[1].split()]
+    std = [float(v) for v in summary[1].split(":")[1].split()]
+    assert summary[0].startswith("  ekf mean:")
+    assert summary[1].startswith("  ekf std:")
+    assert np.allclose(mean, rmse.mean(axis=0), rtol=1e-6)
+    assert np.allclose(std, rmse.std(axis=0), rtol=1e-5)

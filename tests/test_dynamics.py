@@ -17,10 +17,10 @@ from powerdse import (
     preset,
     scenario_networks,
     simulate,
-    step_process,
-    swing_derivatives,
+    swing_process_model,
     validate_scenario,
 )
+from powerdse.dynamics import swing_rates
 
 from oracles import reference_swing_trajectory
 
@@ -62,13 +62,19 @@ def test_wecc9_equilibrium_power(wecc9_net, wecc9_init):
     assert np.max(np.abs(p - wecc9_init.p_mech)) < 1e-9
 
 
+def rates(x, params, net):
+    """Angle and speed rates of state ``x`` on ``net``."""
+    p_e = electrical_power(x.delta, params.e_mag, net)
+    return swing_rates(x.delta, x.omega, p_e, params)
+
+
 def test_derivatives_vanish_at_equilibrium(wecc9_net, wecc9_init,
                                            wecc9_params):
     x = DynamicState(delta=wecc9_init.delta0.copy(),
                      omega=np.ones(3))
-    deriv = swing_derivatives(x, wecc9_params, wecc9_net)
-    assert np.max(np.abs(deriv.delta)) < 1e-12
-    assert np.max(np.abs(deriv.omega)) < 1e-12
+    rate_delta, rate_omega = rates(x, wecc9_params, wecc9_net)
+    assert np.max(np.abs(rate_delta)) < 1e-12
+    assert np.max(np.abs(rate_omega)) < 1e-12
 
 
 def test_acceleration_hand_value():
@@ -76,16 +82,16 @@ def test_acceleration_hand_value():
     net = toy_net([[1.0 + 0j]])
     params = toy_params(h=23.64, p_mech=1.1)
     x = DynamicState(delta=np.zeros(1), omega=np.ones(1))
-    deriv = swing_derivatives(x, params, net)
-    assert deriv.omega[0] == pytest.approx(2.1151e-3, rel=1e-4)
-    assert deriv.delta[0] == 0.0
+    rate_delta, rate_omega = rates(x, params, net)
+    assert rate_omega[0] == pytest.approx(2.1151e-3, rel=1e-4)
+    assert rate_delta[0] == 0.0
 
 
 def test_angle_rate_hand_value():
     net = toy_net([[1.0 + 0j]])
     x = DynamicState(delta=np.zeros(1), omega=np.array([1.01]))
-    deriv = swing_derivatives(x, toy_params(), net)
-    assert deriv.delta[0] == pytest.approx(3.7699, abs=1e-4)
+    rate_delta, _ = rates(x, toy_params(), net)
+    assert rate_delta[0] == pytest.approx(3.7699, abs=1e-4)
 
 
 @pytest.mark.parametrize("name", ["wecc9", "ne39"])
@@ -93,33 +99,23 @@ def test_discrete_step_fixed_point_exact(name, request):
     init = request.getfixturevalue(f"{name}_init")
     net = request.getfixturevalue(f"{name}_net")
     params = request.getfixturevalue(f"{name}_params")
-    x = DynamicState(delta=init.delta0.copy(), omega=np.ones_like(init.delta0))
-    stepped = step_process(x, params, net, dt=0.01)
-    assert np.array_equal(stepped.delta, x.delta)
-    assert np.array_equal(stepped.omega, x.omega)
+    x = np.concatenate([init.delta0, np.ones_like(init.delta0)])
+    stepped = swing_process_model(params, net, dt=0.01).step(x)
+    assert np.array_equal(stepped, x)
 
 
 def test_step_richardson(wecc9_net, wecc9_params, wecc9_init):
-    x = DynamicState(delta=wecc9_init.delta0 + [0.2, -0.1, 0.3],
-                     omega=np.array([1.001, 0.999, 1.002]))
+    x = np.concatenate([wecc9_init.delta0 + [0.2, -0.1, 0.3],
+                        [1.001, 0.999, 1.002]])
 
     def gap(dt):
-        full = step_process(x, wecc9_params, wecc9_net, dt)
-        half = step_process(x, wecc9_params, wecc9_net, dt / 2)
-        half = step_process(half, wecc9_params, wecc9_net, dt / 2)
-        return np.max(np.abs(full.as_vector() - half.as_vector()))
+        full = swing_process_model(wecc9_params, wecc9_net, dt).step(x)
+        half = swing_process_model(wecc9_params, wecc9_net, dt / 2).step
+        return np.max(np.abs(full - half(half(x))))
 
     # the one-step-vs-two-half-steps gap is O(dt^2): quartering under halving
     ratio = gap(0.01) / gap(0.005)
     assert 3.0 < ratio < 5.0
-
-
-def test_step_additive_noise_shift(wecc9_net, wecc9_params, wecc9_init):
-    x = DynamicState(delta=wecc9_init.delta0.copy(), omega=np.ones(3))
-    w = np.concatenate([np.full(3, 0.01), np.zeros(3)])
-    stepped = step_process(x, wecc9_params, wecc9_net, dt=0.01, noise=w)
-    assert np.array_equal(stepped.delta, x.delta + 0.01)
-    assert np.array_equal(stepped.omega, x.omega)
 
 
 def wecc9_scenario(**overrides):
@@ -251,6 +247,13 @@ def test_default_steps_accuracy(name, bound, request):
     fine = simulate(run.case, run.pf, run.cfg.scenario, substeps=16)
     assert np.max(np.abs(run.truth.delta_matrix()
                          - fine.delta_matrix())) <= bound
+
+
+@pytest.mark.parametrize("substeps", [-1, 0])
+def test_simulate_rejects_substeps_below_one(substeps, wecc9, wecc9_pf):
+    # -1 used to return a truth that barely swings, 0 a ZeroDivisionError
+    with pytest.raises(ScenarioError, match=rf"substeps .*got {substeps}$"):
+        simulate(wecc9, wecc9_pf, wecc9_scenario(t_end=1.5), substeps)
 
 
 def test_step_plan_counts(wecc9, wecc9_pf, monkeypatch):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import powerdse
+from powerdse import filters
 from powerdse import (
     DynamicState,
     FaultScenario,
@@ -19,9 +21,8 @@ from powerdse import (
     ekf_predict,
     ekf_update,
     measure,
-    measurement_jacobian,
     measurement_variances,
-    process_jacobian,
+    preset,
     process_variances,
     run_filter,
     sigma_points,
@@ -42,15 +43,16 @@ def default_config(kind="ukf", n=2, m=2, **kwargs):
 
 
 def linear_process(a):
+    # x @ a.T maps one state and a (k, n) stack alike
     a = np.asarray(a, dtype=float)
-    return ProcessModel(step=lambda x: a @ x, jacobian=lambda x: a,
-                        step_many=lambda pts: pts @ a.T)
+    return ProcessModel(step=lambda x: x @ a.T,
+                        linearize=lambda x: (x @ a.T, a))
 
 
 def linear_measurement(c):
     c = np.asarray(c, dtype=float)
-    return MeasurementModel(observe=lambda x: c @ x, jacobian=lambda x: c,
-                            observe_many=lambda pts: pts @ c.T)
+    return MeasurementModel(observe=lambda x: x @ c.T,
+                            linearize=lambda x: (x @ c.T, c))
 
 
 def random_psd(rng, n, scale=1.0):
@@ -92,10 +94,26 @@ def test_zero_prior_legal_and_grows_by_q():
 def test_filter_config_validation():
     with pytest.raises(ValueError, match="kind"):
         default_config(kind="particle")
-    with pytest.raises(ValueError, match="jacobian mode"):
-        default_config(jacobian_mode="symbolic")
     with pytest.raises(ValueError, match="sigma scheme"):
         default_config(sigma_scheme="simplex")
+
+
+def test_models_have_one_interface():
+    # one way to linearize: no finite-difference mode, no per-stack or
+    # fused variants, no wrappers around the models
+    assert [f.name for f in dataclasses.fields(ProcessModel)] == \
+        ["step", "linearize"]
+    assert [f.name for f in dataclasses.fields(MeasurementModel)] == \
+        ["observe", "linearize"]
+    assert "jacobian_mode" not in {
+        f.name for f in dataclasses.fields(FilterConfig)}
+    for name in ("finite_difference_jacobian", "process_jacobian",
+                 "measurement_jacobian", "electrical_power_jacobian",
+                 "reactive_power_jacobian", "swing_derivatives",
+                 "step_process", "reactive_power", "bus_voltages",
+                 "continuous_voltage_angles"):
+        assert not hasattr(powerdse, name), name
+    assert not hasattr(DynamicState, "from_vector")
 
 
 # --- jacobians ---------------------------------------------------------------
@@ -113,8 +131,8 @@ def random_states(rng, init, count):
 def test_process_jacobian_dt_zero_is_identity(wecc9_params, wecc9_net,
                                               wecc9_init):
     x = DynamicState(delta=wecc9_init.delta0, omega=np.ones(3))
-    assert np.array_equal(process_jacobian(x, wecc9_params, wecc9_net, 0.0),
-                          np.eye(6))
+    model = swing_process_model(wecc9_params, wecc9_net, 0.0)
+    assert np.array_equal(model.linearize(x.as_vector())[1], np.eye(6))
 
 
 @pytest.mark.parametrize("name", ["wecc9", "ne39"])
@@ -125,7 +143,6 @@ def test_process_jacobian_matches_fd(name, request, rng):
     model = swing_process_model(params, net, dt=0.01)
     for x in random_states(rng, init, 10):
         _, jac = model.linearize(x.as_vector())
-        assert np.array_equal(jac, model.jacobian(x.as_vector()))
         jac_fd = central_difference(model.step, x.as_vector(), eps=1e-6)
         assert np.max(np.abs(jac - jac_fd)) / np.max(np.abs(jac_fd)) < 1e-6
 
@@ -144,7 +161,7 @@ def test_process_jacobian_single_machine():
                            omega0=120.0 * np.pi)
     dt = 0.02
     x = DynamicState(delta=np.array([0.4]), omega=np.array([1.001]))
-    jac = process_jacobian(x, params, net, dt)
+    _, jac = swing_process_model(params, net, dt).linearize(x.as_vector())
     assert jac[0, 0] == 1.0
     assert jac[0, 1] == dt * params.omega0
     assert jac[1, 0] == pytest.approx(0.0, abs=1e-14)
@@ -159,7 +176,6 @@ def test_measurement_jacobian_matches_fd(name, request, rng):
     model = swing_measurement_model(params, net)
     for x in random_states(rng, init, 10):
         _, jac = model.linearize(x.as_vector())
-        assert np.array_equal(jac, model.jacobian(x.as_vector()))
         jac_fd = central_difference(model.observe, x.as_vector(), eps=1e-6)
         assert np.max(np.abs(jac - jac_fd)) / np.max(np.abs(jac_fd)) < 1e-5
 
@@ -196,44 +212,19 @@ def test_linearize_keeps_equilibrium_fixed(name, request):
     assert np.array_equal(x_next, x0)
 
 
-def test_linearize_finite_difference_mode_agrees(wecc9_params, wecc9_net,
-                                                 wecc9_init, rng):
-    models = [(swing_process_model(wecc9_params, wecc9_net, 0.01),
-               swing_process_model(wecc9_params, wecc9_net, 0.01, use_fd=True)),
-              (swing_measurement_model(wecc9_params, wecc9_net),
-               swing_measurement_model(wecc9_params, wecc9_net, use_fd=True))]
-    for x in random_states(rng, wecc9_init, 5):
-        vec = x.as_vector()
-        for analytic, numeric in models:
-            value, jac = analytic.linearize(vec)
-            value_fd, jac_fd = numeric.linearize(vec)
-            assert np.array_equal(value, value_fd)
-            assert np.max(np.abs(jac - jac_fd)) / np.max(np.abs(jac)) < 1e-5
-
-
-def test_linearize_falls_back_to_plain_callables():
-    a = np.array([[1.0, 0.1], [0.0, 0.9]])
-    model = linear_process(a)
-    x = np.array([0.3, -1.2])
-    value, jac = model.linearize(x)
-    assert np.array_equal(value, a @ x)
-    assert np.array_equal(jac, a)
-    measure = MeasurementModel(observe=lambda v: v[:1], jacobian=lambda v: a[:1])
-    z, h = measure.linearize(x)
-    assert np.array_equal(z, x[:1]) and np.array_equal(h, a[:1])
-
-
 def test_measurement_jacobian_speed_columns_zero(wecc9_params, wecc9_net,
                                                  wecc9_init, rng):
+    model = swing_measurement_model(wecc9_params, wecc9_net)
     for x in random_states(rng, wecc9_init, 5):
-        jac = measurement_jacobian(x, wecc9_params, wecc9_net)
+        _, jac = model.linearize(x.as_vector())
         assert np.all(jac[:, 3:] == 0.0)
 
 
 def test_measurement_jacobian_common_shift(wecc9_params, wecc9_net,
                                            wecc9_init):
     x = DynamicState(delta=wecc9_init.delta0 + 0.1, omega=np.ones(3))
-    jac = measurement_jacobian(x, wecc9_params, wecc9_net)
+    model = swing_measurement_model(wecc9_params, wecc9_net)
+    _, jac = model.linearize(x.as_vector())
     direction = np.concatenate([np.ones(3), np.zeros(3)])
     image = jac @ direction
     nm, nb = 3, 9
@@ -253,7 +244,7 @@ def test_measurement_jacobian_zero_voltage_named():
                            p_mech=np.ones(1), omega0=120.0 * np.pi)
     x = DynamicState(delta=np.zeros(1), omega=np.ones(1))
     with pytest.raises(ValueError, match="bus 7"):
-        measurement_jacobian(x, params, net)
+        swing_measurement_model(params, net).linearize(x.as_vector())
 
 
 # --- extended filter steps ---------------------------------------------------
@@ -281,7 +272,7 @@ def test_ekf_predict_definition(wecc9_params, wecc9_net, wecc9_init, rng):
         p0 = random_psd(rng, 6)
         belief = init_belief(x.as_vector(), p0)
         out = ekf_predict(belief, model, q)
-        jac = model.jacobian(x.as_vector())
+        _, jac = model.linearize(x.as_vector())
         assert np.max(np.abs(out.p - (jac @ p0 @ jac.T + q))) < 1e-12
 
 
@@ -317,7 +308,8 @@ def test_ekf_update_singular_innovation():
     belief = init_belief(np.zeros(2), np.eye(2))
     model = MeasurementModel(
         observe=lambda x: np.array([x[0], x[0]]),
-        jacobian=lambda x: np.array([[1.0, 0.0], [1.0, 0.0]]),
+        linearize=lambda x: (np.array([x[0], x[0]]),
+                             np.array([[1.0, 0.0], [1.0, 0.0]])),
     )
     with pytest.raises(FilterNumericsError, match="cond"):
         ekf_update(belief, np.zeros(2), model, np.zeros((2, 2)))
@@ -593,21 +585,6 @@ def test_run_filter_error_names_frame(wecc9, wecc9_pf, wecc9_run):
                    wecc9_run.frames, b0)
 
 
-def test_finite_difference_mode_agrees(wecc9, wecc9_pf, wecc9_net,
-                                       wecc9_params, wecc9_init):
-    scen, truth, frames, b0 = quiet_run_inputs(
-        wecc9, wecc9_pf, wecc9_net, wecc9_params, wecc9_init)
-    frames = frames[:80]
-    base = dict(q=1e-10 * np.eye(6), r=1e-8 * np.eye(2 * 3 + 2 * 9))
-    analytic, _ = run_filter(FilterConfig(kind="ekf", **base),
-                             wecc9, wecc9_pf, scen, frames, b0)
-    numeric, _ = run_filter(
-        FilterConfig(kind="ekf", jacobian_mode="finite_difference", **base),
-        wecc9, wecc9_pf, scen, frames, b0)
-    diff = np.abs(analytic.delta_matrix() - numeric.delta_matrix())
-    assert np.max(diff) < 1e-6
-
-
 def preset_filter_config(kind, noise):
     return FilterConfig(
         kind=kind,
@@ -640,3 +617,41 @@ def test_run_filter_rejects_non_finite_frames(kind, wecc9, wecc9_pf, wecc9_run):
         with pytest.raises(FilterNumericsError, match=message):
             run_filter(cfg, wecc9, wecc9_pf, scen, frames, b0)
     assert np.all(np.isfinite(wecc9_run.frames[500].p_g))
+
+
+def test_run_filter_one_process_model_per_regime(wecc9, wecc9_pf, wecc9_run,
+                                                 monkeypatch):
+    # every interval is one dt, so the three regimes need three models
+    scen = wecc9_run.cfg.scenario
+    builds = []
+    build = filters.swing_process_model
+
+    def counting(params, net, dt):
+        builds.append(dt)
+        return build(params, net, dt)
+
+    monkeypatch.setattr(filters, "swing_process_model", counting)
+    b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
+                     1e-2 * np.eye(6))
+    run_filter(preset_filter_config("ekf", wecc9_run.cfg.noise), wecc9,
+               wecc9_pf, scen, wecc9_run.frames, b0)
+    assert scen == preset("wecc9-fault8").scenario
+    assert builds == [scen.dt] * 3
+
+
+def test_run_filter_rejects_off_grid_frame(wecc9, wecc9_pf, wecc9_run):
+    scen = wecc9_run.cfg.scenario
+    b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
+                     1e-2 * np.eye(6))
+    cfg = preset_filter_config("ekf", wecc9_run.cfg.noise)
+    frames = list(wecc9_run.frames)
+    frames[300] = dataclasses.replace(frames[300], t=3.0 + 1e-6)
+    with pytest.raises(FilterNumericsError,
+                       match=r"frame 300 \(t=3\.0000s\).*off the sample grid"):
+        run_filter(cfg, wecc9, wecc9_pf, scen, frames, b0)
+    # a dropped frame shifts every later stamp off k * dt
+    with pytest.raises(FilterNumericsError, match=r"frame 300 \(t=3\.0100s\)"):
+        run_filter(cfg, wecc9, wecc9_pf, scen, frames[:300] + frames[301:], b0)
+    # rounding far below the tolerance is on the grid
+    frames[300] = dataclasses.replace(frames[300], t=3.0 * (1.0 + 1e-12))
+    run_filter(cfg, wecc9, wecc9_pf, scen, frames[:310], b0)

@@ -191,6 +191,19 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"case": "wecc9",
                           "scenario": {"fault_bus": 8, "cleared_line": [8, 9]},
                           "noise": {"sigma_v": 0.01}})
+    with pytest.raises(ValueError, match="unknown config keys.*jacobian_mode"):
+        config_from_dict({"case": "wecc9",
+                          "scenario": {"fault_bus": 8, "cleared_line": [8, 9]},
+                          "jacobian_mode": "analytic"})
+
+
+def test_config_from_dict_rejects_scalar_filters():
+    # a YAML scalar would otherwise split into one filter per letter
+    data = yaml.safe_load("case: wecc9\n"
+                          "scenario: {fault_bus: 8, cleared_line: [8, 9]}\n"
+                          "filters: ekf\n")
+    with pytest.raises(ValueError, match="'filters'.*'ekf'"):
+        config_from_dict(data)
 
 
 def test_config_from_dict_requires_case_and_scenario():
@@ -367,6 +380,12 @@ def test_stage_tag_bad_scenario(tmp_path):
                              cleared_line=(8, 9), t_end=2.0, dt=0.01)
     cfg = quick_config(tmp_path / "x", scenario=scenario)
     with pytest.raises(ExperimentError, match=r"\[reduction\] .*77"):
+        run_experiment(cfg)
+
+
+def test_stage_tag_bad_substeps(tmp_path):
+    cfg = quick_config(tmp_path / "x", substeps=0)
+    with pytest.raises(ExperimentError, match=r"\[simulate\] substeps .*0"):
         run_experiment(cfg)
 
 
