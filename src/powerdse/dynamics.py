@@ -12,6 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,7 @@ from .reduction import (
 SPEED_LIMIT = 0.2  # per-unit speed deviation treated as loss of synchronism
 # Truth-model integration steps per sample interval: the default of
 # ``simulate``, ``ExperimentConfig`` and ``dse simulate``.
-SUBSTEPS = 2
+SUBSTEPS = 1
 
 
 class ScenarioError(ValueError):
@@ -148,6 +149,12 @@ def validate_scenario(case: NetworkCase, scenario: FaultScenario) -> None:
         problems.append("clearing time must be positive")
     if not scenario.dt > 0:
         problems.append("sample interval must be positive")
+    else:
+        samples = scenario.t_end / scenario.dt
+        if not (math.isfinite(samples)
+                and abs(samples - round(samples)) <= 1e-9 * abs(samples)):
+            problems.append(f"window t_end={scenario.t_end}s is not a whole "
+                            f"number of dt={scenario.dt}s samples")
     if (scenario.t_fault < scenario.t_end
             and scenario.t_clear(case.frequency) > scenario.t_end):
         problems.append("fault must clear before the end of the window")
@@ -228,25 +235,90 @@ class Trajectory:
         return len(self.states)
 
 
-# Butcher's seven-stage sixth-order Runge-Kutta ("On Runge-Kutta processes
-# of high order", J. Austral. Math. Soc. 4, 1964): stage coefficients a_ij
-# and weights b_i.
+# Cooper and Verner's eleven-stage eighth-order Runge-Kutta ("Some explicit
+# Runge-Kutta methods of high order", SIAM J. Numer. Anal. 9(3), 1972):
+# stage coefficients a_ij and weights b_i, in terms of sqrt(21).
+_S21 = math.sqrt(21.0)
 _RK_STAGES = (
     (),
-    (1 / 3,),
-    (0.0, 2 / 3),
-    (1 / 12, 1 / 3, -1 / 12),
-    (-1 / 16, 9 / 8, -3 / 16, -3 / 8),
-    (0.0, 9 / 8, -3 / 8, -3 / 4, 1 / 2),
-    (9 / 44, -9 / 11, 63 / 44, 18 / 11, 0.0, -16 / 11),
+    (1 / 2,),
+    (1 / 4, 1 / 4),
+    (1 / 7, (-7 - 3 * _S21) / 98, (21 + 5 * _S21) / 49),
+    ((11 + _S21) / 84, 0.0, (18 + 4 * _S21) / 63, (21 - _S21) / 252),
+    ((5 + _S21) / 48, 0.0, (9 + _S21) / 36, (-231 + 14 * _S21) / 360,
+     (63 - 7 * _S21) / 80),
+    ((10 - _S21) / 42, 0.0, (-432 + 92 * _S21) / 315,
+     (633 - 145 * _S21) / 90, (-504 + 115 * _S21) / 70,
+     (63 - 13 * _S21) / 35),
+    (1 / 14, 0.0, 0.0, 0.0, (14 - 3 * _S21) / 126, (13 - 3 * _S21) / 63,
+     1 / 9),
+    (1 / 32, 0.0, 0.0, 0.0, (91 - 21 * _S21) / 576, 11 / 72,
+     (-385 - 75 * _S21) / 1152, (63 + 13 * _S21) / 128),
+    (1 / 14, 0.0, 0.0, 0.0, 1 / 9, (-733 - 147 * _S21) / 2205,
+     (515 + 111 * _S21) / 504, (-51 - 11 * _S21) / 56,
+     (132 + 28 * _S21) / 245),
+    (0.0, 0.0, 0.0, 0.0, (-42 + 7 * _S21) / 18, (-18 + 28 * _S21) / 45,
+     (-273 - 53 * _S21) / 72, (301 + 53 * _S21) / 72,
+     (28 - 28 * _S21) / 45, (49 - 7 * _S21) / 18),
 )
-_RK_WEIGHTS = (11 / 120, 0.0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120)
+_RK_WEIGHTS = (1 / 20, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 49 / 180, 16 / 45,
+               49 / 180, 1 / 20)
+
+# A step's linear maps over z: each stage's argument map, cut to the prefix
+# of z it reads, and the update map.
+_RKMaps = tuple[list[np.ndarray], np.ndarray]
+
+
+def _rk_maps(params: MachineParams, h: float) -> _RKMaps:
+    """The linear maps of one Runge-Kutta step of length ``h`` with the
+    ``_RK_STAGES``/``_RK_WEIGHTS`` tableau; see ``_rk_stepper``.
+
+    They hold the machine constants and ``h`` but no admittance, so every
+    topology shares them.  Stage i's angles read (y, 1) and the powers of
+    the stages before i - 1 (a power enters a speed rate first, and the
+    angles one stage later), so its map keeps only those leading columns.
+    """
+    n = params.n_machines
+    m = 2 * n
+    inv_2h = 0.5 / params.h
+    lin = np.zeros((m, m + 1))
+    lin[:n, n:m] = params.omega0 * np.eye(n)
+    lin[n:, n:m] = np.diag(-params.d * inv_2h)
+    lin[n:, m] = params.p_mech * inv_2h
+    drain = -np.hstack([np.eye(n), np.eye(n)])
+    s = len(_RK_STAGES)
+    steps = np.zeros((s + 1, s))   # h a_i per stage, then h b
+    for i, coeffs in enumerate(_RK_STAGES):
+        steps[i, :i] = coeffs
+    steps[s] = _RK_WEIGHTS
+    steps *= h
+
+    width = m + 1 + s * m
+    home = np.eye(m + 1, width)   # (y, 1) read off z
+    state = home.copy()
+    # row i: stage i's slope L (y_i, 1) + D g_i as a map on z, flattened
+    slopes = np.zeros((s, m * width))
+    args: list[np.ndarray] = []
+    for i in range(s):
+        reads = m + 1 + i * m   # (y, 1) and the i powers before stage i
+        state[:m] = home[:m] + (steps[i, :i] @ slopes[:i]).reshape(m, width)
+        # (angles, angles - pi/2), whose cosines are (cos, sin), as a new
+        # array: ndarray.dot copies a strided view on every call
+        cut = m + 1 + max(i - 1, 0) * m
+        arg = np.vstack([state[:n, :cut], state[:n, :cut]])
+        arg[n:, m] -= 0.5 * np.pi
+        args.append(arg)
+        slope = slopes[i].reshape(m, width)
+        slope[:, :reads] = lin @ state[:, :reads]
+        slope[n:, reads:reads + m] = drain
+    update = home[:m] + (steps[s] @ slopes).reshape(m, width)
+    return args, update
 
 
 def _rk_stepper(params: MachineParams, net: ReducedNetwork,
-                h: float) -> Callable[[np.ndarray, int], np.ndarray]:
-    """Runge-Kutta steps of length ``h`` on one topology, with the
-    ``_RK_STAGES``/``_RK_WEIGHTS`` tableau.
+                maps: _RKMaps) -> Callable[[np.ndarray, int, np.ndarray], None]:
+    """Runge-Kutta steps on one topology with the step maps ``maps`` from
+    ``_rk_maps``, which are Cooper and Verner's eighth-order method.
 
     On y = (angles, speed deviations) the swing right-hand side is
     semilinear:
@@ -260,63 +332,41 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork,
     that sum from the speed rows.  This is the cosine sum to rounding.
 
     Each stage argument A (y_i, 1) and the update are therefore linear in
-    z = (y, 1, g_1, .., g_s), and those maps are built here once.  A step is
-    then s (product, cosine, product) stage evaluations and one update: on a
-    few machines numpy's per-call dispatch, not arithmetic, is the cost, so
-    the stepper also owns its ``z`` and cosine buffers.  Returns
-    ``advance(y, n_sub)``, which runs ``n_sub`` steps from ``y`` and returns
-    a view of its own buffer, valid until its next call.
+    z = (y, 1, g_1, .., g_s).  Those maps depend on the step length but not
+    on the topology, which enters only through R, so topologies share
+    them.  A step is then s (product, cosine, product) stage evaluations and
+    one update: on a few machines numpy's per-call dispatch, not arithmetic,
+    is the cost, so the stepper also owns its ``z`` and cosine buffers.
+    Returns ``advance(y0, n_sub, out)``, which runs ``len(out)`` intervals of
+    ``n_sub`` steps each from ``y0`` and writes the state at the end of each
+    interval into the rows of ``out``.
     """
+    args, update = maps
     n = params.n_machines
     m = 2 * n
     inv_2h = 0.5 / params.h
     scaled = (params.e_mag * inv_2h)[:, None] * net.y_red * params.e_mag
-    eye, zero = np.eye(n), np.zeros((n, n))
     rotate = np.block([[scaled.real, -scaled.imag],
                        [scaled.imag, scaled.real]])
-    drain = np.block([[zero, zero], [-eye, -eye]])
-    lin = np.zeros((m, m + 1))
-    lin[:n, n:m] = params.omega0 * eye
-    lin[n:, n:m] = np.diag(-params.d * inv_2h)
-    lin[n:, m] = params.p_mech * inv_2h
-    pick = np.zeros((m, m + 1))
-    pick[:, :n] = np.vstack([eye, eye])
-    pick[n:, m] = -0.5 * np.pi   # cos(delta - pi/2) = sin(delta)
 
-    n_stages = len(_RK_STAGES)
-    width = m + 1 + n_stages * m
-    home = np.eye(m + 1, width)   # (y, 1) read off z
-    slots = [slice(m + 1 + i * m, m + 1 + (i + 1) * m)
-             for i in range(n_stages)]
-    stages: list[tuple[np.ndarray, slice]] = []
-    slopes: list[np.ndarray] = []
-    for coeffs, slot in zip(_RK_STAGES, slots):
-        state = home.copy()
-        for a, slope in zip(coeffs, slopes):
-            state[:m] += (a * h) * slope
-        stages.append((pick @ state, slot))
-        slope = lin @ state
-        slope[:, slot] += drain
-        slopes.append(slope)
-    update = home[:m].copy()
-    for b, slope in zip(_RK_WEIGHTS, slopes):
-        update += (b * h) * slope
-
-    z = np.zeros(width)
+    z = np.zeros(update.shape[1])
     z[m] = 1.0
     y = z[:m]
     c = np.empty(m)
-    # each stage writes its powers in place, through a view into z
-    powers = [(arg, z[slot]) for arg, slot in stages]
+    # each stage reads a prefix of z and writes its powers in place, through
+    # views into z
+    stages = [(arg, z[:arg.shape[1]], z[m + 1 + i * m:m + 1 + (i + 1) * m])
+              for i, arg in enumerate(args)]
 
-    def advance(y0: np.ndarray, n_sub: int) -> np.ndarray:
+    def advance(y0: np.ndarray, n_sub: int, out: np.ndarray) -> None:
         y[:] = y0
-        for _ in range(n_sub):
-            for arg, power in powers:
-                np.cos(arg.dot(z), out=c)
-                np.multiply(c, rotate.dot(c), out=power)
-            y[:] = update.dot(z)
-        return y
+        for row in out:
+            for _ in range(n_sub):
+                for arg, read, power in stages:
+                    np.cos(arg.dot(read), out=c)
+                    np.multiply(c, rotate.dot(c), out=power)
+                y[:] = update.dot(z)
+            row[:] = y
 
     return advance
 
@@ -325,8 +375,9 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution, scenario: FaultScenario,
              substeps: int = SUBSTEPS) -> Trajectory:
     """Reference trajectory through the fault, sampled every ``scenario.dt``.
 
-    Integrates with Butcher's sixth-order Runge-Kutta (``_rk_stepper``) in
-    ``substeps`` equal steps of ``dt / substeps`` per sample interval.  An
+    Integrates with Cooper and Verner's eighth-order Runge-Kutta
+    (``_rk_stepper``) in ``substeps`` equal steps of ``dt / substeps`` per
+    sample interval, building the step maps once per step length.  An
     interval that contains the fault or clearing instant is split there, so
     every step sees a single topology, and each part takes its share of the
     ``substeps`` steps, rounded up.  Raises ScenarioError if ``substeps`` is
@@ -341,12 +392,16 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution, scenario: FaultScenario,
     n = params.n_machines
     freq = case.frequency
 
-    n_steps = int(round(scenario.t_end / scenario.dt))
+    n_steps = round(scenario.t_end / scenario.dt)   # whole, as validated
     times = np.arange(n_steps + 1) * scenario.dt
     regimes = [scenario.regime(t, freq) for t in times.tolist()]
 
+    maps: dict[float, _RKMaps] = {}
+
     def stepper(regime: Regime, h: float) -> Callable:
-        return _rk_stepper(params, nets.for_regime(regime), h)
+        if h not in maps:
+            maps[h] = _rk_maps(params, h)
+        return _rk_stepper(params, nets.for_regime(regime), maps[h])
 
     # The plan: the (advance, n_sub) spans of each sample interval.  An
     # interval that a switching instant splits gets a stepper per part, each
@@ -380,17 +435,23 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution, scenario: FaultScenario,
     ys = np.empty((n_steps + 1, 2 * n))
     ys[0, :n] = init.delta0
     ys[0, n:] = 0.0
-    for k, spans in enumerate(plan):
-        y = ys[k]
+    # Each run of intervals with the same spans is one call per span; the
+    # parts of a split interval each rewrite its end row, from that row.
+    k = 0
+    for spans, run in groupby(plan):
+        out = ys[k + 1:k + 1 + sum(1 for _ in run)]
+        start = ys[k]
         for advance, n_sub in spans:
-            y = advance(y, n_sub)
-        ys[k + 1] = y
-        dev = y[n:]
-        # One call screens the band: max |dev| > limit needs dev.dev > limit^2.
-        if dev.dot(dev) > SPEED_LIMIT ** 2 and np.abs(dev).max() > SPEED_LIMIT:
-            worst = int(np.argmax(np.abs(dev)))
-            raise InstabilityError(machine=worst + 1, t=float(times[k + 1]),
-                                   omega=float(1.0 + y[n + worst]))
+            advance(start, n_sub, out)
+            start = out[-1]
+        dev = np.abs(out[:, n:])
+        over = np.flatnonzero(dev.max(axis=1) > SPEED_LIMIT)
+        if over.size:
+            j = int(over[0])
+            worst = int(np.argmax(dev[j]))
+            raise InstabilityError(machine=worst + 1, t=float(times[k + 1 + j]),
+                                   omega=float(1.0 + out[j, n + worst]))
+        k += len(out)
 
     omega = 1.0 + ys[:, n:]
     states = [DynamicState(delta=d, omega=w) for d, w in zip(ys[:, :n], omega)]

@@ -9,13 +9,13 @@ in memory only, never written to disk.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .cases import load_case
 from .dynamics import (
@@ -380,6 +380,20 @@ def write_estimates_csv(truth: TrajectoryTable, x_hat: np.ndarray,
         _joined_rows(np.column_stack([x_hat[:, nm:], p_diag])))))
 
 
+def _whole(key: str, value) -> int:
+    """``value`` as an int; a fractional number is an error, not truncated."""
+    if isinstance(value, int):
+        return int(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError(f"config key {key!r} must be a whole number, "
+                         f"got {value!r}")
+    return int(number)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed YAML mapping, rejecting unknown keys."""
     known = {"case", "scenario", "noise", "filters", "out_dir", "seed",
@@ -402,10 +416,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ValueError(f"unknown scenario keys: {sorted(extra)}")
     line = scen["cleared_line"]
     scenario = FaultScenario(
-        fault_bus=int(scen["fault_bus"]),
+        fault_bus=_whole("scenario.fault_bus", scen["fault_bus"]),
         t_fault=float(scen.get("t_fault", 1.0)),
         clearing_cycles=float(scen.get("clearing_cycles", 2.0)),
-        cleared_line=(int(line[0]), int(line[1])),
+        cleared_line=(_whole("scenario.cleared_line", line[0]),
+                      _whole("scenario.cleared_line", line[1])),
         t_end=float(scen.get("t_end", 10.0)),
         dt=float(scen.get("dt", 0.01)),
     )
@@ -418,7 +433,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ValueError(f"unknown noise keys: {sorted(extra)}")
     defaults = NoiseSpec()
     noise = NoiseSpec(**{
-        key: (int(v) if key == "seed" else float(v))
+        key: (_whole("noise.seed", v) if key == "seed" else float(v))
         for key, v in noise_data.items()
     }) if noise_data else defaults
 
@@ -429,8 +444,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         noise=noise,
         filters=tuple(filters),
         out_dir=str(data.get("out_dir", "out")),
-        seed=None if seed is None else int(seed),
-        substeps=int(data.get("substeps", SUBSTEPS)),
+        seed=None if seed is None else _whole("seed", seed),
+        substeps=_whole("substeps", data.get("substeps", SUBSTEPS)),
         prior_angle_shift=float(data.get("prior_angle_shift", 0.05)),
         prior_cov=float(data.get("prior_cov", 1e-2)),
         jitter=float(data.get("jitter", 1e-9)),
@@ -440,6 +455,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse a YAML experiment config file."""
+    import yaml  # only config files need it; keeps it out of `import powerdse`
+
     data = yaml.safe_load(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a mapping at the top level")

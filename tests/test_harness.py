@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from inspect import signature
 from pathlib import Path
@@ -204,6 +207,44 @@ def test_config_from_dict_rejects_scalar_filters():
                           "filters: ekf\n")
     with pytest.raises(ValueError, match="'filters'.*'ekf'"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("seed",), 3.9), (("substeps",), 2.7), (("noise", "seed"), 0.5),
+    (("scenario", "fault_bus"), 8.5), (("scenario", "cleared_line"), [8, 9.2]),
+], ids=["seed", "substeps", "noise.seed", "fault_bus", "cleared_line"])
+def test_config_from_dict_rejects_fractional_integers(path, value):
+    # int() used to truncate these: substeps 2.7 loaded as 2, seed 3.9 as 3
+    data = {"case": "wecc9", "scenario": {"fault_bus": 8, "cleared_line": [8, 9]}}
+    target = data
+    for key in path[:-1]:
+        target = target.setdefault(key, {})
+    target[path[-1]] = value
+    with pytest.raises(ValueError, match=rf"'{'.'.join(path)}'.*whole number"):
+        config_from_dict(data)
+
+
+def test_config_from_dict_takes_integral_floats():
+    cfg = config_from_dict({
+        "case": "wecc9",
+        "scenario": {"fault_bus": 8.0, "cleared_line": [8.0, 9]},
+        "noise": {"seed": 4.0}, "seed": 3.0, "substeps": 2.0,
+    })
+    assert (cfg.seed, cfg.substeps, cfg.noise.seed) == (3, 2, 4)
+    assert cfg.scenario.fault_bus == 8 and cfg.scenario.cleared_line == (8, 9)
+    assert all(type(v) is int for v in (cfg.seed, cfg.substeps, cfg.noise.seed,
+                                        cfg.scenario.fault_bus,
+                                        *cfg.scenario.cleared_line))
+
+
+def test_import_leaves_yaml_unloaded():
+    # only load_experiment_config needs PyYAML; every process pays its import
+    src = Path(harness.__file__).resolve().parent.parent
+    code = "import sys, powerdse; print('yaml' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                                                     "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_config_from_dict_requires_case_and_scenario():
