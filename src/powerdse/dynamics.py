@@ -136,6 +136,14 @@ class FaultScenario:
             return Regime.FaultOn
         return Regime.PostFault
 
+    def regimes(self, times: np.ndarray, frequency: float) -> list[Regime]:
+        """``regime`` at each of the ascending ``times``, from two counts."""
+        fault = int(np.searchsorted(times, self.t_fault, side="left"))
+        clear = max(fault, int(np.searchsorted(times, self.t_clear(frequency),
+                                               side="left")))
+        return ([Regime.PreFault] * fault + [Regime.FaultOn] * (clear - fault)
+                + [Regime.PostFault] * (len(times) - clear))
+
 
 def validate_scenario(case: NetworkCase, scenario: FaultScenario) -> None:
     problems: list[str] = []
@@ -147,6 +155,8 @@ def validate_scenario(case: NetworkCase, scenario: FaultScenario) -> None:
         problems.append("fault time must be positive")
     if not scenario.clearing_cycles > 0:
         problems.append("clearing time must be positive")
+    if not scenario.t_end > 0:
+        problems.append(f"window t_end={scenario.t_end}s must be positive")
     if not scenario.dt > 0:
         problems.append("sample interval must be positive")
     else:
@@ -264,8 +274,9 @@ _RK_STAGES = (
 _RK_WEIGHTS = (1 / 20, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 49 / 180, 16 / 45,
                49 / 180, 1 / 20)
 
-# A step's linear maps over z: each stage's argument map, cut to the prefix
-# of z it reads, and the update map.
+# A step's linear maps over z: the argument map of each group of stages
+# that run together, cut to the prefix of z its last stage reads, and the
+# update map.
 _RKMaps = tuple[list[np.ndarray], np.ndarray]
 
 
@@ -275,8 +286,12 @@ def _rk_maps(params: MachineParams, h: float) -> _RKMaps:
 
     They hold the machine constants and ``h`` but no admittance, so every
     topology shares them.  Stage i's angles read (y, 1) and the powers of
-    the stages before i - 1 (a power enters a speed rate first, and the
-    angles one stage later), so its map keeps only those leading columns.
+    the stages before i - 1: a power enters a speed rate first, and the
+    angles one stage later.  Stages 2g and 2g + 1 therefore read no power
+    that either of them writes, and run as one group.  A group's map stacks
+    the two stages' rows over the prefix of z that stage 2g + 1 reads, and
+    stage 2g's rows are zero over the one power block it does not read.
+    With an odd stage count the last stage is a group of its own.
     """
     n = params.n_machines
     m = 2 * n
@@ -298,21 +313,27 @@ def _rk_maps(params: MachineParams, h: float) -> _RKMaps:
     state = home.copy()
     # row i: stage i's slope L (y_i, 1) + D g_i as a map on z, flattened
     slopes = np.zeros((s, m * width))
-    args: list[np.ndarray] = []
+    angles: list[np.ndarray] = []   # stage i's angle map, cut to what it reads
     for i in range(s):
         reads = m + 1 + i * m   # (y, 1) and the i powers before stage i
         state[:m] = home[:m] + (steps[i, :i] @ slopes[:i]).reshape(m, width)
-        # (angles, angles - pi/2), whose cosines are (cos, sin), as a new
-        # array: ndarray.dot copies a strided view on every call
-        cut = m + 1 + max(i - 1, 0) * m
-        arg = np.vstack([state[:n, :cut], state[:n, :cut]])
-        arg[n:, m] -= 0.5 * np.pi
-        args.append(arg)
+        angles.append(state[:n, :m + 1 + max(i - 1, 0) * m].copy())
         slope = slopes[i].reshape(m, width)
         slope[:, :reads] = lin @ state[:, :reads]
         slope[n:, reads:reads + m] = drain
+    # Per stage, (angles, angles - pi/2), whose cosines are (cos, sin).  Each
+    # group's map is a new array: ndarray.dot copies a strided view on every
+    # call.
+    groups = []
+    for g in range(0, s, 2):
+        pair = angles[g:g + 2]
+        arg = np.zeros((len(pair), 2, n, pair[-1].shape[1]))
+        for block, angle in zip(arg, pair):
+            block[:, :, :angle.shape[1]] = angle
+            block[1, :, m] -= 0.5 * np.pi
+        groups.append(arg.reshape(len(pair) * m, -1))
     update = home[:m] + (steps[s] @ slopes).reshape(m, width)
-    return args, update
+    return groups, update
 
 
 def _rk_stepper(params: MachineParams, net: ReducedNetwork,
@@ -334,37 +355,49 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork,
     Each stage argument A (y_i, 1) and the update are therefore linear in
     z = (y, 1, g_1, .., g_s).  Those maps depend on the step length but not
     on the topology, which enters only through R, so topologies share
-    them.  A step is then s (product, cosine, product) stage evaluations and
-    one update: on a few machines numpy's per-call dispatch, not arithmetic,
-    is the cost, so the stepper also owns its ``z`` and cosine buffers.
-    Returns ``advance(y0, n_sub, out)``, which runs ``len(out)`` intervals of
+    them.  Stages 2g and 2g + 1 read only the powers of stages before 2g
+    (see ``_rk_maps``), so both arguments come from z before either stage
+    writes, and the pair is evaluated at once: one product for both
+    arguments, one cosine, one product with R for the k = 1 or 2 stages as
+    the rows of a (k, m) array, and one multiply into their power slots,
+    which are adjacent in z.  A step is six such groups and one update: on a
+    few machines numpy's per-call dispatch, not arithmetic, is the cost, so
+    the stepper also owns its ``z`` and cosine buffers.  Returns
+    ``advance(y0, n_sub, out)``, which runs ``len(out)`` intervals of
     ``n_sub`` steps each from ``y0`` and writes the state at the end of each
     interval into the rows of ``out``.
     """
-    args, update = maps
+    groups, update = maps
     n = params.n_machines
     m = 2 * n
     inv_2h = 0.5 / params.h
     scaled = (params.e_mag * inv_2h)[:, None] * net.y_red * params.e_mag
-    rotate = np.block([[scaled.real, -scaled.imag],
-                       [scaled.imag, scaled.real]])
+    # R c for the rows of a (k, m) array is c R^T; contiguous, because
+    # ndarray.dot copies a strided view on every call
+    rotate_t = np.ascontiguousarray(np.block([[scaled.real, -scaled.imag],
+                                              [scaled.imag, scaled.real]]).T)
 
     z = np.zeros(update.shape[1])
     z[m] = 1.0
     y = z[:m]
-    c = np.empty(m)
-    # each stage reads a prefix of z and writes its powers in place, through
-    # views into z
-    stages = [(arg, z[:arg.shape[1]], z[m + 1 + i * m:m + 1 + (i + 1) * m])
-              for i, arg in enumerate(args)]
+    c = np.empty(2 * m)
+    # each group reads a prefix of z and writes its stages' powers in place,
+    # through views into z
+    plan = []
+    first = m + 1   # z column of the next group's first power
+    for arg in groups:
+        k = arg.shape[0] // m
+        plan.append((arg, z[:arg.shape[1]], c[:k * m], c[:k * m].reshape(k, m),
+                     z[first:first + k * m].reshape(k, m)))
+        first += k * m
 
     def advance(y0: np.ndarray, n_sub: int, out: np.ndarray) -> None:
         y[:] = y0
         for row in out:
             for _ in range(n_sub):
-                for arg, read, power in stages:
-                    np.cos(arg.dot(read), out=c)
-                    np.multiply(c, rotate.dot(c), out=power)
+                for arg, read, c_flat, c_rows, power in plan:
+                    np.cos(arg.dot(read), out=c_flat)
+                    np.multiply(c_rows, c_rows.dot(rotate_t), out=power)
                 y[:] = update.dot(z)
             row[:] = y
 
@@ -394,7 +427,7 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution, scenario: FaultScenario,
 
     n_steps = round(scenario.t_end / scenario.dt)   # whole, as validated
     times = np.arange(n_steps + 1) * scenario.dt
-    regimes = [scenario.regime(t, freq) for t in times.tolist()]
+    regimes = scenario.regimes(times, freq)
 
     maps: dict[float, _RKMaps] = {}
 

@@ -338,8 +338,7 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     stamps = np.array([fr.t for fr in frames])
     zs = [fr.z_vector() for fr in frames]
     _check_frames(frames, stamps, zs, nm, scenario.dt)
-    times = stamps.tolist()
-    regimes = [scenario.regime(t, case.frequency) for t in times]
+    regimes = scenario.regimes(stamps, case.frequency)
 
     # The plan: per frame, the process model of the regime at the start of
     # the interval before it, the measurement model of the regime at the
@@ -378,7 +377,7 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
             belief = advance(belief, *step)
         except FilterNumericsError as exc:
             raise FilterNumericsError(
-                f"frame {k} (t={times[k]:.4f}s): {exc}") from exc
+                f"frame {k} (t={stamps[k]:.4f}s): {exc}") from exc
         beliefs.append(belief)
 
     x = np.array([b.x_hat for b in beliefs])

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from powerdse.dynamics import swing_rates
 from oracles import reference_swing_trajectory
 
 OMEGA0 = 120.0 * math.pi
+CONTINGENCIES = (Path(__file__).resolve().parent.parent / "bench"
+                 / "contingencies.json")
 
 
 def toy_net(y_red):
@@ -137,6 +141,18 @@ def test_window_must_be_whole_samples(t_end, dt, wecc9, wecc9_pf):
         simulate(wecc9, wecc9_pf, scen)
 
 
+@pytest.mark.parametrize("t_end", [-1.0, 0.0])
+def test_window_must_be_positive(t_end, wecc9, wecc9_pf):
+    # -1.0 used to pass validation and fail in numpy with "negative
+    # dimensions are not allowed"
+    scen = wecc9_scenario(t_end=t_end)
+    match = rf"window t_end={t_end}s must be positive"
+    with pytest.raises(ScenarioError, match=match):
+        validate_scenario(wecc9, scen)
+    with pytest.raises(ScenarioError, match=match):
+        simulate(wecc9, wecc9_pf, scen)
+
+
 def test_window_check_allows_rounded_ratios(wecc9):
     # 2.0 / 0.05 and 0.3 / 0.1 are whole but for rounding
     validate_scenario(wecc9, wecc9_scenario(t_end=2.0, dt=0.05))
@@ -236,6 +252,31 @@ def test_regime_labels_and_continuity(wecc9_run):
     assert np.max(o_steps) < 0.05
 
 
+@pytest.mark.parametrize("which", ["presets", "screening", "on_samples"])
+def test_regimes_match_per_sample_regime(which):
+    if which == "presets":
+        scenarios = [preset(name).scenario
+                     for name in ("wecc9-fault8", "ne39-fault4")]
+    elif which == "screening":
+        spec = json.loads(CONTINGENCIES.read_text())
+        scenarios = [FaultScenario(fault_bus=bus, t_fault=spec["t_fault"],
+                                   clearing_cycles=spec["clearing_cycles"],
+                                   cleared_line=(a, b), t_end=spec["t_end"],
+                                   dt=spec["dt"])
+                     for bus, a, b in spec["contingencies"]]
+    else:
+        # fault at sample 4 and clearing at sample 6, both exact in binary
+        scenarios = [wecc9_scenario(t_fault=0.5, clearing_cycles=15.0,
+                                    t_end=1.0, dt=0.125)]
+    for scen in scenarios:
+        times = np.arange(round(scen.t_end / scen.dt) + 1) * scen.dt
+        per_sample = [scen.regime(t, 60.0) for t in times.tolist()]
+        assert scen.regimes(times, 60.0) == per_sample
+    if which == "on_samples":
+        assert per_sample.count(Regime.PreFault) == 4
+        assert per_sample.count(Regime.FaultOn) == 2
+
+
 def test_substep_self_convergence(wecc9, wecc9_pf):
     scen = wecc9_scenario(t_end=5.0)
     coarse = simulate(wecc9, wecc9_pf, scen, substeps=10)
@@ -317,16 +358,66 @@ def test_step_plan_counts(wecc9, wecc9_pf, monkeypatch):
 
 
 def test_stage_maps_read_only_their_prefix(wecc9_run):
-    # Stage i's map keeps (y, 1) and the powers of stages 1 .. i - 2, the
-    # last of which it does read; the update reads all of z.  A cut that
-    # drops a column a stage reads fails test_default_steps_accuracy.
+    # Stages 2g and 2g + 1 run as one group.  Stage i reads (y, 1) and the
+    # powers of stages 1 .. i - 2, the last of which it does read, so a
+    # group is as wide as its second stage reads, and its first stage's rows
+    # are zero over the powers of the stage just before it.  A group of
+    # three would read a power that its own first stage writes.
     m = 2 * wecc9_run.params.n_machines
-    args, update = dynamics._rk_maps(wecc9_run.params, 0.01)
-    assert len(args) == len(dynamics._RK_STAGES)
-    assert update.shape == (m, m + 1 + len(args) * m)
-    for i, arg in enumerate(args):
-        assert arg.shape == (m, m + 1 + max(i - 1, 0) * m)
+    s = len(dynamics._RK_STAGES)
+    groups, update = dynamics._rk_maps(wecc9_run.params, 0.01)
+    assert s == 11
+    assert len(groups) == 6
+    assert update.shape == (m, m + 1 + s * m)
+    assert np.any(update[:, -1] != 0.0)
+
+    def reads(i):
+        return m + 1 + max(i - 1, 0) * m
+
+    for g, arg in enumerate(groups):
+        stages = list(range(2 * g, min(2 * g + 2, s)))
+        assert arg.flags.c_contiguous
+        assert arg.shape == (len(stages) * m, reads(stages[-1]))
         assert np.any(arg[:, -1] != 0.0)
+        if len(stages) == 2 and g > 0:
+            assert np.all(arg[:m, reads(stages[0]):] == 0.0)
+
+
+def interval_by_textbook(params, net, y, h):
+    """One step of ``_RK_STAGES``/``_RK_WEIGHTS`` from y = (angles, speed
+    deviations), each stage a call of ``swing_rates`` at ``electrical_power``."""
+    n = params.n_machines
+
+    def f(y):
+        p_e = electrical_power(y[:n], params.e_mag, net)
+        return np.concatenate(swing_rates(y[:n], 1.0 + y[n:], p_e, params))
+
+    slopes = []
+    for coeffs in dynamics._RK_STAGES:
+        slopes.append(f(y + h * sum((a * k for a, k in zip(coeffs, slopes)),
+                                    np.zeros_like(y))))
+    return y + h * sum(b * k for b, k in zip(dynamics._RK_WEIGHTS, slopes))
+
+
+@pytest.mark.parametrize("name", ["wecc9", "ne39"])
+def test_stepper_matches_textbook_runge_kutta(name, request):
+    # The grouped maps against the tableau applied stage by stage, from a
+    # state off the equilibrium so that every stage moves.
+    params = request.getfixturevalue(f"{name}_params")
+    net = request.getfixturevalue(f"{name}_net")
+    init = request.getfixturevalue(f"{name}_init")
+    n = params.n_machines
+    rng = np.random.default_rng(7)
+    y0 = np.concatenate([init.delta0 + rng.uniform(-0.3, 0.3, n),
+                         rng.uniform(-0.01, 0.01, n)])
+    h = 0.01
+    advance = dynamics._rk_stepper(params, net, dynamics._rk_maps(params, h))
+    out = np.empty((1, 2 * n))
+    advance(y0, 1, out)
+    ref = interval_by_textbook(params, net, y0, h)
+    assert np.max(np.abs(ref - y0)) > 1e-4
+    assert np.max(np.abs(out[0, :n] - ref[:n])) <= 1e-12
+    assert np.max(np.abs(out[0, n:] - ref[n:])) <= 1e-12
 
 
 def test_against_adaptive_integrator(wecc9_run):
