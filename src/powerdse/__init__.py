@@ -59,7 +59,6 @@ from .measurement import (
     MeasurementFrame,
     NoiseSpec,
     machine_outputs,
-    measure,
     measurement_indices,
     measurement_variances,
     process_variances,
@@ -93,7 +92,6 @@ from .harness import (
     format_report,
     load_experiment_config,
     preset,
-    rmse,
     run_experiment,
     write_estimates_csv,
     write_measurements_csv,

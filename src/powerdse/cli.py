@@ -178,10 +178,11 @@ def reduce(case_ref: str, out_dir: str | None):
         raise click.ClickException(str(exc)) from exc
 
     nm = net.n_machines
+    y_mag, y_ang = np.abs(net.y_red), np.angle(net.y_red)
     click.echo(f"reduced {len(case.buses)} buses to {nm} machine nodes")
     click.echo("admittance magnitude (row per machine):")
     for i in range(nm):
-        click.echo("  " + " ".join(f"{net.y_mag[i, j]:9.4f}" for j in range(nm)))
+        click.echo("  " + " ".join(f"{y_mag[i, j]:9.4f}" for j in range(nm)))
 
     if out_dir is not None:
         target = Path(out_dir)
@@ -195,8 +196,8 @@ def reduce(case_ref: str, out_dir: str | None):
                     writer.writerow([i + 1, j + 1,
                                      repr(float(net.y_red[i, j].real)),
                                      repr(float(net.y_red[i, j].imag)),
-                                     repr(float(net.y_mag[i, j])),
-                                     repr(float(net.y_ang[i, j]))])
+                                     repr(float(y_mag[i, j])),
+                                     repr(float(y_ang[i, j]))])
         with open(target / "voltage_reconstruction.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["bus", "machine", "real", "imag"])

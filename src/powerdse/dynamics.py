@@ -350,7 +350,7 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork,
     damping and the mechanical power.  R is the admittance pre-scaled to
     M_ij = (E/2H)_i Y_ij E_j, in real form, so the two halves of g add up to
     Re(u_i conj((M u)_i)) = P_e,i / 2H_i with u = exp(j delta); D subtracts
-    that sum from the speed rows.  This is the cosine sum to rounding.
+    that sum from the speed rows.  This is ``electrical_power`` to rounding.
 
     Each stage argument A (y_i, 1) and the update are therefore linear in
     z = (y, 1, g_1, .., g_s).  Those maps depend on the step length but not

@@ -31,10 +31,15 @@ from .measurement import (
 from .powerflow import PowerFlowSolution
 from .reduction import (
     ReducedNetwork,
+    complex_power,
     electrical_power,
-    electrical_power_linearized,
     machine_init,
+    power_sensitivity,
 )
+
+FILTER_KINDS = ("ekf", "ukf")
+# Added once to the diagonal of a covariance whose square root fails.
+_JITTER = 1e-9
 
 
 class FilterNumericsError(RuntimeError):
@@ -71,28 +76,19 @@ class MeasurementModel:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Which filter to run and its tuning.
+    """Which filter to run, one of ``FILTER_KINDS``, and its covariances.
 
     ``q`` and ``r`` are the process and measurement covariances; ``r`` spans
-    the intact measurement layout and is subset per frame.  ``sigma_scheme``
-    selects the symmetric equal-weight point set (default) or the scaled
-    alternative with its three tuning constants.
+    the intact measurement layout and is subset per frame.
     """
 
     kind: str
     q: np.ndarray
     r: np.ndarray
-    jitter: float = 1e-9
-    sigma_scheme: str = "symmetric"
-    ut_alpha: float = 1e-3
-    ut_beta: float = 2.0
-    ut_kappa: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("ekf", "ukf"):
+        if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.sigma_scheme not in ("symmetric", "scaled"):
-            raise ValueError(f"unknown sigma scheme {self.sigma_scheme!r}")
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -143,73 +139,49 @@ def ekf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
 # --- unscented filter --------------------------------------------------------
 
 
-def _psd_sqrt(mat: np.ndarray, jitter: float) -> np.ndarray:
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Lower-triangular factor of a nominally PSD matrix, with one retry."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         pass
     try:
-        return np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]))
+        return np.linalg.cholesky(mat + _JITTER * np.eye(mat.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise FilterNumericsError(
             "covariance is not positive semidefinite within jitter") from exc
 
 
-def sigma_points(belief: GaussianBelief, jitter: float = 1e-9) -> np.ndarray:
+def sigma_points(belief: GaussianBelief) -> np.ndarray:
     """Symmetric equal-weight point set: 2n points at x +- the columns of a
     factor of n P, each carrying weight 1/(2n).  No point sits at the mean."""
     n = belief.x_hat.size
-    root = _psd_sqrt(n * belief.p, jitter)
+    root = _psd_sqrt(n * belief.p)
     return np.concatenate([belief.x_hat + root.T, belief.x_hat - root.T])
 
 
-def _sigma_set(belief: GaussianBelief,
-               cfg: "FilterConfig") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, mean weights, covariance weights) for the configured scheme."""
-    n = belief.x_hat.size
-    if cfg.sigma_scheme == "symmetric":
-        pts = sigma_points(belief, cfg.jitter)
-        w = np.full(2 * n, 1.0 / (2 * n))
-        return pts, w, w
-    lam = cfg.ut_alpha ** 2 * (n + cfg.ut_kappa) - n
-    root = _psd_sqrt((n + lam) * belief.p, cfg.jitter)
-    pts = np.concatenate([
-        belief.x_hat[None, :],
-        belief.x_hat + root.T,
-        belief.x_hat - root.T,
-    ])
-    wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
-    wm[0] = lam / (n + lam)
-    wc = wm.copy()
-    wc[0] += 1.0 - cfg.ut_alpha ** 2 + cfg.ut_beta
-    return pts, wm, wc
-
-
-def ukf_predict(belief: GaussianBelief, model: ProcessModel, q: np.ndarray,
-                cfg: "FilterConfig") -> tuple[GaussianBelief, np.ndarray]:
-    """Propagate sigma points through the process model.
-
-    Returns the predicted belief and the propagated points (the update stage
-    draws a fresh set from the predicted belief rather than reusing these).
-    """
-    pts, wm, wc = _sigma_set(belief, cfg)
+def ukf_predict(belief: GaussianBelief, model: ProcessModel,
+                q: np.ndarray) -> GaussianBelief:
+    """Propagate sigma points through the process model and inflate by q."""
+    pts = sigma_points(belief)
+    w = np.full(len(pts), 1.0 / len(pts))
     prop = model.step(pts)
-    x = wm.dot(prop)
+    x = w.dot(prop)
     dev = prop - x
-    p = (dev * wc[:, None]).T.dot(dev) + q
-    return GaussianBelief(x_hat=x, p=_symmetrize(p)), prop
+    p = (dev * w[:, None]).T.dot(dev) + q
+    return GaussianBelief(x_hat=x, p=_symmetrize(p))
 
 
 def ukf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
-               r: np.ndarray, cfg: "FilterConfig") -> GaussianBelief:
+               r: np.ndarray) -> GaussianBelief:
     """Condition the predicted belief on a measurement via fresh sigma points."""
-    pts, wm, wc = _sigma_set(belief, cfg)
+    pts = sigma_points(belief)
+    w = np.full(len(pts), 1.0 / len(pts))
     obs = model.observe(pts)
-    z_hat = wm.dot(obs)
+    z_hat = w.dot(obs)
     dz = obs - z_hat
     dx = pts - belief.x_hat
-    wdz = dz * wc[:, None]
+    wdz = dz * w[:, None]
     p_zz = wdz.T.dot(dz) + r
     p_xz = dx.T.dot(wdz)
     try:
@@ -230,8 +202,8 @@ def swing_process_model(params: MachineParams, net: ReducedNetwork,
     """Forward-Euler rotor transition bound to one network topology.
 
     ``step`` takes one state vector or a (k, 2n) stack of them.  In
-    ``linearize`` one angle-difference matrix gives the electrical power of
-    the step and its sensitivity in the Jacobian.
+    ``linearize`` one ``complex_power`` evaluation gives the electrical power
+    of the step and, through ``power_sensitivity``, its part of the Jacobian.
     """
     nm = params.n_machines
 
@@ -251,10 +223,11 @@ def swing_process_model(params: MachineParams, net: ReducedNetwork,
 
     def linearize(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         delta = vec[:nm]
-        p_e, sens = electrical_power_linearized(delta, params.e_mag, net)
+        _, emf, power = complex_power(delta, params.e_mag, net)
         jac = base.copy()
-        jac[nm:, :nm] = coupling * sens
-        return np.concatenate(euler_step(delta, vec[nm:], p_e, params, dt)), jac
+        jac[nm:, :nm] = coupling * power_sensitivity(emf, power, net).real
+        return np.concatenate(
+            euler_step(delta, vec[nm:], power.real, params, dt)), jac
 
     return ProcessModel(step=step, linearize=linearize)
 
@@ -263,12 +236,12 @@ def swing_measurement_model(params: MachineParams,
                             net: ReducedNetwork) -> MeasurementModel:
     """Power-and-voltage observation map bound to one network topology.
 
-    Voltage angles use the continuous convention of ``measure``, so predicted
-    measurements stay comparable to unwrapped frames without residual fixups.
-    ``observe`` takes one state vector or a (k, 2n) stack of them and uses the
-    same kernel as ``measure``.  ``linearize`` takes the Jacobian from the
-    same emfs, powers and voltages as the prediction, and raises ValueError
-    where a reconstructed bus voltage is zero.
+    Voltage angles use the continuous convention of ``machine_outputs``, so
+    predicted measurements stay comparable to unwrapped frames without
+    residual fixups.  ``observe`` takes one state vector or a (k, 2n) stack
+    of them and is ``machine_outputs``.  ``linearize`` takes the Jacobian from
+    the same emfs, powers and voltages as the prediction, and raises
+    ValueError where a reconstructed bus voltage is zero.
     """
     nm = params.n_machines
 
@@ -367,8 +340,8 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
             return ekf_update(ekf_predict(belief, process, cfg.q), z, measure, r)
     else:
         def advance(belief, process, measure, r, z):
-            predicted, _ = ukf_predict(belief, process, cfg.q, cfg)
-            return ukf_update(predicted, z, measure, r, cfg)
+            return ukf_update(ukf_predict(belief, process, cfg.q), z,
+                              measure, r)
 
     belief = b0
     beliefs = [belief]

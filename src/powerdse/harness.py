@@ -27,7 +27,13 @@ from .dynamics import (
     scenario_networks,
     simulate,
 )
-from .filters import FilterConfig, GaussianBelief, init_belief, run_filter
+from .filters import (
+    FILTER_KINDS,
+    FilterConfig,
+    GaussianBelief,
+    init_belief,
+    run_filter,
+)
 from .measurement import (
     MeasurementFrame,
     NoiseSpec,
@@ -66,8 +72,6 @@ class ExperimentConfig:
     substeps: int = SUBSTEPS
     prior_angle_shift: float = 0.05
     prior_cov: float = 1e-2
-    jitter: float = 1e-9
-    sigma_scheme: str = "symmetric"
 
 
 PRESETS: dict[str, ExperimentConfig] = {
@@ -152,27 +156,6 @@ def _rms_by_machine(d_err: np.ndarray, o_err: np.ndarray) -> dict[str, np.ndarra
     }
 
 
-def rmse(reference: Trajectory, estimate: Trajectory,
-         t_min: float | None = None) -> dict[str, np.ndarray]:
-    """Per-machine root-mean-square angle and speed errors.
-
-    With ``t_min`` the average runs over samples at times >= t_min only.
-    """
-    if len(reference) != len(estimate):
-        raise ValueError(
-            f"trajectory lengths differ: {len(reference)} vs {len(estimate)}")
-    if not np.allclose(reference.times, estimate.times):
-        raise ValueError("trajectory sample times differ")
-    mask = np.ones(len(reference), dtype=bool)
-    if t_min is not None:
-        mask = reference.times >= t_min
-    if not mask.any():
-        raise ValueError(f"no samples at or after t={t_min}")
-    return _rms_by_machine(
-        reference.delta_matrix()[mask] - estimate.delta_matrix()[mask],
-        reference.omega_matrix()[mask] - estimate.omega_matrix()[mask])
-
-
 def _metrics(truth: TrajectoryTable, x_hat: np.ndarray,
              t_clear: float) -> FilterMetrics:
     """Errors of the stacked estimates ``x_hat`` (samples, angles then
@@ -209,8 +192,16 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run the full pipeline and write all artifacts under ``cfg.out_dir``."""
+    """Run the full pipeline and write all artifacts under ``cfg.out_dir``.
+
+    An unknown filter kind fails before any stage runs, so it leaves no
+    file behind.
+    """
     t0 = time.perf_counter()
+    for kind in cfg.filters:
+        if kind not in FILTER_KINDS:
+            raise ExperimentError(f"filter-{kind}",
+                                  f"unknown filter kind {kind!r}")
     noise = cfg.noise if cfg.seed is None else replace(cfg.noise, seed=cfg.seed)
 
     case = _stage("load-case", load_case, cfg.case)
@@ -237,30 +228,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         measurement_variances(noise, nm, len(all_bus_ids)), 1e-12))
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _stage("write", out_dir.mkdir, parents=True, exist_ok=True)
     table = TrajectoryTable.of(truth)
-    write_trajectory_csv(table, out_dir / "truth.csv")
-    write_measurements_csv(frames, all_bus_ids, out_dir / "measurements.csv")
+    _stage("write", write_trajectory_csv, table, out_dir / "truth.csv")
+    _stage("write", write_measurements_csv, frames, all_bus_ids,
+           out_dir / "measurements.csv")
 
     metrics: dict[str, FilterMetrics] = {}
     for kind in cfg.filters:
-        fc = _stage(f"filter-{kind}", FilterConfig,
-                    kind=kind, q=q, r=r, jitter=cfg.jitter,
-                    sigma_scheme=cfg.sigma_scheme)
         _, beliefs = _stage(f"filter-{kind}", run_filter,
-                            fc, case, pf, cfg.scenario, frames, prior)
+                            FilterConfig(kind=kind, q=q, r=r), case, pf,
+                            cfg.scenario, frames, prior)
         x_hat = np.array([b.x_hat for b in beliefs])
         metrics[kind] = _metrics(table, x_hat, t_clear)
         p_diag = np.array([b.p.diagonal() for b in beliefs])
-        write_estimates_csv(table, x_hat, p_diag,
-                            out_dir / f"estimate_{kind}.csv")
+        _stage("write", write_estimates_csv, table, x_hat, p_diag,
+               out_dir / f"estimate_{kind}.csv")
 
     report = ExperimentReport(
         config=cfg, case_name=case.name, n_samples=len(truth),
         metrics=metrics, out_dir=out_dir, wall_seconds=0.0,
     )
     # report.txt holds no timing, so the clock stops once it is written.
-    (out_dir / "report.txt").write_text(format_report(report))
+    _stage("write", (out_dir / "report.txt").write_text, format_report(report))
     return replace(report, wall_seconds=time.perf_counter() - t0)
 
 
@@ -397,8 +387,7 @@ def _whole(key: str, value) -> int:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed YAML mapping, rejecting unknown keys."""
     known = {"case", "scenario", "noise", "filters", "out_dir", "seed",
-             "substeps", "prior_angle_shift", "prior_cov", "jitter",
-             "sigma_scheme"}
+             "substeps", "prior_angle_shift", "prior_cov"}
     extra = set(data) - known
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
@@ -407,6 +396,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     filters = data.get("filters", ["ekf", "ukf"])
     if not isinstance(filters, (list, tuple)):
         raise ValueError(f"config key 'filters' must be a list, got {filters!r}")
+    unknown = [kind for kind in filters if kind not in FILTER_KINDS]
+    if unknown:
+        raise ValueError(f"config key 'filters' names unknown filter kinds "
+                         f"{unknown} (known: {', '.join(FILTER_KINDS)})")
 
     scen = dict(data["scenario"])
     scen_known = {"fault_bus", "t_fault", "clearing_cycles", "cleared_line",
@@ -448,8 +441,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         substeps=_whole("substeps", data.get("substeps", SUBSTEPS)),
         prior_angle_shift=float(data.get("prior_angle_shift", 0.05)),
         prior_cov=float(data.get("prior_cov", 1e-2)),
-        jitter=float(data.get("jitter", 1e-9)),
-        sigma_scheme=str(data.get("sigma_scheme", "symmetric")),
     )
 
 

@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    DynamicState,
-    MachineParams,
-    ScenarioNetworks,
-    Trajectory,
-)
-from .reduction import ReducedNetwork
+from .dynamics import MachineParams, ScenarioNetworks, Trajectory
+from .reduction import ReducedNetwork, _apply, complex_power, power_sensitivity
 
 
 @dataclass(frozen=True)
@@ -60,26 +55,6 @@ class MeasurementFrame:
         return 2 * self.p_g.size + 2 * len(self.bus_ids)
 
 
-def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """``mat @ vec`` for each row of a (..., n) stack.
-
-    Not a matmul: BLAS takes a different kernel for one row than for many,
-    so a matmul row would differ in its last bits from the same state
-    evaluated alone.  einsum accumulates each row in the same order whatever
-    the stack size (``test_stacked_outputs_match_single_states`` pins this).
-    """
-    return np.einsum("ij,...j->...i", mat, vec)
-
-
-def _phasors(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean rotor angle, emfs referenced to it, complex machine powers and
-    bus voltages for rotor angles (..., n)."""
-    ref = delta.sum(axis=-1, keepdims=True) / delta.shape[-1]
-    emf = e_mag * np.exp(1j * (delta - ref))
-    return ref, emf, emf * np.conj(_apply(net.y_red, emf)), _apply(net.r_v, emf)
-
-
 def machine_outputs(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Machine powers and bus voltages for rotor angles (..., n).
@@ -92,7 +67,8 @@ def machine_outputs(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
     2pi and with the same Jacobian, and leaves powers and magnitudes as they
     are.  Each row of a stack is bitwise the value that row gives alone.
     """
-    ref, _, power, v = _phasors(delta, e_mag, net)
+    ref, emf, power = complex_power(delta, e_mag, net)
+    v = _apply(net.r_v, emf)
     return power.real, power.imag, np.abs(v), ref + np.angle(v)
 
 
@@ -108,29 +84,20 @@ def machine_outputs_linearized(delta: np.ndarray, e_mag: np.ndarray,
     Raises ValueError if a reconstructed bus voltage is zero, where the
     angle derivative is undefined.
     """
-    ref, emf, power, v = _phasors(delta, e_mag, net)
+    ref, emf, power = complex_power(delta, e_mag, net)
+    v = _apply(net.r_v, emf)
     vm = np.abs(v)
     dead = np.flatnonzero(vm < 1e-12)
     if dead.size:
         bus = net.bus_order[int(dead[0])]
         raise ValueError(f"reconstructed voltage at bus {bus} is zero; "
                          "angle derivative undefined")
-    # dS_i/d delta_k = j (delta_ik S_i - emf_i conj(Y_ik emf_k)): its real
-    # and imaginary parts are the P and Q rows.
-    ds = 1j * (np.diag(power) - emf[:, None] * np.conj(net.y_red * emf))
+    ds = power_sensitivity(emf, power, net)
     # (dV/d delta) / V = d ln|V| + j d(angle V)
     dv = net.r_v * (1j * emf) / v[:, None]
     outputs = np.concatenate([power.real, power.imag, vm, ref + np.angle(v)])
     return outputs, np.concatenate([ds.real, ds.imag, vm[:, None] * dv.real,
                                     dv.imag])
-
-
-def measure(x: DynamicState, params: MachineParams, net: ReducedNetwork,
-            t: float = 0.0) -> MeasurementFrame:
-    """Noise-free measurement frame for one rotor state."""
-    p_g, q_g, v_mag, v_ang = machine_outputs(x.delta, params.e_mag, net)
-    return MeasurementFrame(t=t, p_g=p_g, q_g=q_g, v_mag=v_mag, v_ang=v_ang,
-                            bus_ids=net.bus_order)
 
 
 def _unwrap_voltage_angles(blocks: list[tuple[np.ndarray, tuple[int, ...],
@@ -172,8 +139,8 @@ def synthesize(traj: Trajectory, nets: ScenarioNetworks, params: MachineParams,
     seeded from ``noise.seed`` and consumed in a fixed order (per frame:
     active powers, reactive powers, magnitudes, angles), so equal seeds give
     identical frames.  The clean frames of each regime are evaluated as one
-    stack with the kernel ``measure`` uses, so with zero noise every frame
-    equals ``measure`` of its state exactly.
+    stack by ``machine_outputs``, so with zero noise every frame equals
+    ``machine_outputs`` of its state alone exactly.
     """
     nm = params.n_machines
     delta = traj.delta_matrix()

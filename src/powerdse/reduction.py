@@ -41,8 +41,6 @@ class ReducedNetwork:
     """Machine-node equivalent left after eliminating all network buses."""
 
     y_red: np.ndarray
-    y_mag: np.ndarray
-    y_ang: np.ndarray
     r_v: np.ndarray
     bus_order: tuple[int, ...]
     machine_order: tuple[int, ...]
@@ -117,43 +115,51 @@ def kron_reduce(ext: ExtendedAdmittance) -> ReducedNetwork:
     y_red = ext.y22 - ext.y21 @ solved
     return ReducedNetwork(
         y_red=y_red,
-        y_mag=np.abs(y_red),
-        y_ang=np.angle(y_red),
         r_v=-solved,
         bus_order=ext.bus_order,
         machine_order=ext.machine_order,
     )
 
 
+def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``mat @ vec`` for each row of a (..., n) stack.
+
+    Not a matmul: BLAS takes a different kernel for one row than for many,
+    so a matmul row would differ in its last bits from the same state
+    evaluated alone.  einsum accumulates each row in the same order whatever
+    the stack size (``test_stacked_outputs_match_single_states`` pins this).
+    """
+    return np.einsum("ij,...j->...i", mat, vec)
+
+
+def complex_power(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean rotor angle, emfs referenced to it and complex machine powers
+    S = E conj(Y E) for rotor angles (..., n).
+
+    The one expression of the machine power: the swing process model,
+    ``machine_init`` and the measurement model all evaluate it.  The common
+    rotation cancels in S.  Each row of a stack is bitwise the value that row
+    gives alone.
+    """
+    ref = delta.sum(axis=-1, keepdims=True) / delta.shape[-1]
+    emf = e_mag * np.exp(1j * (delta - ref))
+    return ref, emf, emf * np.conj(_apply(net.y_red, emf))
+
+
 def electrical_power(delta: np.ndarray, e_mag: np.ndarray,
                      net: ReducedNetwork) -> np.ndarray:
-    """Per-machine electrical power over the reduced network, in per unit.
-
-    The cosine sum that both the swing dynamics and ``machine_init`` evaluate,
-    so the equilibrium is a bitwise fixed point of the process model.
-    ``delta`` may carry leading batch axes, (..., n) in and out; each row is
-    bitwise the value the row alone would give.
-    """
-    angles = delta[..., :, None] - delta[..., None, :] - net.y_ang
-    return e_mag * (net.y_mag * e_mag * np.cos(angles)).sum(axis=-1)
+    """Per-machine electrical power over the reduced network, in per unit:
+    the real part of ``complex_power``, on (..., n) angles."""
+    return complex_power(delta, e_mag, net)[2].real
 
 
-def electrical_power_linearized(delta: np.ndarray, e_mag: np.ndarray,
-                                net: ReducedNetwork
-                                ) -> tuple[np.ndarray, np.ndarray]:
-    """``electrical_power`` at one angle vector (n,) and its derivative
-    with respect to the angles (n, n), from one angle-difference matrix.
-
-    The power is the same expression as ``electrical_power``, so it is
-    bitwise that value.  With S_ij = E_i |Y_ij| E_j sin(delta_i - delta_j -
-    angle Y_ij), dP_i/d delta_k is S_ik off the diagonal and minus the sum of
-    S_ij over j != i on it.
-    """
-    angles = delta[:, None] - delta[None, :] - net.y_ang
-    weights = net.y_mag * e_mag
-    power = e_mag * (weights * np.cos(angles)).sum(axis=-1)
-    sens = e_mag[:, None] * weights * np.sin(angles)
-    return power, sens - np.diag(sens.sum(axis=-1))
+def power_sensitivity(emf: np.ndarray, power: np.ndarray,
+                      net: ReducedNetwork) -> np.ndarray:
+    """dS_i/d delta_k (n, n) at one state, from its ``complex_power`` emfs
+    and powers: j (delta_ik S_i - emf_i conj(Y_ik emf_k)).  Its real and
+    imaginary parts are the derivatives of P and Q."""
+    return 1j * (np.diag(power) - emf[:, None] * np.conj(net.y_red * emf))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import pytest
 
 from powerdse import (
     FaultScenario,
-    FilterConfig,
     MeasurementModel,
     ProcessModel,
     ekf_predict,
@@ -172,13 +171,11 @@ def test_criterion_5_linear_gaussian_equivalence(verdict):
                         linearize=lambda v: (v @ a.T, a))
     meas = MeasurementModel(observe=lambda v: v @ c.T,
                             linearize=lambda v: (v @ c.T, c))
-    cfg = FilterConfig(kind="ukf", q=q, r=r)
     ekf_b, ukf_b = init_belief(x0, p0), init_belief(x0, p0)
     worst = 0.0
     for k, z in enumerate(zs):
         ekf_b = ekf_update(ekf_predict(ekf_b, proc, q), z, meas, r)
-        ukf_b, _ = ukf_predict(ukf_b, proc, q, cfg)
-        ukf_b = ukf_update(ukf_b, z, meas, r, cfg)
+        ukf_b = ukf_update(ukf_predict(ukf_b, proc, q), z, meas, r)
         for b in (ekf_b, ukf_b):
             worst = max(worst,
                         np.max(np.abs(b.x_hat - ref_means[k])),

@@ -97,7 +97,7 @@ def test_reduce_prints_and_writes(runner, tmp_path, wecc9_net):
     assert len(rows) == 9
     first = rows[0]
     assert float(first["real"]) == wecc9_net.y_red[0, 0].real
-    assert float(first["magnitude"]) == wecc9_net.y_mag[0, 0]
+    assert float(first["magnitude"]) == np.abs(wecc9_net.y_red[0, 0])
     with open(out_dir / "voltage_reconstruction.csv") as fh:
         recon = list(csv.DictReader(fh))
     assert len(recon) == 9 * 3
@@ -154,6 +154,39 @@ def test_run_reports_stage_on_failure(runner, tmp_path):
     result = runner.invoke(main, ["run", str(cfg)])
     assert result.exit_code != 0
     assert "[reduction]" in result.output
+
+
+def test_run_unwritable_out_is_one_line(runner, tmp_path):
+    # the output directory cannot be made under a file: an error line, not
+    # a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = runner.invoke(main, ["run", "wecc9-fault8",
+                                  "--out", str(blocker / "sub")])
+    assert result.exit_code != 0
+    lines = result.output.splitlines()
+    assert len(lines) == 1, result.output
+    assert lines[0].startswith("Error: [write] ")
+    assert str(blocker / "sub") in lines[0]
+
+
+def test_run_rejects_unknown_filter_before_running(runner, tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    out_dir = tmp_path / "results"
+    cfg.write_text(
+        "case: wecc9\n"
+        "scenario:\n"
+        "  fault_bus: 8\n"
+        "  cleared_line: [8, 9]\n"
+        "filters: [ekf, pf]\n"
+        f"out_dir: {out_dir}\n"
+    )
+    result = runner.invoke(main, ["run", str(cfg)])
+    assert result.exit_code != 0
+    lines = result.output.splitlines()
+    assert len(lines) == 1, result.output
+    assert "'filters'" in lines[0] and "'pf'" in lines[0]
+    assert not out_dir.exists()
 
 
 def test_seed_flag_changes_measurements(runner, tmp_path):

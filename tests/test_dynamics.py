@@ -35,8 +35,7 @@ def toy_net(y_red):
     y_red = np.asarray(y_red, dtype=complex)
     nm = y_red.shape[0]
     return ReducedNetwork(
-        y_red=y_red, y_mag=np.abs(y_red), y_ang=np.angle(y_red),
-        r_v=np.zeros((0, nm), dtype=complex), bus_order=(),
+        y_red=y_red, r_v=np.zeros((0, nm), dtype=complex), bus_order=(),
         machine_order=tuple(range(1, nm + 1)),
     )
 

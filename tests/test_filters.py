@@ -12,6 +12,7 @@ from powerdse import (
     FaultScenario,
     FilterConfig,
     FilterNumericsError,
+    GaussianBelief,
     MeasurementModel,
     NoiseSpec,
     ProcessModel,
@@ -20,7 +21,7 @@ from powerdse import (
     init_belief,
     ekf_predict,
     ekf_update,
-    measure,
+    electrical_power,
     measurement_variances,
     preset,
     process_variances,
@@ -35,11 +36,6 @@ from powerdse import (
 )
 
 from oracles import central_difference, linear_kalman
-
-
-def default_config(kind="ukf", n=2, m=2, **kwargs):
-    return FilterConfig(kind=kind, q=np.zeros((n, n)), r=np.zeros((m, m)),
-                        **kwargs)
 
 
 def linear_process(a):
@@ -93,9 +89,7 @@ def test_zero_prior_legal_and_grows_by_q():
 
 def test_filter_config_validation():
     with pytest.raises(ValueError, match="kind"):
-        default_config(kind="particle")
-    with pytest.raises(ValueError, match="sigma scheme"):
-        default_config(sigma_scheme="simplex")
+        FilterConfig(kind="particle", q=np.zeros((2, 2)), r=np.zeros((2, 2)))
 
 
 def test_models_have_one_interface():
@@ -105,15 +99,29 @@ def test_models_have_one_interface():
         ["step", "linearize"]
     assert [f.name for f in dataclasses.fields(MeasurementModel)] == \
         ["observe", "linearize"]
-    assert "jacobian_mode" not in {
-        f.name for f in dataclasses.fields(FilterConfig)}
+    # one sigma-point set and one machine-power expression: no sigma scheme,
+    # no jitter setting, no polar admittance, no cosine-sum linearization
+    assert [f.name for f in dataclasses.fields(FilterConfig)] == \
+        ["kind", "q", "r"]
+    assert not {"jitter", "sigma_scheme"} & {
+        f.name for f in dataclasses.fields(powerdse.ExperimentConfig)}
+    assert not {"y_mag", "y_ang"} & {
+        f.name for f in dataclasses.fields(ReducedNetwork)}
     for name in ("finite_difference_jacobian", "process_jacobian",
                  "measurement_jacobian", "electrical_power_jacobian",
                  "reactive_power_jacobian", "swing_derivatives",
                  "step_process", "reactive_power", "bus_voltages",
                  "continuous_voltage_angles"):
         assert not hasattr(powerdse, name), name
+    for module, name in ((powerdse.reduction, "electrical_power_linearized"),
+                         (powerdse.measurement, "measure"),
+                         (powerdse.harness, "rmse"),
+                         (filters, "_sigma_set")):
+        assert not hasattr(module, name), name
     assert not hasattr(DynamicState, "from_vector")
+    belief = init_belief(np.zeros(2), np.eye(2))
+    assert isinstance(ukf_predict(belief, linear_process(np.eye(2)),
+                                  np.eye(2)), GaussianBelief)
 
 
 # --- jacobians ---------------------------------------------------------------
@@ -153,8 +161,7 @@ def test_process_jacobian_single_machine():
     from powerdse import MachineParams
 
     y = np.array([[1.2 - 3.0j]])
-    net = ReducedNetwork(y_red=y, y_mag=np.abs(y), y_ang=np.angle(y),
-                         r_v=np.zeros((0, 1), dtype=complex),
+    net = ReducedNetwork(y_red=y, r_v=np.zeros((0, 1), dtype=complex),
                          bus_order=(), machine_order=(1,))
     params = MachineParams(h=np.array([4.0]), d=np.array([0.8]),
                            e_mag=np.ones(1), p_mech=np.ones(1),
@@ -205,6 +212,20 @@ def test_linearize_value_is_bitwise_the_model(name, request, rng):
 
 
 @pytest.mark.parametrize("name", ["wecc9", "ne39"])
+def test_one_machine_power_expression(name, request, rng):
+    # machine_init, the process model and the measurement model evaluate one
+    # expression of the machine power, so they agree bitwise, not to rounding
+    init, _, measure = swing_models(name, request)
+    net = request.getfixturevalue(f"{name}_net")
+    n = init.delta0.size
+    x0 = np.concatenate([init.delta0, np.ones(n)])
+    assert np.array_equal(init.p_mech, measure.observe(x0)[:n])
+    stack = np.array([x.as_vector() for x in random_states(rng, init, 12)])
+    assert np.array_equal(electrical_power(stack[:, :n], init.e_mag, net),
+                          measure.observe(stack)[:, :n])
+
+
+@pytest.mark.parametrize("name", ["wecc9", "ne39"])
 def test_linearize_keeps_equilibrium_fixed(name, request):
     init, process, _ = swing_models(name, request)
     x0 = np.concatenate([init.delta0, np.ones_like(init.delta0)])
@@ -237,8 +258,7 @@ def test_measurement_jacobian_zero_voltage_named():
     from powerdse import MachineParams
 
     y = np.array([[1.0 - 1.0j]])
-    net = ReducedNetwork(y_red=y, y_mag=np.abs(y), y_ang=np.angle(y),
-                         r_v=np.zeros((1, 1), dtype=complex),
+    net = ReducedNetwork(y_red=y, r_v=np.zeros((1, 1), dtype=complex),
                          bus_order=(7,), machine_order=(1,))
     params = MachineParams(h=np.ones(1), d=np.zeros(1), e_mag=np.ones(1),
                            p_mech=np.ones(1), omega0=120.0 * np.pi)
@@ -364,7 +384,7 @@ def test_sigma_points_jitter_recovers_near_psd():
     p[1, 1] = -1e-12   # slightly indefinite; jitter absorbs it
     belief = init_belief(np.zeros(2), np.zeros((2, 2)))
     belief = belief.__class__(x_hat=belief.x_hat, p=p)
-    pts = sigma_points(belief, jitter=1e-9)
+    pts = sigma_points(belief)
     assert np.all(np.isfinite(pts))
 
 
@@ -382,8 +402,7 @@ def test_ukf_predict_identity_adds_q(rng):
     p0 = random_psd(rng, 3)
     q = random_psd(rng, 3, scale=0.1)
     belief = init_belief(rng.normal(size=3), p0)
-    out, _ = ukf_predict(belief, linear_process(np.eye(3)), q,
-                         default_config(n=3))
+    out = ukf_predict(belief, linear_process(np.eye(3)), q)
     assert np.max(np.abs(out.x_hat - belief.x_hat)) < 1e-12
     assert np.max(np.abs(out.p - (p0 + q))) < 1e-12
 
@@ -393,10 +412,9 @@ def test_ukf_predict_linear_map(rng):
     p0 = random_psd(rng, 4)
     q = random_psd(rng, 4, scale=0.2)
     belief = init_belief(rng.normal(size=4), p0)
-    out, pts = ukf_predict(belief, linear_process(a), q, default_config(n=4))
+    out = ukf_predict(belief, linear_process(a), q)
     assert np.max(np.abs(out.x_hat - a @ belief.x_hat)) < 1e-10
     assert np.max(np.abs(out.p - (a @ p0 @ a.T + q))) < 1e-10
-    assert pts.shape == (8, 4)
 
 
 def test_ukf_matches_ekf_at_small_covariance(wecc9_params, wecc9_net,
@@ -406,7 +424,7 @@ def test_ukf_matches_ekf_at_small_covariance(wecc9_params, wecc9_net,
     belief = init_belief(x0, 1e-8 * np.eye(6))
     q = 1e-9 * np.eye(6)
     lin = ekf_predict(belief, model, q)
-    unsc, _ = ukf_predict(belief, model, q, default_config(n=6))
+    unsc = ukf_predict(belief, model, q)
     assert np.max(np.abs(lin.x_hat - unsc.x_hat)) < 1e-6
     assert np.max(np.abs(lin.p - unsc.p)) < 1e-6
 
@@ -415,8 +433,7 @@ def test_ukf_update_zero_innovation(rng):
     c = rng.normal(size=(2, 3))
     belief = init_belief(rng.normal(size=3), random_psd(rng, 3))
     z = c @ belief.x_hat
-    out = ukf_update(belief, z, linear_measurement(c), 0.1 * np.eye(2),
-                     default_config(n=3))
+    out = ukf_update(belief, z, linear_measurement(c), 0.1 * np.eye(2))
     assert np.max(np.abs(out.x_hat - belief.x_hat)) < 1e-12
 
 
@@ -426,8 +443,7 @@ def test_ukf_update_equals_exact_kalman(rng):
     p0 = random_psd(rng, 4)
     x0 = rng.normal(size=4)
     z = rng.normal(size=3)
-    out = ukf_update(init_belief(x0, p0), z, linear_measurement(c), r,
-                     default_config(n=4))
+    out = ukf_update(init_belief(x0, p0), z, linear_measurement(c), r)
     s = c @ p0 @ c.T + r
     gain = p0 @ c.T @ np.linalg.inv(s)
     x_ref = x0 + gain @ (z - c @ x0)
@@ -440,7 +456,7 @@ def test_ukf_update_contracts_uncertainty(rng):
     c = rng.normal(size=(2, 3))
     belief = init_belief(rng.normal(size=3), random_psd(rng, 3))
     out = ukf_update(belief, rng.normal(size=2), linear_measurement(c),
-                     0.2 * np.eye(2), default_config(n=3))
+                     0.2 * np.eye(2))
     assert np.trace(out.p) < np.trace(belief.p)
 
 
@@ -475,39 +491,15 @@ def test_linear_equivalence_three_ways(seed):
 
     proc = linear_process(a)
     meas = linear_measurement(c)
-    cfg = FilterConfig(kind="ukf", q=q, r=r)
     ekf_belief = init_belief(x0, p0)
     ukf_belief = init_belief(x0, p0)
     for k, z in enumerate(zs):
         ekf_belief = ekf_update(ekf_predict(ekf_belief, proc, q), z, meas, r)
-        ukf_belief, _ = ukf_predict(ukf_belief, proc, q, cfg)
-        ukf_belief = ukf_update(ukf_belief, z, meas, r, cfg)
+        ukf_belief = ukf_update(ukf_predict(ukf_belief, proc, q), z, meas, r)
         assert np.max(np.abs(ekf_belief.x_hat - ref_means[k])) < 1e-8
         assert np.max(np.abs(ukf_belief.x_hat - ref_means[k])) < 1e-8
         assert np.max(np.abs(ekf_belief.p - ref_covs[k])) < 1e-8
         assert np.max(np.abs(ukf_belief.p - ref_covs[k])) < 1e-8
-
-
-def test_scaled_scheme_also_exact_on_linear_systems():
-    rng = np.random.default_rng(5)
-    n, m = 3, 2
-    a = rng.normal(size=(n, n))
-    a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
-    c = rng.normal(size=(m, n))
-    q = random_psd(rng, n, scale=0.05)
-    r = random_psd(rng, m, scale=0.1)
-    x0 = rng.normal(size=n)
-    p0 = random_psd(rng, n)
-    zs = simulate_linear(rng, a, c, q, r, x0, steps=25)
-
-    ref_means, _ = linear_kalman(a, c, q, r, x0, p0, zs)
-    cfg = FilterConfig(kind="ukf", q=q, r=r, sigma_scheme="scaled",
-                       ut_alpha=0.8, ut_kappa=0.0)
-    belief = init_belief(x0, p0)
-    for k, z in enumerate(zs):
-        belief, _ = ukf_predict(belief, linear_process(a), q, cfg)
-        belief = ukf_update(belief, z, linear_measurement(c), r, cfg)
-        assert np.max(np.abs(belief.x_hat - ref_means[k])) < 1e-8
 
 
 # --- full scenario runs ------------------------------------------------------

@@ -26,7 +26,6 @@ from powerdse import (
     format_report,
     load_experiment_config,
     preset,
-    rmse,
     run_experiment,
     simulate,
     write_estimates_csv,
@@ -60,59 +59,48 @@ def quick_config(out_dir, **overrides):
 # --- error metric ------------------------------------------------------------
 
 
+def scored(truth, estimate, t_clear=0.0):
+    """``_metrics`` of the toy trajectory ``estimate`` against ``truth``."""
+    est = TrajectoryTable.of(estimate)
+    return harness._metrics(TrajectoryTable.of(truth),
+                            np.hstack([est.delta, est.omega]), t_clear)
+
+
 def test_rmse_identical_is_zero():
     traj = toy_trajectory([[0.1, 0.2], [0.3, 0.4]])
-    out = rmse(traj, traj)
-    assert np.array_equal(out["delta"], np.zeros(2))
-    assert np.array_equal(out["omega"], np.zeros(2))
+    out = scored(traj, traj)
+    assert np.array_equal(out.rmse_delta, np.zeros(2))
+    assert np.array_equal(out.rmse_omega, np.zeros(2))
 
 
 def test_rmse_constant_offset():
     truth = toy_trajectory([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     shifted = toy_trajectory([[0.1, 0.2 - 0.25], [0.3, 0.4 - 0.25],
                               [0.5, 0.6 - 0.25]])
-    out = rmse(truth, shifted)
-    assert out["delta"][0] == 0.0
-    assert out["delta"][1] == pytest.approx(0.25, abs=1e-15)
+    out = scored(truth, shifted)
+    assert out.rmse_delta[0] == 0.0
+    assert out.rmse_delta[1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_rmse_hand_value():
     truth = toy_trajectory([[0.0], [0.0]])
     estimate = toy_trajectory([[3.0], [4.0]])
-    out = rmse(truth, estimate)
-    assert out["delta"][0] == pytest.approx(np.sqrt(12.5), abs=1e-12)
+    out = scored(truth, estimate)
+    assert out.rmse_delta[0] == pytest.approx(np.sqrt(12.5), abs=1e-12)
 
 
 def test_rmse_window_restriction():
     truth = toy_trajectory([[0.0], [0.0], [0.0], [0.0]])
     estimate = toy_trajectory([[10.0], [10.0], [1.0], [1.0]])
-    out = rmse(truth, estimate, t_min=0.02)
-    assert out["delta"][0] == pytest.approx(1.0, abs=1e-12)
+    out = scored(truth, estimate, t_clear=0.02)
+    assert out.post_rmse_delta[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rmse_speed_channel():
     truth = toy_trajectory([[0.0]], omegas=[[1.0]])
     estimate = toy_trajectory([[0.0]], omegas=[[1.002]])
-    out = rmse(truth, estimate)
-    assert out["omega"][0] == pytest.approx(0.002, abs=1e-15)
-
-
-def test_rmse_rejects_length_mismatch():
-    with pytest.raises(ValueError, match="lengths differ"):
-        rmse(toy_trajectory([[0.0]]), toy_trajectory([[0.0], [0.0]]))
-
-
-def test_rmse_rejects_time_mismatch():
-    a = toy_trajectory([[0.0], [0.0]], dt=0.01)
-    b = toy_trajectory([[0.0], [0.0]], dt=0.02)
-    with pytest.raises(ValueError, match="times differ"):
-        rmse(a, b)
-
-
-def test_rmse_rejects_empty_window():
-    traj = toy_trajectory([[0.0], [0.0]])
-    with pytest.raises(ValueError, match="no samples"):
-        rmse(traj, traj, t_min=5.0)
+    out = scored(truth, estimate)
+    assert out.rmse_omega[0] == pytest.approx(0.002, abs=1e-15)
 
 
 # --- configuration -----------------------------------------------------------
@@ -172,7 +160,6 @@ def test_config_from_dict_full():
         "noise": {"sigma_p": 0.02, "seed": 77},
         "filters": ["ukf"],
         "seed": 9,
-        "sigma_scheme": "scaled",
     })
     assert cfg.case == "cases/mine.case"
     assert cfg.scenario.clearing_cycles == 3.0
@@ -180,7 +167,6 @@ def test_config_from_dict_full():
     assert cfg.noise.sigma_q == NoiseSpec().sigma_q
     assert cfg.filters == ("ukf",)
     assert cfg.seed == 9
-    assert cfg.sigma_scheme == "scaled"
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -194,10 +180,20 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"case": "wecc9",
                           "scenario": {"fault_bus": 8, "cleared_line": [8, 9]},
                           "noise": {"sigma_v": 0.01}})
-    with pytest.raises(ValueError, match="unknown config keys.*jacobian_mode"):
+    for key, value in (("jacobian_mode", "analytic"),
+                       ("sigma_scheme", "symmetric"), ("jitter", 1e-9)):
+        with pytest.raises(ValueError, match=f"unknown config keys.*{key}"):
+            config_from_dict({"case": "wecc9",
+                              "scenario": {"fault_bus": 8,
+                                           "cleared_line": [8, 9]},
+                              key: value})
+
+
+def test_config_from_dict_rejects_unknown_filter_kind():
+    with pytest.raises(ValueError, match=r"'filters'.*\['pf'\]"):
         config_from_dict({"case": "wecc9",
                           "scenario": {"fault_bus": 8, "cleared_line": [8, 9]},
-                          "jacobian_mode": "analytic"})
+                          "filters": ["ekf", "pf"]})
 
 
 def test_config_from_dict_rejects_scalar_filters():
@@ -442,6 +438,15 @@ def test_stage_tag_unknown_filter(tmp_path):
     cfg = quick_config(tmp_path / "x", filters=("emf",))
     with pytest.raises(ExperimentError, match=r"\[filter-emf\]"):
         run_experiment(cfg)
+
+
+def test_unknown_filter_kind_writes_nothing(tmp_path):
+    # rejected before any stage runs, not after the truth, the frames and
+    # the EKF estimates are on disk
+    cfg = quick_config(tmp_path / "x", filters=("ekf", "pf"))
+    with pytest.raises(ExperimentError, match=r"\[filter-pf\] .*'pf'"):
+        run_experiment(cfg)
+    assert not (tmp_path / "x").exists()
 
 
 def test_seed_field_overrides_noise_seed(tmp_path):

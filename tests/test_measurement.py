@@ -4,7 +4,6 @@ import pytest
 from powerdse import (
     DynamicState,
     FaultScenario,
-    MachineParams,
     NoiseSpec,
     ReducedNetwork,
     Regime,
@@ -12,7 +11,6 @@ from powerdse import (
     Trajectory,
     electrical_power,
     machine_outputs,
-    measure,
     measurement_indices,
     measurement_variances,
     process_variances,
@@ -20,51 +18,42 @@ from powerdse import (
     synthesize,
 )
 
-OMEGA0 = 120.0 * np.pi
-
 
 def reactance_net():
     y = np.array([[-1.0j]])
-    return ReducedNetwork(y_red=y, y_mag=np.abs(y), y_ang=np.angle(y),
-                          r_v=np.zeros((0, 1), dtype=complex),
+    return ReducedNetwork(y_red=y, r_v=np.zeros((0, 1), dtype=complex),
                           bus_order=(), machine_order=(1,))
 
 
-def unit_params(n=1):
-    ones = np.ones(n)
-    return MachineParams(h=5.0 * ones, d=0.0 * ones, e_mag=ones,
-                         p_mech=ones, omega0=OMEGA0)
-
-
 def test_pure_reactance_self_terms():
-    frame = measure(DynamicState(delta=np.zeros(1), omega=np.ones(1)),
-                    unit_params(), reactance_net())
-    assert frame.p_g[0] == pytest.approx(0.0, abs=1e-14)
-    assert frame.q_g[0] == pytest.approx(1.0, abs=1e-14)
-    assert frame.v_mag.size == 0 and frame.v_ang.size == 0
+    p_g, q_g, v_mag, v_ang = machine_outputs(np.zeros(1), np.ones(1),
+                                             reactance_net())
+    assert p_g[0] == pytest.approx(0.0, abs=1e-14)
+    assert q_g[0] == pytest.approx(1.0, abs=1e-14)
+    assert v_mag.size == 0 and v_ang.size == 0
 
 
 def test_equilibrium_frame_matches_power_flow(wecc9_pf, wecc9_net,
                                               wecc9_init, wecc9_params):
-    x = DynamicState(delta=wecc9_init.delta0.copy(), omega=np.ones(3))
-    frame = measure(x, wecc9_params, wecc9_net)
-    assert np.max(np.abs(frame.p_g - wecc9_init.p_mech)) < 1e-12
-    assert frame.bus_ids == tuple(range(1, 10))
-    assert np.max(np.abs(frame.v_mag - wecc9_pf.v_mag)) < 1e-6
-    assert np.max(np.abs(frame.v_ang - wecc9_pf.v_ang)) < 1e-6
+    p_g, _, v_mag, v_ang = machine_outputs(wecc9_init.delta0.copy(),
+                                           wecc9_params.e_mag, wecc9_net)
+    assert np.max(np.abs(p_g - wecc9_init.p_mech)) < 1e-12
+    assert wecc9_net.bus_order == tuple(range(1, 10))
+    assert np.max(np.abs(v_mag - wecc9_pf.v_mag)) < 1e-6
+    assert np.max(np.abs(v_ang - wecc9_pf.v_ang)) < 1e-6
 
 
 @pytest.mark.parametrize("shift", [0.3, 7.0, -123.456])
 def test_common_angle_shift_symmetry(shift, wecc9_net, wecc9_init,
                                      wecc9_params):
-    base = DynamicState(delta=wecc9_init.delta0.copy(), omega=np.ones(3))
-    moved = DynamicState(delta=base.delta + shift, omega=base.omega)
-    f0 = measure(base, wecc9_params, wecc9_net)
-    f1 = measure(moved, wecc9_params, wecc9_net)
-    assert np.max(np.abs(f1.p_g - f0.p_g)) < 1e-12
-    assert np.max(np.abs(f1.q_g - f0.q_g)) < 1e-12
-    assert np.max(np.abs(f1.v_mag - f0.v_mag)) < 1e-12
-    assert np.max(np.abs(f1.v_ang - (f0.v_ang + shift))) < 1e-12
+    base = wecc9_init.delta0.copy()
+    p0, q0, vm0, va0 = machine_outputs(base, wecc9_params.e_mag, wecc9_net)
+    p1, q1, vm1, va1 = machine_outputs(base + shift, wecc9_params.e_mag,
+                                       wecc9_net)
+    assert np.max(np.abs(p1 - p0)) < 1e-12
+    assert np.max(np.abs(q1 - q0)) < 1e-12
+    assert np.max(np.abs(vm1 - vm0)) < 1e-12
+    assert np.max(np.abs(va1 - (va0 + shift))) < 1e-12
 
 
 def test_continuous_angles_agree_with_principal_values(wecc9_net, rng):
@@ -79,8 +68,9 @@ def test_continuous_angles_agree_with_principal_values(wecc9_net, rng):
 
 @pytest.mark.parametrize("name", ["wecc9", "ne39"])
 def test_stacked_outputs_match_single_states(name, request, rng):
-    # synthesize evaluates a whole regime as one stack and measure one state;
-    # zero-noise frames equal measure only if each row is bitwise its own
+    # synthesize evaluates a whole regime as one stack; zero-noise frames
+    # equal the outputs of their state alone only if each row is bitwise its
+    # own
     net = request.getfixturevalue(f"{name}_net")
     init = request.getfixturevalue(f"{name}_init")
     stack = init.delta0 + rng.uniform(-3.0, 3.0, size=(257, init.delta0.size))
@@ -114,12 +104,14 @@ def test_zero_noise_frames_exact(wecc9, wecc9_pf, wecc9_net, wecc9_params,
                         silent)
     assert len(frames) == len(traj)
     for fr, state, t in zip(frames, traj.states, traj.times):
-        clean = measure(state, wecc9_params, wecc9_net, t=float(t))
-        assert fr.t == clean.t
-        assert np.array_equal(fr.p_g, clean.p_g)
-        assert np.array_equal(fr.q_g, clean.q_g)
-        assert np.array_equal(fr.v_mag, clean.v_mag)
-        assert np.array_equal(fr.v_ang, clean.v_ang)
+        p_g, q_g, v_mag, v_ang = machine_outputs(state.delta,
+                                                 wecc9_params.e_mag, wecc9_net)
+        assert fr.t == float(t)
+        assert fr.bus_ids == wecc9_net.bus_order
+        assert np.array_equal(fr.p_g, p_g)
+        assert np.array_equal(fr.q_g, q_g)
+        assert np.array_equal(fr.v_mag, v_mag)
+        assert np.array_equal(fr.v_ang, v_ang)
 
 
 def test_noise_sample_std(wecc9_net, wecc9_params, wecc9_init):
@@ -129,11 +121,12 @@ def test_noise_sample_std(wecc9_net, wecc9_params, wecc9_init):
                       sigma_vang=0.0, seed=0)
     frames = synthesize(traj, same_net_everywhere(wecc9_net), wecc9_params,
                         noise)
-    clean = measure(state, wecc9_params, wecc9_net)
-    errors = np.stack([fr.p_g - clean.p_g for fr in frames])
+    p_g, _, v_mag, _ = machine_outputs(state.delta, wecc9_params.e_mag,
+                                       wecc9_net)
+    errors = np.stack([fr.p_g - p_g for fr in frames])
     assert 0.0097 < errors.std() < 0.0103
     # untouched channels stay exact
-    assert all(np.array_equal(fr.v_mag, clean.v_mag) for fr in frames[:50])
+    assert all(np.array_equal(fr.v_mag, v_mag) for fr in frames[:50])
 
 
 def test_equal_seeds_bit_identical(wecc9_run):
