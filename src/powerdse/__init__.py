@@ -32,7 +32,7 @@ from .powerflow import (
 )
 from .reduction import (
     ExtendedAdmittance,
-    MachineInit,
+    MachineParams,
     ReducedNetwork,
     ReductionError,
     electrical_power,
@@ -42,11 +42,9 @@ from .reduction import (
     remove_bus,
 )
 from .dynamics import (
-    SUBSTEPS,
     DynamicState,
     FaultScenario,
     InstabilityError,
-    MachineParams,
     Regime,
     ScenarioError,
     ScenarioNetworks,

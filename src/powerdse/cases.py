@@ -89,12 +89,6 @@ class NetworkCase:
     def machine_buses(self) -> tuple[int, ...]:
         return tuple(m.bus for m in self.machines)
 
-    def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise CaseError(f"no bus {bus_id} in case {self.name!r}")
-
     def has_branch(self, from_bus: int, to_bus: int) -> bool:
         ends = {from_bus, to_bus}
         return any({br.from_bus, br.to_bus} == ends for br in self.branches)

@@ -11,7 +11,7 @@ import click
 import numpy as np
 
 from .cases import NetworkCase, load_case, total_load
-from .dynamics import SUBSTEPS, FaultScenario
+from .dynamics import FaultScenario
 from .dynamics import simulate as run_simulation
 from .harness import (
     PRESETS,
@@ -133,12 +133,10 @@ def powerflow(case_ref: str, tol: float, max_iter: int, out: str | None):
               help="End buses of the line opened to clear the fault.")
 @click.option("--t-end", type=float, default=10.0, show_default=True)
 @click.option("--dt", type=float, default=0.01, show_default=True)
-@click.option("--substeps", type=int, default=SUBSTEPS, show_default=True,
-              help="Integration steps per dt.")
 @click.option("--out", default=None, help="Write the trajectory CSV here.")
 def simulate(case_ref: str, fault_bus: int, t_fault: float, cycles: float,
              clear_line: tuple[int, int], t_end: float, dt: float,
-             substeps: int, out: str | None):
+             out: str | None):
     """Simulate a fault scenario and report the rotor swing."""
     case = _load(case_ref)
     scenario = FaultScenario(fault_bus=fault_bus, t_fault=t_fault,
@@ -147,7 +145,7 @@ def simulate(case_ref: str, fault_bus: int, t_fault: float, cycles: float,
                              t_end=t_end, dt=dt)
     try:
         pf = solve_power_flow(case)
-        traj = run_simulation(case, pf, scenario, substeps=substeps)
+        traj = run_simulation(case, pf, scenario)
     except Exception as exc:
         raise click.ClickException(str(exc)) from exc
 

@@ -20,7 +20,7 @@ import numpy as np
 from .cases import NetworkCase, without_branch
 from .powerflow import PowerFlowSolution
 from .reduction import (
-    MachineInit,
+    MachineParams,
     ReducedNetwork,
     extend_network,
     kron_reduce,
@@ -29,9 +29,6 @@ from .reduction import (
 )
 
 SPEED_LIMIT = 0.2  # per-unit speed deviation treated as loss of synchronism
-# Truth-model integration steps per sample interval: the default of
-# ``simulate``, ``ExperimentConfig`` and ``dse simulate``.
-SUBSTEPS = 1
 
 
 class ScenarioError(ValueError):
@@ -59,31 +56,6 @@ class DynamicState:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.delta, self.omega])
-
-
-@dataclass(frozen=True)
-class MachineParams:
-    """Per-machine constants for the swing dynamics."""
-
-    h: np.ndarray
-    d: np.ndarray
-    e_mag: np.ndarray
-    p_mech: np.ndarray
-    omega0: float
-
-    @classmethod
-    def from_case(cls, case: NetworkCase, init: MachineInit) -> "MachineParams":
-        return cls(
-            h=np.array([m.h for m in case.machines]),
-            d=np.array([m.d for m in case.machines]),
-            e_mag=init.e_mag.copy(),
-            p_mech=init.p_mech.copy(),
-            omega0=2.0 * math.pi * case.frequency,
-        )
-
-    @property
-    def n_machines(self) -> int:
-        return self.h.size
 
 
 def swing_rates(delta: np.ndarray, omega: np.ndarray, p_e: np.ndarray,
@@ -337,7 +309,7 @@ def _rk_maps(params: MachineParams, h: float) -> _RKMaps:
 
 
 def _rk_stepper(params: MachineParams, net: ReducedNetwork,
-                maps: _RKMaps) -> Callable[[np.ndarray, int, np.ndarray], None]:
+                maps: _RKMaps) -> Callable[[np.ndarray, np.ndarray], None]:
     """Runge-Kutta steps on one topology with the step maps ``maps`` from
     ``_rk_maps``, which are Cooper and Verner's eighth-order method.
 
@@ -363,9 +335,8 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork,
     which are adjacent in z.  A step is six such groups and one update: on a
     few machines numpy's per-call dispatch, not arithmetic, is the cost, so
     the stepper also owns its ``z`` and cosine buffers.  Returns
-    ``advance(y0, n_sub, out)``, which runs ``len(out)`` intervals of
-    ``n_sub`` steps each from ``y0`` and writes the state at the end of each
-    interval into the rows of ``out``.
+    ``advance(y0, out)``, which takes ``len(out)`` steps from ``y0`` and
+    writes the state after each into the rows of ``out``.
     """
     groups, update = maps
     n = params.n_machines
@@ -391,37 +362,32 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork,
                      z[first:first + k * m].reshape(k, m)))
         first += k * m
 
-    def advance(y0: np.ndarray, n_sub: int, out: np.ndarray) -> None:
+    def advance(y0: np.ndarray, out: np.ndarray) -> None:
         y[:] = y0
         for row in out:
-            for _ in range(n_sub):
-                for arg, read, c_flat, c_rows, power in plan:
-                    np.cos(arg.dot(read), out=c_flat)
-                    np.multiply(c_rows, c_rows.dot(rotate_t), out=power)
-                y[:] = update.dot(z)
+            for arg, read, c_flat, c_rows, power in plan:
+                np.cos(arg.dot(read), out=c_flat)
+                np.multiply(c_rows, c_rows.dot(rotate_t), out=power)
+            y[:] = update.dot(z)
             row[:] = y
 
     return advance
 
 
-def simulate(case: NetworkCase, pf: PowerFlowSolution, scenario: FaultScenario,
-             substeps: int = SUBSTEPS) -> Trajectory:
+def simulate(case: NetworkCase, pf: PowerFlowSolution,
+             scenario: FaultScenario) -> Trajectory:
     """Reference trajectory through the fault, sampled every ``scenario.dt``.
 
     Integrates with Cooper and Verner's eighth-order Runge-Kutta
-    (``_rk_stepper``) in ``substeps`` equal steps of ``dt / substeps`` per
-    sample interval, building the step maps once per step length.  An
+    (``_rk_stepper``) at one step per sample interval, building the step
+    maps once per step length; a finer truth takes a smaller ``dt``.  An
     interval that contains the fault or clearing instant is split there, so
-    every step sees a single topology, and each part takes its share of the
-    ``substeps`` steps, rounded up.  Raises ScenarioError if ``substeps`` is
-    below 1, and InstabilityError at the first sample where a machine's
-    speed leaves the stable band.
+    every step sees a single topology, and each part takes one step.
+    Raises InstabilityError at the first sample where a machine's speed
+    leaves the stable band.
     """
-    if substeps < 1:
-        raise ScenarioError(f"substeps must be at least 1, got {substeps}")
     nets = scenario_networks(case, pf, scenario)
-    init = machine_init(case, pf, net=nets.pre)
-    params = MachineParams.from_case(case, init)
+    params = machine_init(case, pf, nets.pre)
     n = params.n_machines
     freq = case.frequency
 
@@ -436,11 +402,10 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution, scenario: FaultScenario,
             maps[h] = _rk_maps(params, h)
         return _rk_stepper(params, nets.for_regime(regime), maps[h])
 
-    # The plan: the (advance, n_sub) spans of each sample interval.  An
-    # interval that a switching instant splits gets a stepper per part, each
-    # part taking its share of the steps; whole intervals share one stepper
-    # per regime.
-    plan: list[tuple[tuple[Callable, int], ...] | None] = [None] * n_steps
+    # The plan: the steppers of each sample interval, one step each.  An
+    # interval that a switching instant splits gets a stepper per part;
+    # whole intervals share one stepper per regime.
+    plan: list[tuple[Callable, ...] | None] = [None] * n_steps
     splits: dict[int, list[float]] = {}
     for s in (scenario.t_fault, scenario.t_clear(freq)):
         k = int(np.searchsorted(times, s)) - 1   # times[k] < s <= times[k + 1]
@@ -448,34 +413,28 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution, scenario: FaultScenario,
             splits.setdefault(k, []).append(s)
     for k, inner in splits.items():
         cuts = [float(times[k]), *inner, float(times[k + 1])]
-        spans = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            # the tolerance keeps a share that is whole but for rounding
-            n_sub = max(1, math.ceil(substeps * (b - a) / scenario.dt - 1e-9))
-            spans.append((stepper(scenario.regime(a, freq), (b - a) / n_sub),
-                          n_sub))
-        plan[k] = tuple(spans)
-    whole: dict[Regime, tuple[tuple[Callable, int]]] = {}
+        plan[k] = tuple(stepper(scenario.regime(a, freq), b - a)
+                        for a, b in zip(cuts[:-1], cuts[1:]))
+    whole: dict[Regime, tuple[Callable]] = {}
     for k, regime in enumerate(regimes[:-1]):
         if plan[k] is None:
             if regime not in whole:
-                whole[regime] = ((stepper(regime, scenario.dt / substeps),
-                                  substeps),)
+                whole[regime] = (stepper(regime, scenario.dt),)
             plan[k] = whole[regime]
 
     # Integrate the speed deviation: at rest it is exactly zero, so the
     # equilibrium loses nothing to cancellation against the nominal speed.
     ys = np.empty((n_steps + 1, 2 * n))
-    ys[0, :n] = init.delta0
+    ys[0, :n] = params.delta0
     ys[0, n:] = 0.0
-    # Each run of intervals with the same spans is one call per span; the
-    # parts of a split interval each rewrite its end row, from that row.
+    # Each run of intervals with the same steppers is one call per stepper;
+    # the parts of a split interval each rewrite its end row, from that row.
     k = 0
-    for spans, run in groupby(plan):
+    for steppers, run in groupby(plan):
         out = ys[k + 1:k + 1 + sum(1 for _ in run)]
         start = ys[k]
-        for advance, n_sub in spans:
-            advance(start, n_sub, out)
+        for advance in steppers:
+            advance(start, out)
             start = out[-1]
         dev = np.abs(out[:, n:])
         over = np.flatnonzero(dev.max(axis=1) > SPEED_LIMIT)

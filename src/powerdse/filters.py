@@ -17,19 +17,20 @@ from .cases import NetworkCase
 from .dynamics import (
     DynamicState,
     FaultScenario,
-    MachineParams,
     Trajectory,
     euler_step,
     scenario_networks,
 )
 from .measurement import (
     MeasurementFrame,
+    channel_names,
     machine_outputs,
     machine_outputs_linearized,
     measurement_indices,
 )
 from .powerflow import PowerFlowSolution
 from .reduction import (
+    MachineParams,
     ReducedNetwork,
     complex_power,
     electrical_power,
@@ -276,15 +277,11 @@ def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
                 f"grid, {k} * dt = {grid[k]:g}s")
         return
     for k, (fr, z) in enumerate(zip(frames, zs)):
-        names = (["t"]
-                 + [f"p_g_{i + 1}" for i in range(n_machines)]
-                 + [f"q_g_{i + 1}" for i in range(n_machines)]
-                 + [f"v_mag_{b}" for b in fr.bus_ids]
-                 + [f"v_ang_{b}" for b in fr.bus_ids])
         bad = np.flatnonzero(~np.isfinite(np.concatenate([[fr.t], z])))
         if bad.size:
+            name = channel_names(n_machines, fr.bus_ids)[bad[0]]
             raise FilterNumericsError(
-                f"frame {k} (t={fr.t:.4f}s): measurement {names[bad[0]]} "
+                f"frame {k} (t={fr.t:.4f}s): measurement {name} "
                 "is not finite")
 
 
@@ -303,8 +300,7 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     after every frame.
     """
     nets = scenario_networks(case, pf, scenario)
-    init = machine_init(case, pf, net=nets.pre)
-    params = MachineParams.from_case(case, init)
+    params = machine_init(case, pf, nets.pre)
     nm = params.n_machines
     all_bus_ids = tuple(b.id for b in case.buses)
 

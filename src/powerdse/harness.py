@@ -19,9 +19,7 @@ import numpy as np
 
 from .cases import load_case
 from .dynamics import (
-    SUBSTEPS,
     FaultScenario,
-    MachineParams,
     Regime,
     Trajectory,
     scenario_networks,
@@ -37,6 +35,7 @@ from .filters import (
 from .measurement import (
     MeasurementFrame,
     NoiseSpec,
+    channel_names,
     measurement_variances,
     process_variances,
     synthesize,
@@ -69,7 +68,6 @@ class ExperimentConfig:
     filters: tuple[str, ...] = ("ekf", "ukf")
     out_dir: str = "out"
     seed: int | None = None
-    substeps: int = SUBSTEPS
     prior_angle_shift: float = 0.05
     prior_cov: float = 1e-2
 
@@ -194,14 +192,17 @@ def _stage(name: str, fn, *args, **kwargs):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full pipeline and write all artifacts under ``cfg.out_dir``.
 
-    An unknown filter kind fails before any stage runs, so it leaves no
-    file behind.
+    An unknown or repeated filter kind fails before any stage runs, and a
+    bad prior before any file is written, so neither leaves a file behind.
     """
     t0 = time.perf_counter()
-    for kind in cfg.filters:
+    for i, kind in enumerate(cfg.filters):
         if kind not in FILTER_KINDS:
             raise ExperimentError(f"filter-{kind}",
                                   f"unknown filter kind {kind!r}")
+        if kind in cfg.filters[:i]:
+            raise ExperimentError(f"filter-{kind}",
+                                  f"filter kind {kind!r} is repeated")
     noise = cfg.noise if cfg.seed is None else replace(cfg.noise, seed=cfg.seed)
 
     case = _stage("load-case", load_case, cfg.case)
@@ -213,15 +214,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             f"at t={clear_time:.4f}s; nothing to score after clearing")
     pf = _stage("power-flow", solve_power_flow, case)
     nets = _stage("reduction", scenario_networks, case, pf, cfg.scenario)
-    init = _stage("reduction", machine_init, case, pf, nets.pre)
-    params = MachineParams.from_case(case, init)
-    truth = _stage("simulate", simulate, case, pf, cfg.scenario, cfg.substeps)
+    params = _stage("reduction", machine_init, case, pf, nets.pre)
+    truth = _stage("simulate", simulate, case, pf, cfg.scenario)
     frames = _stage("synthesize", synthesize, truth, nets, params, noise)
 
     nm = params.n_machines
     all_bus_ids = tuple(b.id for b in case.buses)
     t_clear = cfg.scenario.t_clear(case.frequency)
-    prior = default_prior(init.delta0, cfg.prior_angle_shift, cfg.prior_cov)
+    prior = _stage("prior", default_prior, params.delta0,
+                   cfg.prior_angle_shift, cfg.prior_cov)
     # Floor at a tiny variance so all-zero noise settings stay invertible.
     q = np.diag(np.maximum(process_variances(noise, nm), 1e-12))
     r = np.diag(np.maximum(
@@ -322,11 +323,7 @@ def write_measurements_csv(frames: list[MeasurementFrame],
     Buses absent from a frame's layout leave their cells empty.
     """
     nm = frames[0].p_g.size
-    header = (["t"]
-              + [f"p_g_{i + 1}" for i in range(nm)]
-              + [f"q_g_{i + 1}" for i in range(nm)]
-              + [f"v_mag_{b}" for b in all_bus_ids]
-              + [f"v_ang_{b}" for b in all_bus_ids])
+    header = channel_names(nm, all_bus_ids)
     # Per layout: a row template with a blank for every absent bus, and the
     # positions in the frame vector of the values it takes, in column order.
     layouts: dict[tuple[int, ...], tuple[str, np.ndarray]] = {}
@@ -387,7 +384,7 @@ def _whole(key: str, value) -> int:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed YAML mapping, rejecting unknown keys."""
     known = {"case", "scenario", "noise", "filters", "out_dir", "seed",
-             "substeps", "prior_angle_shift", "prior_cov"}
+             "prior_angle_shift", "prior_cov"}
     extra = set(data) - known
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
@@ -400,6 +397,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"config key 'filters' names unknown filter kinds "
                          f"{unknown} (known: {', '.join(FILTER_KINDS)})")
+    repeated = sorted({kind for i, kind in enumerate(filters)
+                       if kind in filters[:i]})
+    if repeated:
+        raise ValueError(f"config key 'filters' names filter kinds more than "
+                         f"once: {repeated}")
 
     scen = dict(data["scenario"])
     scen_known = {"fault_bus", "t_fault", "clearing_cycles", "cleared_line",
@@ -438,7 +440,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         filters=tuple(filters),
         out_dir=str(data.get("out_dir", "out")),
         seed=None if seed is None else _whole("seed", seed),
-        substeps=_whole("substeps", data.get("substeps", SUBSTEPS)),
         prior_angle_shift=float(data.get("prior_angle_shift", 0.05)),
         prior_cov=float(data.get("prior_cov", 1e-2)),
     )

@@ -12,8 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MachineParams, ScenarioNetworks, Trajectory
-from .reduction import ReducedNetwork, _apply, complex_power, power_sensitivity
+from .dynamics import ScenarioNetworks, Trajectory
+from .reduction import (
+    MachineParams,
+    ReducedNetwork,
+    _apply,
+    complex_power,
+    power_sensitivity,
+)
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,16 @@ class MeasurementFrame:
     @property
     def size(self) -> int:
         return 2 * self.p_g.size + 2 * len(self.bus_ids)
+
+
+def channel_names(n_machines: int, bus_ids: tuple[int, ...]) -> list[str]:
+    """The time and the channels of a frame with the buses ``bus_ids``, in
+    frame order: the column names of ``measurements.csv``."""
+    return (["t"]
+            + [f"p_g_{i + 1}" for i in range(n_machines)]
+            + [f"q_g_{i + 1}" for i in range(n_machines)]
+            + [f"v_mag_{b}" for b in bus_ids]
+            + [f"v_ang_{b}" for b in bus_ids])
 
 
 def machine_outputs(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork

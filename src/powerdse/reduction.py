@@ -8,6 +8,7 @@ a linear map that reconstructs network bus voltages from the internal emfs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,25 +164,30 @@ def power_sensitivity(emf: np.ndarray, power: np.ndarray,
 
 
 @dataclass(frozen=True)
-class MachineInit:
-    """Internal emf magnitudes, equilibrium rotor angles, mechanical powers."""
+class MachineParams:
+    """Per-machine swing-dynamics constants and equilibrium rotor angles."""
 
+    h: np.ndarray
+    d: np.ndarray
     e_mag: np.ndarray
-    delta0: np.ndarray
     p_mech: np.ndarray
+    omega0: float
+    delta0: np.ndarray
+
+    @property
+    def n_machines(self) -> int:
+        return self.h.size
 
 
 def machine_init(case: NetworkCase, pf: PowerFlowSolution,
-                 net: ReducedNetwork | None = None) -> MachineInit:
-    """Back out machine internal states from a converged power flow.
+                 net: ReducedNetwork) -> MachineParams:
+    """Machine constants and internal states from a converged power flow.
 
     The emf is the terminal voltage plus the transient-reactance drop at the
     machine's net generated power (bus injection plus local load).  Mechanical
-    power is set to the electrical power at the equilibrium angles, so an
-    unfaulted simulation started here stays put.
+    power is set to the electrical power over the pre-fault network ``net`` at
+    the equilibrium angles, so an unfaulted simulation started here stays put.
     """
-    if net is None:
-        net = kron_reduce(extend_network(case, pf))
     idx = case.bus_index()
     emf = np.zeros(len(case.machines), dtype=complex)
     for k, m in enumerate(case.machines):
@@ -196,4 +202,7 @@ def machine_init(case: NetworkCase, pf: PowerFlowSolution,
     # Evaluated at the polar (delta0, e_mag) pair with the process model's own
     # expression: the equilibrium is then a bitwise fixed point of it.
     p_mech = electrical_power(delta0, e_mag, net)
-    return MachineInit(e_mag=e_mag, delta0=delta0, p_mech=p_mech)
+    return MachineParams(h=np.array([m.h for m in case.machines]),
+                         d=np.array([m.d for m in case.machines]),
+                         e_mag=e_mag, p_mech=p_mech,
+                         omega0=2.0 * math.pi * case.frequency, delta0=delta0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from powerdse import (
-    MachineParams,
     extend_network,
     kron_reduce,
     load_case,
@@ -50,23 +49,24 @@ def ne39_net(ne39, ne39_pf):
 
 
 @pytest.fixture(scope="session")
-def wecc9_init(wecc9, wecc9_pf, wecc9_net):
+def wecc9_params(wecc9, wecc9_pf, wecc9_net):
     return machine_init(wecc9, wecc9_pf, wecc9_net)
 
 
 @pytest.fixture(scope="session")
-def ne39_init(ne39, ne39_pf, ne39_net):
+def ne39_params(ne39, ne39_pf, ne39_net):
     return machine_init(ne39, ne39_pf, ne39_net)
 
 
+# ``*_params`` under the name the equilibrium tests read delta0 from
 @pytest.fixture(scope="session")
-def wecc9_params(wecc9, wecc9_init):
-    return MachineParams.from_case(wecc9, wecc9_init)
+def wecc9_init(wecc9_params):
+    return wecc9_params
 
 
 @pytest.fixture(scope="session")
-def ne39_params(ne39, ne39_init):
-    return MachineParams.from_case(ne39, ne39_init)
+def ne39_init(ne39_params):
+    return ne39_params
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,11 +78,15 @@ class PresetRun:
     case: object
     pf: object
     nets: object
-    init: object
     params: object
     truth: object
     frames: list
     report: object
+
+    @property
+    def init(self):
+        """``params``, under the name the equilibrium tests read."""
+        return self.params
 
 
 def _run_preset(name, out_dir):
@@ -91,12 +95,11 @@ def _run_preset(name, out_dir):
     case = load_case(cfg.case)
     pf = solve_power_flow(case)
     nets = scenario_networks(case, pf, cfg.scenario)
-    init = machine_init(case, pf, nets.pre)
-    params = MachineParams.from_case(case, init)
-    truth = simulate(case, pf, cfg.scenario, cfg.substeps)
+    params = machine_init(case, pf, nets.pre)
+    truth = simulate(case, pf, cfg.scenario)
     frames = synthesize(truth, nets, params, cfg.noise)
-    return PresetRun(cfg=cfg, case=case, pf=pf, nets=nets, init=init,
-                     params=params, truth=truth, frames=frames, report=report)
+    return PresetRun(cfg=cfg, case=case, pf=pf, nets=nets, params=params,
+                     truth=truth, frames=frames, report=report)
 
 
 @pytest.fixture(scope="session")

@@ -76,14 +76,14 @@ def test_simulate_rejects_bad_scenario(runner):
     assert "77" in result.output
 
 
-def test_simulate_rejects_substeps_below_one(runner):
+def test_simulate_has_no_substeps_option(runner):
+    # one step per sample: a finer truth takes a smaller --dt
     result = runner.invoke(main, [
         "simulate", "wecc9", "--fault-bus", "8", "--clear-line", "8", "9",
-        "--t-end", "1.5", "--substeps", "0",
+        "--t-end", "1.5", "--substeps", "2",
     ])
     assert result.exit_code != 0
-    assert result.output.splitlines() == [
-        "Error: substeps must be at least 1, got 0"]
+    assert "--substeps" in result.output
 
 
 def test_reduce_prints_and_writes(runner, tmp_path, wecc9_net):
@@ -186,6 +186,28 @@ def test_run_rejects_unknown_filter_before_running(runner, tmp_path):
     lines = result.output.splitlines()
     assert len(lines) == 1, result.output
     assert "'filters'" in lines[0] and "'pf'" in lines[0]
+    assert not out_dir.exists()
+
+
+def test_run_bad_prior_is_one_line(runner, tmp_path):
+    # the prior used to fail outside any stage, with a traceback, after the
+    # power flow, the simulation and the synthesis had run
+    cfg = tmp_path / "exp.yaml"
+    out_dir = tmp_path / "results"
+    cfg.write_text(
+        "case: wecc9\n"
+        "scenario:\n"
+        "  fault_bus: 8\n"
+        "  cleared_line: [8, 9]\n"
+        "  t_end: 2.0\n"
+        "prior_cov: -1.0\n"
+        f"out_dir: {out_dir}\n"
+    )
+    result = runner.invoke(main, ["run", str(cfg)])
+    assert result.exit_code != 0
+    lines = result.output.splitlines()
+    assert len(lines) == 1, result.output
+    assert lines[0].startswith("Error: [prior] ")
     assert not out_dir.exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from powerdse import dynamics
 from powerdse import (
-    SUBSTEPS,
     DynamicState,
     FaultScenario,
     InstabilityError,
@@ -43,7 +43,8 @@ def toy_net(y_red):
 def toy_params(n=1, h=5.0, d=0.0, e=1.0, p_mech=1.0):
     ones = np.ones(n)
     return MachineParams(h=h * ones, d=d * ones, e_mag=e * ones,
-                         p_mech=p_mech * ones, omega0=OMEGA0)
+                         p_mech=p_mech * ones, omega0=OMEGA0,
+                         delta0=np.zeros(n))
 
 
 def test_power_self_term_only():
@@ -276,11 +277,19 @@ def test_regimes_match_per_sample_regime(which):
         assert per_sample.count(Regime.FaultOn) == 2
 
 
+def finer(case, pf, scen, k):
+    """Angles and speeds (samples, 2n) of a run at ``scen.dt / k``, on the
+    samples of ``scen``."""
+    traj = simulate(case, pf, replace(scen, dt=scen.dt / k))
+    return np.hstack([traj.delta_matrix(), traj.omega_matrix()])[::k]
+
+
 def test_substep_self_convergence(wecc9, wecc9_pf):
     scen = wecc9_scenario(t_end=5.0)
-    coarse = simulate(wecc9, wecc9_pf, scen, substeps=10)
-    fine = simulate(wecc9, wecc9_pf, scen, substeps=20)
-    assert np.max(np.abs(coarse.delta_matrix() - fine.delta_matrix())) < 1e-6
+    n = len(wecc9.machines)
+    coarse = finer(wecc9, wecc9_pf, scen, 10)[:, :n]
+    fine = finer(wecc9, wecc9_pf, scen, 20)[:, :n]
+    assert np.max(np.abs(coarse - fine)) < 1e-6
 
 
 def test_rk8_eighth_order(wecc9, wecc9_pf):
@@ -290,38 +299,30 @@ def test_rk8_eighth_order(wecc9, wecc9_pf):
     # halving the step divides the error by about 2^8.
     scen = wecc9_scenario(t_end=2.0, dt=0.05)
 
-    def terminal(substeps):
-        return simulate(wecc9, wecc9_pf, scen, substeps=substeps).states[-1]
+    def terminal(k):
+        return finer(wecc9, wecc9_pf, scen, k)[-1]
 
-    ref = terminal(16).as_vector()
-    err1 = np.max(np.abs(terminal(1).as_vector() - ref))
-    err2 = np.max(np.abs(terminal(2).as_vector() - ref))
+    ref = terminal(16)
+    err1 = np.max(np.abs(terminal(1) - ref))
+    err2 = np.max(np.abs(terminal(2) - ref))
     assert 128.0 < err1 / err2 < 512.0
 
 
 @pytest.mark.parametrize("name,bound", [("wecc9", 1e-9), ("ne39", 1e-10)])
 def test_default_steps_accuracy(name, bound, request):
-    # the default step count stays within the error of the classical RK4 at
-    # 10 substeps that it replaced, against a 16-step run
+    # one step per sample stays within the error of the classical RK4 at
+    # 10 substeps that it replaced, against a run at dt / 16
     run = request.getfixturevalue(f"{name}_run")
-    assert run.cfg.substeps == SUBSTEPS
-    fine = simulate(run.case, run.pf, run.cfg.scenario, substeps=16)
-    assert np.max(np.abs(run.truth.delta_matrix()
-                         - fine.delta_matrix())) <= bound
-
-
-@pytest.mark.parametrize("substeps", [-1, 0])
-def test_simulate_rejects_substeps_below_one(substeps, wecc9, wecc9_pf):
-    # -1 used to return a truth that barely swings, 0 a ZeroDivisionError
-    with pytest.raises(ScenarioError, match=rf"substeps .*got {substeps}$"):
-        simulate(wecc9, wecc9_pf, wecc9_scenario(t_end=1.5), substeps)
+    n = run.params.n_machines
+    fine = finer(run.case, run.pf, run.cfg.scenario, 16)[:, :n]
+    assert np.max(np.abs(run.truth.delta_matrix() - fine)) <= bound
 
 
 def test_step_plan_counts(wecc9, wecc9_pf, monkeypatch):
-    # Whole intervals run exactly SUBSTEPS steps of dt / SUBSTEPS, one
-    # stepper per regime; only the interval split by the clearing instant
-    # takes other steps, one stepper per part.  The step maps are built once
-    # per step length and shared by the steppers of every topology.
+    # Whole intervals run one step of dt, one stepper per regime; only the
+    # interval split by the clearing instant takes other steps, one stepper
+    # and one step per part.  The step maps are built once per step length
+    # and shared by the steppers of every topology.
     scen = preset("wecc9-fault8").scenario
     built: dict[int, float] = {}   # id of each built map set -> its step
     steppers, calls = [], []
@@ -337,23 +338,23 @@ def test_step_plan_counts(wecc9, wecc9_pf, monkeypatch):
         steppers.append(h)
         advance = build_stepper(params, net, maps)
 
-        def counted(y0, n_sub, out):
-            calls.extend([(h, n_sub)] * len(out))   # one per interval
-            advance(y0, n_sub, out)
+        def counted(y0, out):
+            calls.extend([h] * len(out))   # one per interval
+            advance(y0, out)
         return counted
 
     monkeypatch.setattr(dynamics, "_rk_maps", counting_maps)
     monkeypatch.setattr(dynamics, "_rk_stepper", counting_stepper)
     simulate(wecc9, wecc9_pf, scen)
-    whole = scen.dt / SUBSTEPS
+    whole = scen.dt
     assert sorted(built.values()) == sorted(set(steppers))
     assert len(built) == 3
     assert len(steppers) == 5
     assert steppers.count(whole) == 3
-    assert calls.count((whole, SUBSTEPS)) == 999
-    split = [(h, n_sub) for h, n_sub in calls if h != whole]
+    assert calls.count(whole) == 999
+    split = [h for h in calls if h != whole]
     assert len(split) == 2
-    assert sum(h * n_sub for h, n_sub in split) == pytest.approx(scen.dt)
+    assert sum(split) == pytest.approx(scen.dt)
 
 
 def test_stage_maps_read_only_their_prefix(wecc9_run):
@@ -412,7 +413,7 @@ def test_stepper_matches_textbook_runge_kutta(name, request):
     h = 0.01
     advance = dynamics._rk_stepper(params, net, dynamics._rk_maps(params, h))
     out = np.empty((1, 2 * n))
-    advance(y0, 1, out)
+    advance(y0, out)
     ref = interval_by_textbook(params, net, y0, h)
     assert np.max(np.abs(ref - y0)) > 1e-4
     assert np.max(np.abs(out[0, :n] - ref[:n])) <= 1e-12

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ def test_models_have_one_interface():
                          (filters, "_sigma_set")):
         assert not hasattr(module, name), name
     assert not hasattr(DynamicState, "from_vector")
+    # one way to set the step and one description of the machines: dt sets
+    # the step, and machine_init returns the swing model's MachineParams
+    assert "substeps" not in {
+        f.name for f in dataclasses.fields(powerdse.ExperimentConfig)}
+    assert not hasattr(powerdse.dynamics, "SUBSTEPS")
+    assert list(inspect.signature(simulate).parameters) == \
+        ["case", "pf", "scenario"]
+    net_param = inspect.signature(powerdse.machine_init).parameters["net"]
+    assert net_param.default is inspect.Parameter.empty
+    for module in (powerdse, powerdse.reduction, powerdse.dynamics):
+        assert not hasattr(module, "MachineInit")
+    assert "delta0" in {
+        f.name for f in dataclasses.fields(powerdse.MachineParams)}
+    assert not hasattr(powerdse.MachineParams, "from_case")
     belief = init_belief(np.zeros(2), np.eye(2))
     assert isinstance(ukf_predict(belief, linear_process(np.eye(2)),
                                   np.eye(2)), GaussianBelief)
@@ -165,7 +180,7 @@ def test_process_jacobian_single_machine():
                          bus_order=(), machine_order=(1,))
     params = MachineParams(h=np.array([4.0]), d=np.array([0.8]),
                            e_mag=np.ones(1), p_mech=np.ones(1),
-                           omega0=120.0 * np.pi)
+                           omega0=120.0 * np.pi, delta0=np.zeros(1))
     dt = 0.02
     x = DynamicState(delta=np.array([0.4]), omega=np.array([1.001]))
     _, jac = swing_process_model(params, net, dt).linearize(x.as_vector())
@@ -261,7 +276,8 @@ def test_measurement_jacobian_zero_voltage_named():
     net = ReducedNetwork(y_red=y, r_v=np.zeros((1, 1), dtype=complex),
                          bus_order=(7,), machine_order=(1,))
     params = MachineParams(h=np.ones(1), d=np.zeros(1), e_mag=np.ones(1),
-                           p_mech=np.ones(1), omega0=120.0 * np.pi)
+                           p_mech=np.ones(1), omega0=120.0 * np.pi,
+                           delta0=np.zeros(1))
     x = DynamicState(delta=np.zeros(1), omega=np.ones(1))
     with pytest.raises(ValueError, match="bus 7"):
         swing_measurement_model(params, net).linearize(x.as_vector())

@@ -2,8 +2,7 @@ import csv
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
-from inspect import signature
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,6 @@ import yaml
 
 from powerdse import harness
 from powerdse import (
-    SUBSTEPS,
     DynamicState,
     ExperimentConfig,
     ExperimentError,
@@ -27,12 +25,10 @@ from powerdse import (
     load_experiment_config,
     preset,
     run_experiment,
-    simulate,
     write_estimates_csv,
     write_measurements_csv,
     write_trajectory_csv,
 )
-from powerdse.cli import simulate as cli_simulate
 
 
 def toy_trajectory(deltas, omegas=None, dt=0.01):
@@ -136,22 +132,6 @@ def test_config_from_dict_defaults():
     assert cfg.prior_angle_shift == 0.05
 
 
-def test_substeps_defaults_follow_dynamics():
-    # one source for the truth model's step count
-    loaded = config_from_dict({
-        "case": "wecc9",
-        "scenario": {"fault_bus": 8, "cleared_line": [8, 9]},
-    })
-    field = {f.name: f for f in fields(ExperimentConfig)}["substeps"]
-    option = {p.name: p for p in cli_simulate.params}["substeps"]
-    assert loaded.substeps == SUBSTEPS
-    assert field.default == SUBSTEPS
-    assert option.default == SUBSTEPS
-    assert signature(simulate).parameters["substeps"].default == SUBSTEPS
-    assert preset("wecc9-fault8").substeps == SUBSTEPS
-    assert preset("ne39-fault4").substeps == SUBSTEPS
-
-
 def test_config_from_dict_full():
     cfg = config_from_dict({
         "case": "cases/mine.case",
@@ -181,7 +161,8 @@ def test_config_from_dict_rejects_unknown_keys():
                           "scenario": {"fault_bus": 8, "cleared_line": [8, 9]},
                           "noise": {"sigma_v": 0.01}})
     for key, value in (("jacobian_mode", "analytic"),
-                       ("sigma_scheme", "symmetric"), ("jitter", 1e-9)):
+                       ("sigma_scheme", "symmetric"), ("jitter", 1e-9),
+                       ("substeps", 1)):
         with pytest.raises(ValueError, match=f"unknown config keys.*{key}"):
             config_from_dict({"case": "wecc9",
                               "scenario": {"fault_bus": 8,
@@ -196,6 +177,14 @@ def test_config_from_dict_rejects_unknown_filter_kind():
                           "filters": ["ekf", "pf"]})
 
 
+def test_config_from_dict_rejects_repeated_filter_kind():
+    # a repeat used to run the filter twice and report it once
+    with pytest.raises(ValueError, match=r"'filters'.*once: \['ekf'\]"):
+        config_from_dict({"case": "wecc9",
+                          "scenario": {"fault_bus": 8, "cleared_line": [8, 9]},
+                          "filters": ["ekf", "ukf", "ekf"]})
+
+
 def test_config_from_dict_rejects_scalar_filters():
     # a YAML scalar would otherwise split into one filter per letter
     data = yaml.safe_load("case: wecc9\n"
@@ -206,11 +195,11 @@ def test_config_from_dict_rejects_scalar_filters():
 
 
 @pytest.mark.parametrize("path,value", [
-    (("seed",), 3.9), (("substeps",), 2.7), (("noise", "seed"), 0.5),
+    (("seed",), 3.9), (("noise", "seed"), 0.5),
     (("scenario", "fault_bus"), 8.5), (("scenario", "cleared_line"), [8, 9.2]),
-], ids=["seed", "substeps", "noise.seed", "fault_bus", "cleared_line"])
+], ids=["seed", "noise.seed", "fault_bus", "cleared_line"])
 def test_config_from_dict_rejects_fractional_integers(path, value):
-    # int() used to truncate these: substeps 2.7 loaded as 2, seed 3.9 as 3
+    # int() used to truncate these: seed 3.9 loaded as 3
     data = {"case": "wecc9", "scenario": {"fault_bus": 8, "cleared_line": [8, 9]}}
     target = data
     for key in path[:-1]:
@@ -224,11 +213,11 @@ def test_config_from_dict_takes_integral_floats():
     cfg = config_from_dict({
         "case": "wecc9",
         "scenario": {"fault_bus": 8.0, "cleared_line": [8.0, 9]},
-        "noise": {"seed": 4.0}, "seed": 3.0, "substeps": 2.0,
+        "noise": {"seed": 4.0}, "seed": 3.0,
     })
-    assert (cfg.seed, cfg.substeps, cfg.noise.seed) == (3, 2, 4)
+    assert (cfg.seed, cfg.noise.seed) == (3, 4)
     assert cfg.scenario.fault_bus == 8 and cfg.scenario.cleared_line == (8, 9)
-    assert all(type(v) is int for v in (cfg.seed, cfg.substeps, cfg.noise.seed,
+    assert all(type(v) is int for v in (cfg.seed, cfg.noise.seed,
                                         cfg.scenario.fault_bus,
                                         *cfg.scenario.cleared_line))
 
@@ -420,12 +409,6 @@ def test_stage_tag_bad_scenario(tmp_path):
         run_experiment(cfg)
 
 
-def test_stage_tag_bad_substeps(tmp_path):
-    cfg = quick_config(tmp_path / "x", substeps=0)
-    with pytest.raises(ExperimentError, match=r"\[simulate\] substeps .*0"):
-        run_experiment(cfg)
-
-
 def test_window_must_outlast_clearing(tmp_path):
     scenario = FaultScenario(fault_bus=8, t_fault=1.0, clearing_cycles=2.0,
                              cleared_line=(8, 9), t_end=1.0, dt=0.01)
@@ -445,6 +428,15 @@ def test_unknown_filter_kind_writes_nothing(tmp_path):
     # the EKF estimates are on disk
     cfg = quick_config(tmp_path / "x", filters=("ekf", "pf"))
     with pytest.raises(ExperimentError, match=r"\[filter-pf\] .*'pf'"):
+        run_experiment(cfg)
+    assert not (tmp_path / "x").exists()
+
+
+def test_repeated_filter_kind_writes_nothing(tmp_path):
+    # a repeat used to run the EKF twice and write estimate_ekf.csv twice
+    cfg = quick_config(tmp_path / "x", filters=("ekf", "ekf"))
+    with pytest.raises(ExperimentError,
+                       match=r"\[filter-ekf\] .*'ekf' is repeated"):
         run_experiment(cfg)
     assert not (tmp_path / "x").exists()
 

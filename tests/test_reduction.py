@@ -173,7 +173,7 @@ def test_machine_init_zero_current():
     pf = PowerFlowSolution(v_mag=np.array([1.02]), v_ang=np.array([0.3]),
                            p_inj=np.zeros(1), q_inj=np.zeros(1),
                            iterations=1, max_mismatch=0.0)
-    init = machine_init(case, pf)
+    init = machine_init(case, pf, kron_reduce(extend_network(case, pf)))
     assert init.e_mag[0] == pytest.approx(1.02, abs=1e-12)
     assert init.delta0[0] == pytest.approx(0.3, abs=1e-12)
 
@@ -181,7 +181,8 @@ def test_machine_init_zero_current():
 def test_machine_init_hand_arithmetic():
     # P = 1, Q = 0 at V = 1 angle 0 behind xd' = 0.1:
     # emf = 1 + 0.1j, magnitude sqrt(1.01), angle atan(0.1)
-    init = machine_init(single_bus_case(), flat_solution(1))
+    case, pf = single_bus_case(), flat_solution(1)
+    init = machine_init(case, pf, kron_reduce(extend_network(case, pf)))
     assert init.e_mag[0] == pytest.approx(1.00499, abs=1e-5)
     assert init.delta0[0] == pytest.approx(0.0997, abs=1e-4)
 
