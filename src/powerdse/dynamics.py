@@ -8,6 +8,7 @@ three network topologies govern the trajectory in sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -249,36 +250,50 @@ _RK_WEIGHTS = (1 / 20, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 49 / 180, 16 / 45,
 # A step's linear maps over z: the argument map of each group of stages
 # that run together, cut to the prefix of z its last stage reads, and the
 # update map.
-_RKMaps = tuple[list[np.ndarray], np.ndarray]
+_RKMaps = tuple[tuple[np.ndarray, ...], np.ndarray]
 
 
 def _rk_maps(params: MachineParams, h: float) -> _RKMaps:
     """The linear maps of one Runge-Kutta step of length ``h`` with the
     ``_RK_STAGES``/``_RK_WEIGHTS`` tableau; see ``_rk_stepper``.
 
-    They hold the machine constants and ``h`` but no admittance, so every
-    topology shares them.  Stage i's angles read (y, 1) and the powers of
-    the stages before i - 1: a power enters a speed rate first, and the
-    angles one stage later.  Stages 2g and 2g + 1 therefore read no power
-    that either of them writes, and run as one group.  A group's map stacks
-    the two stages' rows over the prefix of z that stage 2g + 1 reads, and
-    stage 2g's rows are zero over the one power block it does not read.
-    With an odd stage count the last stage is a group of its own.
+    They read the machines' ``omega0``, inertia ``h``, damping ``d`` and
+    ``p_mech`` and the step length, but no admittance and no scenario, so
+    every topology and every contingency on one machine set shares them.
+    They are built once per machine set and step length and kept in a small
+    cache keyed on those values; the cached arrays are read-only.
     """
-    n = params.n_machines
+    return _stage_maps(h, params.omega0, params.h.tobytes(),
+                       params.d.tobytes(), params.p_mech.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _stage_maps(step: float, omega0: float, inertia: bytes, damping: bytes,
+                p_mech: bytes) -> _RKMaps:
+    """``_rk_maps`` for the machine arrays given by their float64 bytes.
+
+    Stage i's angles read (y, 1) and the powers of the stages before
+    i - 1: a power enters a speed rate first, and the angles one stage
+    later.  Stages 2g and 2g + 1 therefore read no power that either of
+    them writes, and run as one group.  A group's map stacks the two
+    stages' rows over the prefix of z that stage 2g + 1 reads, and stage
+    2g's rows are zero over the one power block it does not read.  With an
+    odd stage count the last stage is a group of its own.
+    """
+    inv_2h = 0.5 / np.frombuffer(inertia)
+    n = inv_2h.size
     m = 2 * n
-    inv_2h = 0.5 / params.h
     lin = np.zeros((m, m + 1))
-    lin[:n, n:m] = params.omega0 * np.eye(n)
-    lin[n:, n:m] = np.diag(-params.d * inv_2h)
-    lin[n:, m] = params.p_mech * inv_2h
+    lin[:n, n:m] = omega0 * np.eye(n)
+    lin[n:, n:m] = np.diag(-np.frombuffer(damping) * inv_2h)
+    lin[n:, m] = np.frombuffer(p_mech) * inv_2h
     drain = -np.hstack([np.eye(n), np.eye(n)])
     s = len(_RK_STAGES)
     steps = np.zeros((s + 1, s))   # h a_i per stage, then h b
     for i, coeffs in enumerate(_RK_STAGES):
         steps[i, :i] = coeffs
     steps[s] = _RK_WEIGHTS
-    steps *= h
+    steps *= step
 
     width = m + 1 + s * m
     home = np.eye(m + 1, width)   # (y, 1) read off z
@@ -305,7 +320,9 @@ def _rk_maps(params: MachineParams, h: float) -> _RKMaps:
             block[1, :, m] -= 0.5 * np.pi
         groups.append(arg.reshape(len(pair) * m, -1))
     update = home[:m] + (steps[s] @ slopes).reshape(m, width)
-    return groups, update
+    for array in (*groups, update):
+        array.flags.writeable = False
+    return tuple(groups), update
 
 
 def _rk_stepper(params: MachineParams, net: ReducedNetwork,
@@ -378,13 +395,15 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
              scenario: FaultScenario) -> Trajectory:
     """Reference trajectory through the fault, sampled every ``scenario.dt``.
 
-    Integrates with Cooper and Verner's eighth-order Runge-Kutta
-    (``_rk_stepper``) at one step per sample interval, building the step
-    maps once per step length; a finer truth takes a smaller ``dt``.  An
-    interval that contains the fault or clearing instant is split there, so
-    every step sees a single topology, and each part takes one step.
-    Raises InstabilityError at the first sample where a machine's speed
-    leaves the stable band.
+    Before the fault the state is the equilibrium (delta0, 1): ``p_mech``
+    is the electrical power at delta0 on the pre-fault network, so the exact
+    solution stays there, and those samples are written, not integrated.
+    From the fault on, integrates with Cooper and Verner's eighth-order
+    Runge-Kutta (``_rk_stepper``) at one step per sample interval; a finer
+    truth takes a smaller ``dt``.  An interval that contains the fault or
+    clearing instant is split there, so every step sees a single topology,
+    and each part after the fault takes one step.  Raises InstabilityError
+    at the first sample where a machine's speed leaves the stable band.
     """
     nets = scenario_networks(case, pf, scenario)
     params = machine_init(case, pf, nets.pre)
@@ -395,16 +414,16 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
     times = np.arange(n_steps + 1) * scenario.dt
     regimes = scenario.regimes(times, freq)
 
-    maps: dict[float, _RKMaps] = {}
-
-    def stepper(regime: Regime, h: float) -> Callable:
-        if h not in maps:
-            maps[h] = _rk_maps(params, h)
-        return _rk_stepper(params, nets.for_regime(regime), maps[h])
+    def steppers(regime: Regime, h: float) -> tuple[Callable, ...]:
+        if regime is Regime.PreFault:
+            return ()   # held at the equilibrium
+        return (_rk_stepper(params, nets.for_regime(regime),
+                            _rk_maps(params, h)),)
 
     # The plan: the steppers of each sample interval, one step each.  An
-    # interval that a switching instant splits gets a stepper per part;
-    # whole intervals share one stepper per regime.
+    # interval that a switching instant splits gets a stepper per part after
+    # the fault; whole intervals share one stepper per regime, and whole
+    # pre-fault intervals none.
     plan: list[tuple[Callable, ...] | None] = [None] * n_steps
     splits: dict[int, list[float]] = {}
     for s in (scenario.t_fault, scenario.t_clear(freq)):
@@ -413,13 +432,13 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
             splits.setdefault(k, []).append(s)
     for k, inner in splits.items():
         cuts = [float(times[k]), *inner, float(times[k + 1])]
-        plan[k] = tuple(stepper(scenario.regime(a, freq), b - a)
-                        for a, b in zip(cuts[:-1], cuts[1:]))
-    whole: dict[Regime, tuple[Callable]] = {}
+        plan[k] = sum((steppers(scenario.regime(a, freq), b - a)
+                       for a, b in zip(cuts[:-1], cuts[1:])), ())
+    whole: dict[Regime, tuple[Callable, ...]] = {}
     for k, regime in enumerate(regimes[:-1]):
         if plan[k] is None:
             if regime not in whole:
-                whole[regime] = (stepper(regime, scenario.dt),)
+                whole[regime] = steppers(regime, scenario.dt)
             plan[k] = whole[regime]
 
     # Integrate the speed deviation: at rest it is exactly zero, so the
@@ -429,11 +448,15 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
     ys[0, n:] = 0.0
     # Each run of intervals with the same steppers is one call per stepper;
     # the parts of a split interval each rewrite its end row, from that row.
+    # The pre-fault run, first if any, holds row 0; the fault-on part of an
+    # interval split at the fault starts from its held row.
     k = 0
-    for steppers, run in groupby(plan):
+    for parts, run in groupby(plan):
         out = ys[k + 1:k + 1 + sum(1 for _ in run)]
         start = ys[k]
-        for advance in steppers:
+        if not parts:
+            out[:] = ys[0]
+        for advance in parts:
             advance(start, out)
             start = out[-1]
         dev = np.abs(out[:, n:])

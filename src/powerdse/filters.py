@@ -97,11 +97,17 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def init_belief(x0: np.ndarray, p0: np.ndarray) -> GaussianBelief:
-    """Validated initial belief: p0 must be symmetric positive semidefinite."""
+    """Validated initial belief: x0 and p0 must be finite, p0 symmetric
+    positive semidefinite."""
     x0 = np.asarray(x0, dtype=float).copy()
     p0 = np.asarray(p0, dtype=float).copy()
     if x0.ndim != 1 or p0.shape != (x0.size, x0.size):
         raise ValueError(f"shape mismatch: state {x0.shape}, covariance {p0.shape}")
+    for name, value in (("mean x0", x0), ("covariance p0", p0)):
+        bad = value.size - np.count_nonzero(np.isfinite(value))
+        if bad:
+            raise ValueError(f"initial {name} is not finite "
+                             f"({bad} of {value.size} entries)")
     if np.max(np.abs(p0 - p0.T)) > 1e-9:
         raise ValueError("initial covariance is not symmetric")
     eigs = np.linalg.eigvalsh(_symmetrize(p0))

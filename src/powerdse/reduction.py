@@ -108,11 +108,17 @@ def kron_reduce(ext: ExtendedAdmittance) -> ReducedNetwork:
     eliminated bus voltages.  Raises ReductionError when the bus block is
     numerically singular.
     """
-    cond = np.linalg.cond(ext.y11)
+    try:
+        inv = np.linalg.inv(ext.y11)
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    else:
+        # the 1-norm condition number, from the inverse already in hand
+        cond = np.linalg.norm(ext.y11, 1) * np.linalg.norm(inv, 1)
     if not np.isfinite(cond) or cond > 1e12:
         raise ReductionError(
             f"bus admittance block is numerically singular (cond {cond:.3e})")
-    solved = np.linalg.solve(ext.y11, ext.y12)
+    solved = inv @ ext.y12
     y_red = ext.y22 - ext.y21 @ solved
     return ReducedNetwork(
         y_red=y_red,
@@ -125,12 +131,13 @@ def kron_reduce(ext: ExtendedAdmittance) -> ReducedNetwork:
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """``mat @ vec`` for each row of a (..., n) stack.
 
-    Not a matmul: BLAS takes a different kernel for one row than for many,
-    so a matmul row would differ in its last bits from the same state
-    evaluated alone.  einsum accumulates each row in the same order whatever
-    the stack size (``test_stacked_outputs_match_single_states`` pins this).
+    Each row is its own (1, n) by (n, r) product in one batched matmul, so
+    every row takes the same matrix-vector kernel whatever the stack size
+    and is bitwise the row evaluated alone.  A plain ``vec @ mat.T`` would
+    not be: BLAS takes a different kernel for one row than for many
+    (``test_stacked_outputs_match_single_states`` pins this).
     """
-    return np.einsum("ij,...j->...i", mat, vec)
+    return np.matmul(vec[..., None, :], mat.T)[..., 0, :]
 
 
 def complex_power(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork

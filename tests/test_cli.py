@@ -211,6 +211,28 @@ def test_run_bad_prior_is_one_line(runner, tmp_path):
     assert not out_dir.exists()
 
 
+def test_run_nan_prior_is_one_line(runner, tmp_path):
+    # a NaN prior mean used to run every filter to the end, write every file
+    # and report nan errors with exit status 0
+    cfg = tmp_path / "exp.yaml"
+    out_dir = tmp_path / "results"
+    cfg.write_text(
+        "case: wecc9\n"
+        "scenario:\n"
+        "  fault_bus: 8\n"
+        "  cleared_line: [8, 9]\n"
+        "  t_end: 2.0\n"
+        "prior_angle_shift: .nan\n"
+        f"out_dir: {out_dir}\n"
+    )
+    result = runner.invoke(main, ["run", str(cfg)])
+    assert result.exit_code != 0
+    lines = result.output.splitlines()
+    assert len(lines) == 1, result.output
+    assert lines[0].startswith("Error: [prior] initial mean x0 is not finite")
+    assert not out_dir.exists()
+
+
 def test_seed_flag_changes_measurements(runner, tmp_path):
     paths = []
     for seed in ("1", "2"):

@@ -16,6 +16,7 @@ from powerdse import (
     Regime,
     ScenarioError,
     electrical_power,
+    machine_init,
     preset,
     scenario_networks,
     simulate,
@@ -120,6 +121,16 @@ def test_step_richardson(wecc9_net, wecc9_params, wecc9_init):
     # the one-step-vs-two-half-steps gap is O(dt^2): quartering under halving
     ratio = gap(0.01) / gap(0.005)
     assert 3.0 < ratio < 5.0
+
+
+def screening_scenarios():
+    """The ne39 contingencies of the benchmark's screening workload."""
+    spec = json.loads(CONTINGENCIES.read_text())
+    return [FaultScenario(fault_bus=bus, t_fault=spec["t_fault"],
+                          clearing_cycles=spec["clearing_cycles"],
+                          cleared_line=(a, b), t_end=spec["t_end"],
+                          dt=spec["dt"])
+            for bus, a, b in spec["contingencies"]]
 
 
 def wecc9_scenario(**overrides):
@@ -258,12 +269,7 @@ def test_regimes_match_per_sample_regime(which):
         scenarios = [preset(name).scenario
                      for name in ("wecc9-fault8", "ne39-fault4")]
     elif which == "screening":
-        spec = json.loads(CONTINGENCIES.read_text())
-        scenarios = [FaultScenario(fault_bus=bus, t_fault=spec["t_fault"],
-                                   clearing_cycles=spec["clearing_cycles"],
-                                   cleared_line=(a, b), t_end=spec["t_end"],
-                                   dt=spec["dt"])
-                     for bus, a, b in spec["contingencies"]]
+        scenarios = screening_scenarios()
     else:
         # fault at sample 4 and clearing at sample 6, both exact in binary
         scenarios = [wecc9_scenario(t_fault=0.5, clearing_cycles=15.0,
@@ -349,12 +355,90 @@ def test_step_plan_counts(wecc9, wecc9_pf, monkeypatch):
     whole = scen.dt
     assert sorted(built.values()) == sorted(set(steppers))
     assert len(built) == 3
-    assert len(steppers) == 5
-    assert steppers.count(whole) == 3
-    assert calls.count(whole) == 999
+    assert len(steppers) == 4
+    assert steppers.count(whole) == 2
+    assert calls.count(whole) == 899
     split = [h for h in calls if h != whole]
     assert len(split) == 2
     assert sum(split) == pytest.approx(scen.dt)
+
+
+@pytest.mark.parametrize("name", ["wecc9", "ne39"])
+def test_stepper_holds_equilibrium(name, request):
+    # ``simulate`` writes the pre-fault samples as the equilibrium; the
+    # integrator itself must hold it too, to criterion 3's bounds, over
+    # 1,000 steps of 0.01 s on the pre-fault network.
+    params = request.getfixturevalue(f"{name}_params")
+    net = request.getfixturevalue(f"{name}_net")
+    n = params.n_machines
+    advance = dynamics._rk_stepper(params, net, dynamics._rk_maps(params, 0.01))
+    out = np.empty((1000, 2 * n))
+    advance(np.concatenate([params.delta0, np.zeros(n)]), out)
+    assert np.max(np.abs(out[:, :n] - params.delta0)) < 1e-6
+    assert np.max(np.abs(out[:, n:])) < 1e-8
+
+
+@pytest.mark.parametrize("t_fault", [1.0, 0.105])
+def test_pre_fault_rows_are_held(wecc9, wecc9_pf, t_fault, monkeypatch):
+    # Every sample up to the fault instant is bitwise the first, and no
+    # stepper runs on the pre-fault network.  With the fault between
+    # samples, the fault-on part of that interval steps from the held row.
+    scen = wecc9_scenario(t_fault=t_fault, t_end=2.0)
+    nets = scenario_networks(wecc9, wecc9_pf, scen)
+    topologies = []
+    build_stepper = dynamics._rk_stepper
+
+    def recording_stepper(params, net, maps):
+        topologies.append(net.y_red)
+        return build_stepper(params, net, maps)
+
+    monkeypatch.setattr(dynamics, "_rk_stepper", recording_stepper)
+    traj = simulate(wecc9, wecc9_pf, scen)
+    ys = np.hstack([traj.delta_matrix(), traj.omega_matrix()])
+    held = np.flatnonzero(traj.times <= t_fault)
+    assert held.size == (101 if t_fault == 1.0 else 11)
+    assert np.array_equal(ys[held], np.broadcast_to(ys[0], ys[held].shape))
+    assert ys[0, 3:].tolist() == [1.0, 1.0, 1.0]
+    assert not any(np.array_equal(y, nets.pre.y_red) for y in topologies)
+    first = held[-1] + 1   # first sample after the fault
+    assert not np.array_equal(ys[first], ys[0])
+    if traj.times[held[-1]] < t_fault:
+        params = machine_init(wecc9, wecc9_pf, nets.pre)
+        h = float(traj.times[first]) - t_fault
+        advance = build_stepper(params, nets.fault,
+                                dynamics._rk_maps(params, h))
+        out = np.empty((1, 6))
+        advance(np.concatenate([params.delta0, np.zeros(3)]), out)
+        assert np.array_equal(ys[first], np.concatenate([out[0, :3],
+                                                         1.0 + out[0, 3:]]))
+
+
+def test_stage_maps_cached_per_machine_set(wecc9, wecc9_pf, ne39, ne39_pf):
+    # The maps depend on the machines and the step length alone: a second
+    # contingency of a case builds none, and what the cache hands out is
+    # read-only.
+    scenarios = screening_scenarios()[:2]
+    dt = scenarios[0].dt
+    simulate(ne39, ne39_pf, scenarios[0])
+    before = dynamics._stage_maps.cache_info()
+    simulate(ne39, ne39_pf, scenarios[1])
+    after = dynamics._stage_maps.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    params = machine_init(ne39, ne39_pf,
+                          scenario_networks(ne39, ne39_pf, scenarios[1]).pre)
+    groups, update = dynamics._rk_maps(params, dt)
+    assert dynamics._rk_maps(params, dt)[1] is update
+    for array in (*groups, update):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    # another machine set or step length is another entry
+    other = machine_init(wecc9, wecc9_pf,
+                         scenario_networks(wecc9, wecc9_pf,
+                                           wecc9_scenario()).pre)
+    assert dynamics._rk_maps(other, dt)[1] is not update
+    assert dynamics._rk_maps(params, dt / 2)[1] is not update
 
 
 def test_stage_maps_read_only_their_prefix(wecc9_run):

@@ -80,6 +80,18 @@ def test_init_belief_rejects_indefinite():
         init_belief(np.zeros(2), -np.eye(2))
 
 
+@pytest.mark.parametrize("which", ["x0", "p0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_init_belief_rejects_non_finite(which, bad):
+    x0, p0 = np.zeros(2), np.eye(2)
+    if which == "x0":
+        x0[0] = bad
+    else:
+        p0[0, 0] = bad
+    with pytest.raises(ValueError, match=f"{which} is not finite"):
+        init_belief(x0, p0)
+
+
 def test_zero_prior_legal_and_grows_by_q():
     belief = init_belief(np.ones(2), np.zeros((2, 2)))
     q = np.diag([0.5, 0.25])

@@ -156,16 +156,28 @@ def test_remove_bus(wecc9, wecc9_pf):
         remove_bus(ext, 17)
 
 
-def test_kron_singular_block_rejected():
-    ext = ExtendedAdmittance(
-        y11=np.array([[1.0 + 0j, 1.0], [1.0, 1.0]]),
+def two_bus_block(y11):
+    """Two network buses with bus block ``y11`` and one machine on bus 1."""
+    return ExtendedAdmittance(
+        y11=np.asarray(y11, dtype=complex),
         y12=np.array([[1.0 + 0j], [0.0]]),
         y21=np.array([[1.0 + 0j, 0.0]]),
         y22=np.array([[1.0 + 0j]]),
         bus_order=(1, 2), machine_order=(3,),
     )
+
+
+def test_kron_singular_block_rejected():
     with pytest.raises(ReductionError, match="singular"):
-        kron_reduce(ext)
+        kron_reduce(two_bus_block([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_kron_near_singular_block_rejected():
+    # invertible, but with a 1-norm condition number near 1e14
+    y11 = [[1.0, 1.0], [1.0, 1.0 + 4e-14]]
+    assert 1e13 < np.linalg.cond(y11, 1) < 1e15
+    with pytest.raises(ReductionError, match="singular"):
+        kron_reduce(two_bus_block(y11))
 
 
 def test_machine_init_zero_current():
