@@ -84,7 +84,6 @@ from .harness import (
     ExperimentError,
     ExperimentReport,
     FilterMetrics,
-    TrajectoryTable,
     config_from_dict,
     default_prior,
     format_report,

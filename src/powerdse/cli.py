@@ -16,7 +16,6 @@ from .dynamics import simulate as run_simulation
 from .harness import (
     PRESETS,
     ExperimentError,
-    TrajectoryTable,
     format_report,
     load_experiment_config,
     preset,
@@ -149,15 +148,14 @@ def simulate(case_ref: str, fault_bus: int, t_fault: float, cycles: float,
     except Exception as exc:
         raise click.ClickException(str(exc)) from exc
 
-    table = TrajectoryTable.of(traj)
-    delta, omega = table.delta, table.omega
+    delta, omega = traj.delta_matrix(), traj.omega_matrix()
     click.echo(f"simulated {len(traj)} samples over {t_end:g}s")
     for i in range(delta.shape[1]):
         click.echo(f"machine {i + 1}: angle [{delta[:, i].min():+.4f}, "
                    f"{delta[:, i].max():+.4f}] rad, "
                    f"speed [{omega[:, i].min():.6f}, {omega[:, i].max():.6f}] pu")
     if out is not None:
-        write_trajectory_csv(table, Path(out))
+        write_trajectory_csv(traj, Path(out))
         click.echo(f"trajectory written to {out}")
 
 

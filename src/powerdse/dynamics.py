@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -109,11 +109,17 @@ class FaultScenario:
             return Regime.FaultOn
         return Regime.PostFault
 
-    def regimes(self, times: np.ndarray, frequency: float) -> list[Regime]:
-        """``regime`` at each of the ascending ``times``, from two counts."""
+    def switches(self, times: np.ndarray, frequency: float) -> tuple[int, int]:
+        """How many of the ascending ``times`` come before the fault, and
+        how many before clearing: the first fault-on and post-fault samples."""
         fault = int(np.searchsorted(times, self.t_fault, side="left"))
         clear = max(fault, int(np.searchsorted(times, self.t_clear(frequency),
                                                side="left")))
+        return fault, clear
+
+    def regimes(self, times: np.ndarray, frequency: float) -> list[Regime]:
+        """``regime`` at each of the ascending ``times``, from two counts."""
+        fault, clear = self.switches(times, frequency)
         return ([Regime.PreFault] * fault + [Regime.FaultOn] * (clear - fault)
                 + [Regime.PostFault] * (len(times) - clear))
 
@@ -180,6 +186,11 @@ def _machine_islanded(case: NetworkCase) -> bool:
     return not terminals <= seen
 
 
+# The last successful scenario_networks call: (case, bytes of pf.v_mag,
+# scenario, result).  Holding the case keeps its id from being reused.
+_last_networks: tuple | None = None
+
+
 def scenario_networks(case: NetworkCase, pf: PowerFlowSolution,
                       scenario: FaultScenario) -> ScenarioNetworks:
     """Build the pre-fault, fault-on, and post-clearing reduced networks.
@@ -187,7 +198,30 @@ def scenario_networks(case: NetworkCase, pf: PowerFlowSolution,
     The fault-on network deletes the faulted bus from the extended system
     (its voltage is pinned to zero); the post network rebuilds the system
     without the cleared line, keeping load admittances at pre-fault voltages.
+
+    The last result is kept, one entry only, and returned again when the
+    call repeats it: the same case object, the same ``pf.v_mag`` (the one
+    power-flow field the networks read) and an equal scenario.  Its
+    ``y_red`` and ``r_v`` are read-only.  A failure is not kept, so it is
+    raised again on every call.
     """
+    global _last_networks
+    v_mag = pf.v_mag.tobytes()
+    last = _last_networks
+    if (last is not None and last[0] is case and last[1] == v_mag
+            and last[2] == scenario):
+        return last[3]
+    nets = _build_networks(case, pf, scenario)
+    for net in (nets.pre, nets.fault, nets.post):
+        net.y_red.flags.writeable = False
+        net.r_v.flags.writeable = False
+    _last_networks = (case, v_mag, scenario, nets)
+    return nets
+
+
+def _build_networks(case: NetworkCase, pf: PowerFlowSolution,
+                    scenario: FaultScenario) -> ScenarioNetworks:
+    """``scenario_networks`` without its memo."""
     validate_scenario(case, scenario)
     ext = extend_network(case, pf)
     pre = kron_reduce(ext)
@@ -200,22 +234,83 @@ def scenario_networks(case: NetworkCase, pf: PowerFlowSolution,
     return ScenarioNetworks(pre=pre, fault=fault, post=post)
 
 
-@dataclass
-class Trajectory:
-    """Sampled rotor states with the regime active at each sample."""
+class _StateRows(Sequence):
+    """The rows of a trajectory's angle and speed arrays as ``DynamicState``
+    views, made on access."""
 
-    times: np.ndarray
-    states: list[DynamicState]
-    regime: list[Regime]
-
-    def delta_matrix(self) -> np.ndarray:
-        return np.stack([s.delta for s in self.states])
-
-    def omega_matrix(self) -> np.ndarray:
-        return np.stack([s.omega for s in self.states])
+    def __init__(self, delta: np.ndarray, omega: np.ndarray):
+        self._delta = delta
+        self._omega = omega
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._delta)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return DynamicState(delta=self._delta[k], omega=self._omega[k])
+
+    def __iter__(self):
+        return map(DynamicState, self._delta, self._omega)
+
+
+def _joined_rows(table: np.ndarray) -> list[str]:
+    """Each row of a float table as its ``repr`` cells joined by commas, so
+    files round-trip exactly."""
+    fmt = ",".join(["%r"] * table.shape[1])
+    return [fmt % row for row in map(tuple, table.tolist())]
+
+
+class Trajectory:
+    """Sampled rotor states with the regime active at each sample.
+
+    The states are one read-only (samples, 2n) array, each row the angles
+    then the speeds.  ``states`` may be given as that array, which is held
+    and not copied, or as a sequence of ``DynamicState``, which is stacked
+    once.  The ``states`` attribute reads the rows back as a read-only
+    sequence of ``DynamicState`` views, and ``delta_matrix`` and
+    ``omega_matrix`` return views of the array.
+    """
+
+    def __init__(self, times: np.ndarray,
+                 states: np.ndarray | Sequence[DynamicState],
+                 regime: list[Regime]):
+        if isinstance(states, np.ndarray):
+            array = states.view()
+        else:
+            array = np.stack([s.as_vector() for s in states])
+        if array.ndim != 2 or array.shape[1] % 2:
+            raise ValueError(f"states must be (samples, 2n) rows, "
+                             f"got shape {array.shape}")
+        array.flags.writeable = False
+        n = array.shape[1] // 2
+        self.times = times
+        self.regime = regime
+        self._delta = array[:, :n]
+        self._omega = array[:, n:]
+
+    @property
+    def states(self) -> _StateRows:
+        return _StateRows(self._delta, self._omega)
+
+    def delta_matrix(self) -> np.ndarray:
+        """Angles (samples, n), a read-only view."""
+        return self._delta
+
+    def omega_matrix(self) -> np.ndarray:
+        """Speeds (samples, n), a read-only view."""
+        return self._omega
+
+    def __len__(self) -> int:
+        return len(self._delta)
+
+    @functools.cached_property
+    def cells(self) -> tuple[list[str], list[str], list[str]]:
+        """Per sample, the CSV cells of the time, of the angles and of the
+        speeds, each group joined by commas; formatted on first use, then
+        shared by every file that has these columns."""
+        return (list(map(repr, self.times.tolist())),
+                _joined_rows(self._delta), _joined_rows(self._omega))
 
 
 # Cooper and Verner's eleven-stage eighth-order Runge-Kutta ("Some explicit
@@ -360,10 +455,13 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork,
     m = 2 * n
     inv_2h = 0.5 / params.h
     scaled = (params.e_mag * inv_2h)[:, None] * net.y_red * params.e_mag
-    # R c for the rows of a (k, m) array is c R^T; contiguous, because
-    # ndarray.dot copies a strided view on every call
-    rotate_t = np.ascontiguousarray(np.block([[scaled.real, -scaled.imag],
-                                              [scaled.imag, scaled.real]]).T)
+    # R c for the rows of a (k, m) array is c R^T, with R the real form
+    # [[Re, -Im], [Im, Re]]; contiguous, because ndarray.dot copies a strided
+    # view on every call
+    rotate_t = np.empty((m, m))
+    rotate_t[:n, :n] = rotate_t[n:, n:] = scaled.real.T
+    rotate_t[:n, n:] = scaled.imag.T
+    rotate_t[n:, :n] = -scaled.imag.T
 
     z = np.zeros(update.shape[1])
     z[m] = 1.0
@@ -420,40 +518,39 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
         return (_rk_stepper(params, nets.for_regime(regime),
                             _rk_maps(params, h)),)
 
-    # The plan: the steppers of each sample interval, one step each.  An
-    # interval that a switching instant splits gets a stepper per part after
-    # the fault; whole intervals share one stepper per regime, and whole
-    # pre-fault intervals none.
-    plan: list[tuple[Callable, ...] | None] = [None] * n_steps
+    # Interval k runs from times[k] to times[k + 1] in the regime of
+    # times[k], unless a switching instant splits it.
     splits: dict[int, list[float]] = {}
     for s in (scenario.t_fault, scenario.t_clear(freq)):
         k = int(np.searchsorted(times, s)) - 1   # times[k] < s <= times[k + 1]
         if 0 <= k < n_steps and s < times[k + 1]:
             splits.setdefault(k, []).append(s)
-    for k, inner in splits.items():
-        cuts = [float(times[k]), *inner, float(times[k + 1])]
-        plan[k] = sum((steppers(scenario.regime(a, freq), b - a)
-                       for a, b in zip(cuts[:-1], cuts[1:])), ())
-    whole: dict[Regime, tuple[Callable, ...]] = {}
-    for k, regime in enumerate(regimes[:-1]):
-        if plan[k] is None:
-            if regime not in whole:
-                whole[regime] = steppers(regime, scenario.dt)
-            plan[k] = whole[regime]
+    # The plan: intervals a .. b - 1 at a time, each span a run of whole
+    # intervals in one regime, taking one step each, or one split interval,
+    # taking a step per part after the fault.  Whole pre-fault intervals
+    # take none.
+    switches = scenario.switches(times, freq)
+    edges = sorted({0, n_steps, *splits, *(k + 1 for k in splits),
+                    *(min(k, n_steps) for k in switches)})
 
     # Integrate the speed deviation: at rest it is exactly zero, so the
     # equilibrium loses nothing to cancellation against the nominal speed.
     ys = np.empty((n_steps + 1, 2 * n))
     ys[0, :n] = params.delta0
     ys[0, n:] = 0.0
-    # Each run of intervals with the same steppers is one call per stepper;
-    # the parts of a split interval each rewrite its end row, from that row.
-    # The pre-fault run, first if any, holds row 0; the fault-on part of an
-    # interval split at the fault starts from its held row.
-    k = 0
-    for parts, run in groupby(plan):
-        out = ys[k + 1:k + 1 + sum(1 for _ in run)]
-        start = ys[k]
+    # Each span is one call per stepper; the parts of a split interval each
+    # rewrite its end row, from that row.  The pre-fault run, first if any,
+    # holds row 0; the fault-on part of an interval split at the fault
+    # starts from its held row.
+    for a, b in zip(edges[:-1], edges[1:]):
+        if a in splits:
+            cuts = [float(times[a]), *splits[a], float(times[b])]
+            parts = sum((steppers(scenario.regime(t0, freq), t1 - t0)
+                         for t0, t1 in zip(cuts[:-1], cuts[1:])), ())
+        else:
+            parts = steppers(regimes[a], scenario.dt)
+        out = ys[a + 1:b + 1]
+        start = ys[a]
         if not parts:
             out[:] = ys[0]
         for advance in parts:
@@ -464,10 +561,9 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
         if over.size:
             j = int(over[0])
             worst = int(np.argmax(dev[j]))
-            raise InstabilityError(machine=worst + 1, t=float(times[k + 1 + j]),
+            raise InstabilityError(machine=worst + 1,
+                                   t=float(times[a + 1 + j]),
                                    omega=float(1.0 + out[j, n + worst]))
-        k += len(out)
 
-    omega = 1.0 + ys[:, n:]
-    states = [DynamicState(delta=d, omega=w) for d, w in zip(ys[:, :n], omega)]
-    return Trajectory(times=times, states=states, regime=regimes)
+    ys[:, n:] += 1.0   # the speeds
+    return Trajectory(times=times, states=ys, regime=regimes)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .cases import NetworkCase
 from .dynamics import (
-    DynamicState,
     FaultScenario,
     Trajectory,
     euler_step,
@@ -356,5 +355,4 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
         beliefs.append(belief)
 
     x = np.array([b.x_hat for b in beliefs])
-    states = [DynamicState(delta=row[:nm], omega=row[nm:]) for row in x]
-    return Trajectory(times=stamps, states=states, regime=regimes), beliefs
+    return Trajectory(times=stamps, states=x, regime=regimes), beliefs

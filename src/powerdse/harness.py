@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +19,8 @@ import numpy as np
 from .cases import load_case
 from .dynamics import (
     FaultScenario,
-    Regime,
     Trajectory,
+    _joined_rows,
     scenario_networks,
     simulate,
 )
@@ -123,30 +122,6 @@ class ExperimentReport:
     Acceptance criteria 6 and 7 bound this number."""
 
 
-@dataclass(frozen=True)
-class TrajectoryTable:
-    """A trajectory stacked once: sample times, angle and speed matrices
-    (samples, machines) and the regime of each sample."""
-
-    times: np.ndarray
-    delta: np.ndarray
-    omega: np.ndarray
-    regime: list[Regime]
-
-    @classmethod
-    def of(cls, traj: Trajectory) -> "TrajectoryTable":
-        return cls(times=traj.times, delta=traj.delta_matrix(),
-                   omega=traj.omega_matrix(), regime=traj.regime)
-
-    @cached_property
-    def cells(self) -> tuple[list[str], list[str], list[str]]:
-        """Per sample, the CSV cells of the time, of the angles and of the
-        speeds, each group joined by commas; formatted on first use, then
-        shared by every file that has these columns."""
-        return (list(map(repr, self.times.tolist())), _joined_rows(self.delta),
-                _joined_rows(self.omega))
-
-
 def _rms_by_machine(d_err: np.ndarray, o_err: np.ndarray) -> dict[str, np.ndarray]:
     return {
         "delta": np.sqrt(np.mean(d_err ** 2, axis=0)),
@@ -154,13 +129,14 @@ def _rms_by_machine(d_err: np.ndarray, o_err: np.ndarray) -> dict[str, np.ndarra
     }
 
 
-def _metrics(truth: TrajectoryTable, x_hat: np.ndarray,
+def _metrics(truth: Trajectory, x_hat: np.ndarray,
              t_clear: float) -> FilterMetrics:
     """Errors of the stacked estimates ``x_hat`` (samples, angles then
     speeds) against the truth on the same samples."""
-    nm = truth.delta.shape[1]
-    d_err = truth.delta - x_hat[:, :nm]
-    o_err = truth.omega - x_hat[:, nm:]
+    delta = truth.delta_matrix()
+    nm = delta.shape[1]
+    d_err = delta - x_hat[:, :nm]
+    o_err = truth.omega_matrix() - x_hat[:, nm:]
     mask = truth.times >= t_clear
     full = _rms_by_machine(d_err, o_err)
     post = _rms_by_machine(d_err[mask], o_err[mask])
@@ -230,8 +206,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     out_dir = Path(cfg.out_dir)
     _stage("write", out_dir.mkdir, parents=True, exist_ok=True)
-    table = TrajectoryTable.of(truth)
-    _stage("write", write_trajectory_csv, table, out_dir / "truth.csv")
+    _stage("write", write_trajectory_csv, truth, out_dir / "truth.csv")
     _stage("write", write_measurements_csv, frames, all_bus_ids,
            out_dir / "measurements.csv")
 
@@ -241,9 +216,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                             FilterConfig(kind=kind, q=q, r=r), case, pf,
                             cfg.scenario, frames, prior)
         x_hat = np.array([b.x_hat for b in beliefs])
-        metrics[kind] = _metrics(table, x_hat, t_clear)
+        metrics[kind] = _metrics(truth, x_hat, t_clear)
         p_diag = np.array([b.p.diagonal() for b in beliefs])
-        _stage("write", write_estimates_csv, table, x_hat, p_diag,
+        _stage("write", write_estimates_csv, truth, x_hat, p_diag,
                out_dir / f"estimate_{kind}.csv")
 
     report = ExperimentReport(
@@ -292,28 +267,21 @@ def format_report(report: ExperimentReport) -> str:
 # each row ends in csv.writer's "\r\n".
 
 
-def _joined_rows(table: np.ndarray) -> list[str]:
-    """Each row of a float table as its ``repr`` cells joined by commas, so
-    files round-trip exactly."""
-    fmt = ",".join(["%r"] * table.shape[1])
-    return [fmt % row for row in map(tuple, table.tolist())]
-
-
 def _write_rows(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(row + "\r\n" for row in rows)
 
 
-def write_trajectory_csv(table: TrajectoryTable, path: Path) -> None:
+def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Columns: t, per-machine angles, per-machine speeds, regime."""
-    nm = table.delta.shape[1]
+    nm = traj.delta_matrix().shape[1]
     header = (["t"]
               + [f"delta_{i + 1}" for i in range(nm)]
               + [f"omega_{i + 1}" for i in range(nm)]
               + ["regime"])
     _write_rows(path, header, map(",".join, zip(
-        *table.cells, (regime.value for regime in table.regime))))
+        *traj.cells, (regime.value for regime in traj.regime))))
 
 
 def write_measurements_csv(frames: list[MeasurementFrame],
@@ -345,7 +313,7 @@ def write_measurements_csv(frames: list[MeasurementFrame],
     _write_rows(path, header, rows())
 
 
-def write_estimates_csv(truth: TrajectoryTable, x_hat: np.ndarray,
+def write_estimates_csv(truth: Trajectory, x_hat: np.ndarray,
                         p_diag: np.ndarray, path: Path) -> None:
     """Columns: t, per-machine true and estimated angles, true and estimated
     speeds, then the belief covariance diagonal (angle block, speed block).
@@ -353,7 +321,7 @@ def write_estimates_csv(truth: TrajectoryTable, x_hat: np.ndarray,
     ``x_hat`` and ``p_diag`` hold one row per truth sample: the estimate
     (angles then speeds) and its covariance diagonal.
     """
-    nm = truth.delta.shape[1]
+    nm = truth.delta_matrix().shape[1]
     header = (["t"]
               + [f"delta_true_{i + 1}" for i in range(nm)]
               + [f"delta_est_{i + 1}" for i in range(nm)]

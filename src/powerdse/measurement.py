@@ -8,6 +8,7 @@ length varies with the network regime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,14 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        bad = [name for name in ("sigma_p", "sigma_q", "sigma_vmag",
-                                 "sigma_vang", "q_delta", "q_omega")
-               if getattr(self, name) < 0]
+        levels = {name: getattr(self, name)
+                  for name in ("sigma_p", "sigma_q", "sigma_vmag",
+                               "sigma_vang", "q_delta", "q_omega")}
+        bad = [f"{name}={value!r}" for name, value in levels.items()
+               if not (math.isfinite(value) and value >= 0)]
         if bad:
-            raise ValueError(f"negative noise levels: {', '.join(bad)}")
+            raise ValueError("noise levels must be finite and at least 0: "
+                             + ", ".join(bad))
 
 
 @dataclass(frozen=True)

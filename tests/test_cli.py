@@ -283,3 +283,27 @@ def test_run_repeat_sweeps_seeds(runner, tmp_path):
     assert summary[1].startswith("  ekf std:")
     assert np.allclose(mean, rmse.mean(axis=0), rtol=1e-6)
     assert np.allclose(std, rmse.std(axis=0), rtol=1e-5)
+
+
+def test_run_nan_noise_level_is_one_line(runner, tmp_path):
+    # a NaN noise level used to pass the config, write truth.csv and an
+    # all-NaN measurements.csv, and fail only in the first EKF frame
+    cfg = tmp_path / "exp.yaml"
+    out_dir = tmp_path / "results"
+    cfg.write_text(
+        "case: wecc9\n"
+        "scenario:\n"
+        "  fault_bus: 8\n"
+        "  cleared_line: [8, 9]\n"
+        "  t_end: 2.0\n"
+        "noise:\n"
+        "  sigma_p: .nan\n"
+        f"out_dir: {out_dir}\n"
+    )
+    result = runner.invoke(main, ["run", str(cfg)])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert len(lines) == 1, result.output
+    assert lines[0] == ("Error: noise levels must be finite and at least 0: "
+                        "sigma_p=nan")
+    assert not out_dir.exists()

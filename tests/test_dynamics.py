@@ -15,11 +15,15 @@ from powerdse import (
     ReducedNetwork,
     Regime,
     ScenarioError,
+    Trajectory,
     electrical_power,
+    load_case,
     machine_init,
     preset,
+    run_experiment,
     scenario_networks,
     simulate,
+    solve_power_flow,
     swing_process_model,
     validate_scenario,
 )
@@ -197,6 +201,94 @@ def test_scenario_islanding_machine_rejected(wecc9, wecc9_pf):
         scenario_networks(wecc9, wecc9_pf, scen)
 
 
+def test_islanding_rejected_on_every_call(wecc9, wecc9_pf):
+    # a failure is not kept: the second call builds and fails again
+    scen = wecc9_scenario(fault_bus=5, cleared_line=(1, 4))
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="islands a machine"):
+            scenario_networks(wecc9, wecc9_pf, scen)
+
+
+def counted_reductions(monkeypatch) -> list:
+    """The networks ``kron_reduce`` is asked to reduce from now on."""
+    calls = []
+    reduce = dynamics.kron_reduce
+
+    def counting(ext):
+        calls.append(ext)
+        return reduce(ext)
+
+    monkeypatch.setattr(dynamics, "kron_reduce", counting)
+    return calls
+
+
+def test_screening_job_reduces_each_topology_once(monkeypatch):
+    # A screening job asks for the networks, then simulate asks again; the
+    # second request is the last result.  A freshly loaded case cannot be
+    # the one an earlier test left behind.
+    case = load_case("ne39")
+    pf = solve_power_flow(case)
+    scen = screening_scenarios()[0]
+    calls = counted_reductions(monkeypatch)
+    nets = scenario_networks(case, pf, scen)
+    truth = simulate(case, pf, scen)
+    assert len(calls) == 3
+    assert scenario_networks(case, pf, scen) is nets
+    # the same truth as a run that builds its own networks
+    again = simulate(load_case("ne39"), pf, scen)
+    assert len(calls) == 6
+    assert np.array_equal(truth.delta_matrix(), again.delta_matrix())
+    assert np.array_equal(truth.omega_matrix(), again.omega_matrix())
+
+
+def test_experiment_reduces_each_topology_once(tmp_path, monkeypatch):
+    # run_experiment, simulate and both filters ask for the same networks
+    cfg = preset("wecc9-fault8")
+    cfg = replace(cfg, scenario=replace(cfg.scenario, t_end=2.0),
+                  out_dir=str(tmp_path))
+    calls = counted_reductions(monkeypatch)
+    run_experiment(cfg)
+    assert len(calls) == 3
+
+
+def test_scenario_networks_rebuilt_for_new_inputs(monkeypatch):
+    case = load_case("wecc9")
+    pf = solve_power_flow(case)
+    scen = wecc9_scenario()
+    calls = counted_reductions(monkeypatch)
+    first = scenario_networks(case, pf, scen)
+    assert len(calls) == 3
+    # an equal scenario and an equal v_mag in other objects are a repeat
+    assert scenario_networks(case, replace(pf, v_mag=pf.v_mag.copy()),
+                             replace(scen)) is first
+    assert len(calls) == 3
+    other = scenario_networks(case, pf,
+                              wecc9_scenario(fault_bus=5, cleared_line=(5, 7)))
+    assert len(calls) == 6
+    assert np.max(np.abs(other.fault.y_red - first.fault.y_red)) > 1e-3
+    # one entry only: the first scenario is built again
+    again = scenario_networks(case, pf, scen)
+    assert len(calls) == 9
+    assert again is not first
+    assert np.array_equal(again.post.y_red, first.post.y_red)
+    v_mag = pf.v_mag.copy()
+    v_mag[4] *= 1.01
+    moved = scenario_networks(case, replace(pf, v_mag=v_mag), scen)
+    assert len(calls) == 12
+    assert not np.array_equal(moved.pre.y_red, first.pre.y_red)
+    scenario_networks(load_case("wecc9"), pf, scen)
+    assert len(calls) == 15
+
+
+def test_scenario_networks_read_only(wecc9, wecc9_pf):
+    # the kept result is handed to every caller, so none may change it
+    nets = scenario_networks(wecc9, wecc9_pf, wecc9_scenario())
+    for net in (nets.pre, nets.fault, nets.post):
+        for array in (net.y_red, net.r_v):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+
 def test_clearing_mesh_line_keeps_reduction_valid(wecc9, wecc9_pf):
     nets = scenario_networks(wecc9, wecc9_pf,
                              wecc9_scenario(fault_bus=5, cleared_line=(5, 7)))
@@ -246,6 +338,54 @@ def test_undamped_case_stays_bounded(ne39_run):
     rest = ne39_run.init.delta0 - ne39_run.init.delta0.mean()
     assert np.max(np.abs(centered - rest)) < np.pi
     assert np.max(np.abs(traj.omega_matrix()[post] - 1.0)) < 0.02
+
+
+def test_trajectory_from_states_matches_simulate(wecc9_run):
+    # the list-of-states constructor and simulate's array give one object
+    truth = wecc9_run.truth
+    states = [DynamicState(delta=s.delta.copy(), omega=s.omega.copy())
+              for s in truth.states]
+    rebuilt = Trajectory(times=truth.times, states=states,
+                         regime=list(truth.regime))
+    assert len(rebuilt) == len(truth) == len(truth.states) == 1001
+    assert np.array_equal(rebuilt.delta_matrix(), truth.delta_matrix())
+    assert np.array_equal(rebuilt.omega_matrix(), truth.omega_matrix())
+    for k in (0, 150, -1):
+        assert isinstance(truth.states[k], DynamicState)
+        assert np.array_equal(rebuilt.states[k].delta, truth.states[k].delta)
+        assert np.array_equal(rebuilt.states[k].omega, truth.states[k].omega)
+    for ours, theirs, original in zip(rebuilt.states, truth.states, states,
+                                      strict=True):
+        assert np.array_equal(ours.delta, theirs.delta)
+        assert np.array_equal(ours.omega, original.omega)
+
+
+def test_trajectory_arrays_read_only(wecc9, wecc9_pf):
+    traj = simulate(wecc9, wecc9_pf, wecc9_scenario(t_end=2.0))
+    state = traj.states[120]
+    for array in (traj.delta_matrix(), traj.omega_matrix(), state.delta,
+                  state.omega):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_trajectory_state_edit_round_trip(wecc9, wecc9_pf):
+    # list the states, replace one, rebuild: the copy has the edited row
+    # and the original is unchanged
+    traj = simulate(wecc9, wecc9_pf, wecc9_scenario(t_end=2.0))
+    delta, omega = traj.delta_matrix().copy(), traj.omega_matrix().copy()
+    k = 150
+    states = list(traj.states)
+    states[k] = DynamicState(delta=states[k].delta + [0, 1e-3, 0],
+                             omega=states[k].omega)
+    edited = Trajectory(times=traj.times, states=states,
+                        regime=list(traj.regime))
+    assert np.array_equal(edited.states[k].delta, delta[k] + [0, 1e-3, 0])
+    rest = np.arange(len(traj)) != k
+    assert np.array_equal(edited.delta_matrix()[rest], delta[rest])
+    assert np.array_equal(edited.omega_matrix(), omega)
+    assert np.array_equal(traj.delta_matrix(), delta)
+    assert np.array_equal(traj.omega_matrix(), omega)
 
 
 def test_regime_labels_and_continuity(wecc9_run):

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,6 @@ from powerdse import (
     NoiseSpec,
     Regime,
     Trajectory,
-    TrajectoryTable,
     config_from_dict,
     format_report,
     load_experiment_config,
@@ -57,9 +57,9 @@ def quick_config(out_dir, **overrides):
 
 def scored(truth, estimate, t_clear=0.0):
     """``_metrics`` of the toy trajectory ``estimate`` against ``truth``."""
-    est = TrajectoryTable.of(estimate)
-    return harness._metrics(TrajectoryTable.of(truth),
-                            np.hstack([est.delta, est.omega]), t_clear)
+    return harness._metrics(
+        truth, np.hstack([estimate.delta_matrix(), estimate.omega_matrix()]),
+        t_clear)
 
 
 def test_rmse_identical_is_zero():
@@ -207,6 +207,15 @@ def test_config_from_dict_rejects_fractional_integers(path, value):
     target[path[-1]] = value
     with pytest.raises(ValueError, match=rf"'{'.'.join(path)}'.*whole number"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_from_dict_rejects_non_finite_noise(value):
+    # YAML's .nan and .inf load as these floats
+    with pytest.raises(ValueError, match="finite.*sigma_p="):
+        config_from_dict({"case": "wecc9",
+                          "scenario": {"fault_bus": 8, "cleared_line": [8, 9]},
+                          "noise": {"sigma_p": value}})
 
 
 def test_config_from_dict_takes_integral_floats():
@@ -498,10 +507,9 @@ def test_writers_match_csv_writer(tmp_path):
     x_hat = np.column_stack([odd[::-1][:3], odd[:3], odd[1:4], odd[3:]])
     p_diag = 1e-3 * x_hat[:, ::-1] ** 2
 
-    table = TrajectoryTable.of(traj)
-    write_trajectory_csv(table, tmp_path / "truth.csv")
+    write_trajectory_csv(traj, tmp_path / "truth.csv")
     write_measurements_csv(frames, (1, 2, 3), tmp_path / "measurements.csv")
-    write_estimates_csv(table, x_hat, p_diag, tmp_path / "estimate.csv")
+    write_estimates_csv(traj, x_hat, p_diag, tmp_path / "estimate.csv")
 
     def cells(values):
         return [repr(float(v)) for v in values]

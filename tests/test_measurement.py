@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,14 @@ def test_negative_noise_rejected():
         NoiseSpec(sigma_p=-0.1)
     with pytest.raises(ValueError, match="q_omega"):
         NoiseSpec(q_omega=-1e-9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["sigma_p", "sigma_vang", "q_delta"])
+def test_non_finite_noise_rejected(name, value):
+    # NaN used to pass the `level < 0` test
+    with pytest.raises(ValueError, match=rf"finite.*{name}="):
+        NoiseSpec(**{name: value})
 
 
 def test_variance_layout_helpers():
