@@ -39,7 +39,6 @@ from .reduction import (
     extend_network,
     kron_reduce,
     machine_init,
-    remove_bus,
 )
 from .dynamics import (
     DynamicState,

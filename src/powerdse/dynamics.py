@@ -18,15 +18,18 @@ from typing import Callable
 
 import numpy as np
 
-from .cases import NetworkCase, without_branch
+from .cases import NetworkCase
 from .powerflow import PowerFlowSolution
 from .reduction import (
     MachineParams,
     ReducedNetwork,
+    ReductionBase,
     extend_network,
+    fault_network,
     kron_reduce,
     machine_init,
-    remove_bus,
+    open_branch,
+    reduction_base,
 )
 
 SPEED_LIMIT = 0.2  # per-unit speed deviation treated as loss of synchronism
@@ -167,12 +170,14 @@ class ScenarioNetworks:
         return self.post
 
 
-def _machine_islanded(case: NetworkCase) -> bool:
-    """True when the machine terminal buses no longer share one component."""
+def _machine_islanded(case: NetworkCase, opened: int) -> bool:
+    """True when, with branch number ``opened`` open, the machine terminal
+    buses no longer share one component."""
     adjacency: dict[int, set[int]] = {b.id: set() for b in case.buses}
-    for br in case.branches:
-        adjacency[br.from_bus].add(br.to_bus)
-        adjacency[br.to_bus].add(br.from_bus)
+    for pos, br in enumerate(case.branches):
+        if pos != opened:
+            adjacency[br.from_bus].add(br.to_bus)
+            adjacency[br.to_bus].add(br.from_bus)
     terminals = set(case.machine_buses())
     start = next(iter(terminals))
     seen = {start}
@@ -186,8 +191,9 @@ def _machine_islanded(case: NetworkCase) -> bool:
     return not terminals <= seen
 
 
-# The last successful scenario_networks call: (case, bytes of pf.v_mag,
-# scenario, result).  Holding the case keeps its id from being reused.
+# The last scenario_networks call: (case, bytes of pf.v_mag, the reduction
+# base of that pair, scenario, result); the last two are None when that
+# scenario failed.  Holding the case keeps its id from being reused.
 _last_networks: tuple | None = None
 
 
@@ -195,43 +201,51 @@ def scenario_networks(case: NetworkCase, pf: PowerFlowSolution,
                       scenario: FaultScenario) -> ScenarioNetworks:
     """Build the pre-fault, fault-on, and post-clearing reduced networks.
 
-    The fault-on network deletes the faulted bus from the extended system
-    (its voltage is pinned to zero); the post network rebuilds the system
-    without the cleared line, keeping load admittances at pre-fault voltages.
+    The fault-on network has the faulted bus deleted from the extended
+    system (its voltage is pinned to zero); the post network has the
+    cleared line open, keeping load admittances at pre-fault voltages.
 
-    The last result is kept, one entry only, and returned again when the
-    call repeats it: the same case object, the same ``pf.v_mag`` (the one
-    power-flow field the networks read) and an equal scenario.  Its
-    ``y_red`` and ``r_v`` are read-only.  A failure is not kept, so it is
-    raised again on every call.
+    Both derive from one ``reduction_base`` per case and power flow: the
+    extended system, the inverse of its bus block and the pre-fault
+    network.  The fault-on network is its rank-one ``fault_network``
+    update, and the post network one ``kron_reduce`` of its bus block less
+    the cleared line's stamp (``open_branch``).
+
+    One entry is kept, the last call's: the same case object and the same
+    ``pf.v_mag`` (the one power-flow field the networks read) reuse its
+    base, and an equal scenario besides returns its result again.  The
+    networks' ``y_red`` and ``r_v`` are read-only.  A failed scenario is
+    not kept, so it is raised again on every call.
     """
     global _last_networks
     v_mag = pf.v_mag.tobytes()
     last = _last_networks
-    if (last is not None and last[0] is case and last[1] == v_mag
-            and last[2] == scenario):
-        return last[3]
-    nets = _build_networks(case, pf, scenario)
-    for net in (nets.pre, nets.fault, nets.post):
+    same_base = last is not None and last[0] is case and last[1] == v_mag
+    if same_base and last[3] == scenario:
+        return last[4]
+    validate_scenario(case, scenario)
+    base = last[2] if same_base else reduction_base(extend_network(case, pf))
+    _last_networks = (case, v_mag, base, None, None)
+    nets = _build_networks(case, base, scenario)
+    for net in (nets.fault, nets.post):
         net.y_red.flags.writeable = False
         net.r_v.flags.writeable = False
-    _last_networks = (case, v_mag, scenario, nets)
+    _last_networks = (case, v_mag, base, scenario, nets)
     return nets
 
 
-def _build_networks(case: NetworkCase, pf: PowerFlowSolution,
+def _build_networks(case: NetworkCase, base: ReductionBase,
                     scenario: FaultScenario) -> ScenarioNetworks:
-    """``scenario_networks`` without its memo."""
-    validate_scenario(case, scenario)
-    ext = extend_network(case, pf)
-    pre = kron_reduce(ext)
-    fault = kron_reduce(remove_bus(ext, scenario.fault_bus))
-    post_case = without_branch(case, *scenario.cleared_line)
-    if _machine_islanded(post_case):
+    """The networks of a validated scenario, from the base of its case."""
+    fault = fault_network(base, scenario.fault_bus)
+    ends = set(scenario.cleared_line)
+    opened = next(pos for pos, br in enumerate(case.branches)
+                  if {br.from_bus, br.to_bus} == ends)
+    if _machine_islanded(case, opened):
         raise ScenarioError(
             f"clearing line {scenario.cleared_line} islands a machine")
-    post = kron_reduce(extend_network(post_case, pf))
-    return ScenarioNetworks(pre=pre, fault=fault, post=post)
+    post = kron_reduce(open_branch(base.ext, case.branches[opened]))
+    return ScenarioNetworks(pre=base.pre, fault=fault, post=post)
 
 
 class _StateRows(Sequence):
@@ -268,8 +282,8 @@ class Trajectory:
     then the speeds.  ``states`` may be given as that array, which is held
     and not copied, or as a sequence of ``DynamicState``, which is stacked
     once.  The ``states`` attribute reads the rows back as a read-only
-    sequence of ``DynamicState`` views, and ``delta_matrix`` and
-    ``omega_matrix`` return views of the array.
+    sequence of ``DynamicState`` views; ``state_matrix`` returns the array,
+    and ``delta_matrix`` and ``omega_matrix`` views of it.
     """
 
     def __init__(self, times: np.ndarray,
@@ -286,12 +300,17 @@ class Trajectory:
         n = array.shape[1] // 2
         self.times = times
         self.regime = regime
+        self._states = array
         self._delta = array[:, :n]
         self._omega = array[:, n:]
 
     @property
     def states(self) -> _StateRows:
         return _StateRows(self._delta, self._omega)
+
+    def state_matrix(self) -> np.ndarray:
+        """States (samples, 2n), angles then speeds, read-only."""
+        return self._states
 
     def delta_matrix(self) -> np.ndarray:
         """Angles (samples, n), a read-only view."""

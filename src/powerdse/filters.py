@@ -9,6 +9,7 @@ bindings build those models from machine parameters and a reduced network.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -268,11 +269,13 @@ def swing_measurement_model(params: MachineParams,
 
 
 def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
-                  zs: list[np.ndarray], n_machines: int, dt: float) -> None:
+                  flat: np.ndarray, ends: list[int], n_machines: int,
+                  dt: float) -> None:
     """Raise FilterNumericsError naming the first frame, its time and its
     channel (the column name of ``measurements.csv``) that is not finite,
-    else the first frame k stamped off k * dt by more than 1e-9 relative."""
-    if np.isfinite(times).all() and np.isfinite(np.concatenate(zs)).all():
+    else the first frame k stamped off k * dt by more than 1e-9 relative.
+    Frame k's vector is ``flat[ends[k - 1]:ends[k]]``."""
+    if np.isfinite(times).all() and np.isfinite(flat).all():
         grid = np.arange(times.size) * dt
         off = np.flatnonzero(np.abs(times - grid) > 1e-9 * np.maximum(grid, dt))
         if off.size:
@@ -281,8 +284,9 @@ def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
                 f"frame {k} (t={times[k]:.4f}s): stamp is off the sample "
                 f"grid, {k} * dt = {grid[k]:g}s")
         return
-    for k, (fr, z) in enumerate(zip(frames, zs)):
-        bad = np.flatnonzero(~np.isfinite(np.concatenate([[fr.t], z])))
+    for k, (fr, start, stop) in enumerate(zip(frames, [0, *ends], ends)):
+        bad = np.flatnonzero(~np.isfinite(np.concatenate([[fr.t],
+                                                          flat[start:stop]])))
         if bad.size:
             name = channel_names(n_machines, fr.bus_ids)[bad[0]]
             raise FilterNumericsError(
@@ -310,8 +314,11 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     all_bus_ids = tuple(b.id for b in case.buses)
 
     stamps = np.array([fr.t for fr in frames])
-    zs = [fr.z_vector() for fr in frames]
-    _check_frames(frames, stamps, zs, nm, scenario.dt)
+    # every frame's vector as one array, frame k's ending at ends[k]
+    arrays = [a for fr in frames for a in (fr.p_g, fr.q_g, fr.v_mag, fr.v_ang)]
+    flat = np.concatenate(arrays)
+    ends = list(accumulate(map(len, arrays)))[3::4]
+    _check_frames(frames, stamps, flat, ends, nm, scenario.dt)
     regimes = scenario.regimes(stamps, case.frequency)
 
     # The plan: per frame, the process model of the regime at the start of
@@ -334,7 +341,7 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
             idx = measurement_indices(all_bus_ids, layout, nm)
             r_blocks[layout] = cfg.r[np.ix_(idx, idx)]
         plan.append((processes[before], observers[regime], r_blocks[layout],
-                     zs[k]))
+                     flat[ends[k - 1]:ends[k]]))
 
     if cfg.kind == "ekf":
         def advance(belief, process, measure, r, z):

@@ -212,10 +212,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     metrics: dict[str, FilterMetrics] = {}
     for kind in cfg.filters:
-        _, beliefs = _stage(f"filter-{kind}", run_filter,
-                            FilterConfig(kind=kind, q=q, r=r), case, pf,
-                            cfg.scenario, frames, prior)
-        x_hat = np.array([b.x_hat for b in beliefs])
+        estimate, beliefs = _stage(f"filter-{kind}", run_filter,
+                                   FilterConfig(kind=kind, q=q, r=r), case,
+                                   pf, cfg.scenario, frames, prior)
+        x_hat = estimate.state_matrix()
         metrics[kind] = _metrics(truth, x_hat, t_clear)
         p_diag = np.array([b.p.diagonal() for b in beliefs])
         _stage("write", write_estimates_csv, truth, x_hat, p_diag,

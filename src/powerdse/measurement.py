@@ -160,13 +160,22 @@ def synthesize(traj: Trajectory, nets: ScenarioNetworks, params: MachineParams,
     active powers, reactive powers, magnitudes, angles), so equal seeds give
     identical frames.  The clean frames of each regime are evaluated as one
     stack by ``machine_outputs``, so with zero noise every frame equals
-    ``machine_outputs`` of its state alone exactly.
+    ``machine_outputs`` of its state alone exactly.  Each regime's samples
+    must be one contiguous run, as a scenario's are; ValueError otherwise.
     """
     nm = params.n_machines
     delta = traj.delta_matrix()
+    regimes = traj.regime
     blocks = []
-    for regime in dict.fromkeys(traj.regime):
-        rows = np.array([i for i, r in enumerate(traj.regime) if r is regime])
+    stop = 0
+    while stop < len(regimes):
+        # a scenario's regimes follow each other, so each is one run of rows
+        start, regime = stop, regimes[stop]
+        stop = start + regimes.count(regime)
+        if regimes[start:stop].count(regime) != stop - start:
+            raise ValueError(f"the {regime.value} samples of the trajectory "
+                             "are not one contiguous run")
+        rows = np.arange(start, stop)
         net = nets.for_regime(regime)
         clean = machine_outputs(delta[rows], params.e_mag, net)
         blocks.append((rows, net.bus_order, np.concatenate(clean, axis=1)))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cases import BusKind, NetworkCase
+from .cases import Branch, BusKind, NetworkCase
 
 
 class PowerFlowError(RuntimeError):
@@ -25,25 +25,34 @@ class PowerFlowSolution:
     max_mismatch: float
 
 
-def build_ybus(case: NetworkCase) -> np.ndarray:
-    """Dense complex bus admittance matrix in case bus order.
+def branch_stamp(br: Branch) -> tuple[complex, complex, complex]:
+    """A branch's terms in the bus admittance matrix: its from diagonal, its
+    to diagonal and the coupling, which sits at both (from, to) and (to, from).
 
-    Each branch contributes its series admittance with half the total line
-    charging at each end; off-nominal taps sit on the from side, so the from
-    diagonal sees the branch through 1/tap^2 and the couplings through 1/tap.
-    Fixed bus shunt admittances land on the diagonal.
+    The series admittance carries half the total line charging at each end;
+    an off-nominal tap sits on the from side, so the from diagonal sees the
+    branch through 1/tap^2 and the coupling through 1/tap.
+    """
+    series = 1.0 / complex(br.r, br.x)
+    charging = 0.5j * br.b_shunt
+    return ((series + charging) / (br.tap * br.tap), series + charging,
+            -series / br.tap)
+
+
+def build_ybus(case: NetworkCase) -> np.ndarray:
+    """Dense complex bus admittance matrix in case bus order: every
+    ``branch_stamp``, then the fixed bus shunt admittances on the diagonal.
     """
     idx = case.bus_index()
     n = len(case.buses)
     ybus = np.zeros((n, n), dtype=complex)
     for br in case.branches:
         f, t = idx[br.from_bus], idx[br.to_bus]
-        series = 1.0 / complex(br.r, br.x)
-        charging = 0.5j * br.b_shunt
-        ybus[f, f] += (series + charging) / (br.tap * br.tap)
-        ybus[t, t] += series + charging
-        ybus[f, t] -= series / br.tap
-        ybus[t, f] -= series / br.tap
+        y_ff, y_tt, y_ft = branch_stamp(br)
+        ybus[f, f] += y_ff
+        ybus[t, t] += y_tt
+        ybus[f, t] += y_ft
+        ybus[t, f] += y_ft
     for pos, bus in enumerate(case.buses):
         ybus[pos, pos] += bus.shunt
     return ybus

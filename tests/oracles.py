@@ -14,6 +14,7 @@ import scipy.linalg
 import scipy.optimize
 
 from powerdse.cases import BusKind, NetworkCase
+from powerdse.reduction import ExtendedAdmittance, ReductionError
 
 
 def ybus_direct(case: NetworkCase) -> np.ndarray:
@@ -134,6 +135,24 @@ def extended_system_currents(y11: np.ndarray, y12: np.ndarray,
     """
     v = scipy.linalg.solve(y11, -y12 @ e)
     return y21 @ v + y22 @ e
+
+
+def remove_bus(ext: ExtendedAdmittance, bus_id: int) -> ExtendedAdmittance:
+    """Extended system with one network bus deleted (a solid fault to
+    ground): the fresh fault-on system that the rank-one update of
+    ``reduction.fault_network`` must reduce to."""
+    if bus_id not in ext.bus_order:
+        raise ReductionError(f"bus {bus_id} is not part of the extended network")
+    pos = ext.bus_order.index(bus_id)
+    keep = [i for i in range(len(ext.bus_order)) if i != pos]
+    return ExtendedAdmittance(
+        y11=ext.y11[np.ix_(keep, keep)],
+        y12=ext.y12[keep, :],
+        y21=ext.y21[:, keep],
+        y22=ext.y22,
+        bus_order=tuple(b for b in ext.bus_order if b != bus_id),
+        machine_order=ext.machine_order,
+    )
 
 
 def static_angle_inversion(z: np.ndarray, observe, n_machines: int,

@@ -17,6 +17,8 @@ from powerdse import (
     ScenarioError,
     Trajectory,
     electrical_power,
+    extend_network,
+    kron_reduce,
     load_case,
     machine_init,
     preset,
@@ -26,10 +28,11 @@ from powerdse import (
     solve_power_flow,
     swing_process_model,
     validate_scenario,
+    without_branch,
 )
 from powerdse.dynamics import swing_rates
 
-from oracles import reference_swing_trajectory
+from oracles import reference_swing_trajectory, remove_bus
 
 OMEGA0 = 120.0 * math.pi
 CONTINGENCIES = (Path(__file__).resolve().parent.parent / "bench"
@@ -209,34 +212,52 @@ def test_islanding_rejected_on_every_call(wecc9, wecc9_pf):
             scenario_networks(wecc9, wecc9_pf, scen)
 
 
-def counted_reductions(monkeypatch) -> list:
-    """The networks ``kron_reduce`` is asked to reduce from now on."""
-    calls = []
-    reduce = dynamics.kron_reduce
+def counted_builds(monkeypatch) -> dict[str, list]:
+    """The calls ``scenario_networks`` makes from now on to build an
+    extended system, a reduction base and a Kron reduction, by name."""
+    calls: dict[str, list] = {}
 
-    def counting(ext):
-        calls.append(ext)
-        return reduce(ext)
+    def counter(name):
+        original = getattr(dynamics, name)
+        log = calls.setdefault(name, [])
 
-    monkeypatch.setattr(dynamics, "kron_reduce", counting)
+        def counting(*args):
+            log.append(args)
+            return original(*args)
+
+        return counting
+
+    for name in ("extend_network", "reduction_base", "kron_reduce"):
+        monkeypatch.setattr(dynamics, name, counter(name))
     return calls
+
+
+def counts(calls: dict[str, list]) -> tuple[int, int, int]:
+    """(extended systems, bases, Kron reductions) built so far."""
+    return tuple(len(calls[name]) for name in
+                 ("extend_network", "reduction_base", "kron_reduce"))
 
 
 def test_screening_job_reduces_each_topology_once(monkeypatch):
     # A screening job asks for the networks, then simulate asks again; the
-    # second request is the last result.  A freshly loaded case cannot be
-    # the one an earlier test left behind.
+    # second request is the last result.  Every contingency of the case
+    # shares one extended system and its base, and reduces only its post
+    # network.  A freshly loaded case cannot be the one an earlier test
+    # left behind.
     case = load_case("ne39")
     pf = solve_power_flow(case)
-    scen = screening_scenarios()[0]
-    calls = counted_reductions(monkeypatch)
-    nets = scenario_networks(case, pf, scen)
-    truth = simulate(case, pf, scen)
-    assert len(calls) == 3
-    assert scenario_networks(case, pf, scen) is nets
-    # the same truth as a run that builds its own networks
-    again = simulate(load_case("ne39"), pf, scen)
-    assert len(calls) == 6
+    scens = screening_scenarios()
+    calls = counted_builds(monkeypatch)
+    nets = scenario_networks(case, pf, scens[0])
+    truth = simulate(case, pf, scens[0])
+    assert counts(calls) == (1, 1, 1)
+    assert scenario_networks(case, pf, scens[0]) is nets
+    for scen in scens[1:]:
+        assert scenario_networks(case, pf, scen).pre is nets.pre
+    assert counts(calls) == (1, 1, 33)
+    # the same truth as a run that builds its own base
+    again = simulate(load_case("ne39"), pf, scens[0])
+    assert counts(calls) == (2, 2, 34)
     assert np.array_equal(truth.delta_matrix(), again.delta_matrix())
     assert np.array_equal(truth.omega_matrix(), again.omega_matrix())
 
@@ -246,38 +267,77 @@ def test_experiment_reduces_each_topology_once(tmp_path, monkeypatch):
     cfg = preset("wecc9-fault8")
     cfg = replace(cfg, scenario=replace(cfg.scenario, t_end=2.0),
                   out_dir=str(tmp_path))
-    calls = counted_reductions(monkeypatch)
+    calls = counted_builds(monkeypatch)
     run_experiment(cfg)
-    assert len(calls) == 3
+    assert counts(calls) == (1, 1, 1)
 
 
 def test_scenario_networks_rebuilt_for_new_inputs(monkeypatch):
     case = load_case("wecc9")
     pf = solve_power_flow(case)
     scen = wecc9_scenario()
-    calls = counted_reductions(monkeypatch)
+    calls = counted_builds(monkeypatch)
     first = scenario_networks(case, pf, scen)
-    assert len(calls) == 3
+    assert counts(calls) == (1, 1, 1)
     # an equal scenario and an equal v_mag in other objects are a repeat
     assert scenario_networks(case, replace(pf, v_mag=pf.v_mag.copy()),
                              replace(scen)) is first
-    assert len(calls) == 3
+    assert counts(calls) == (1, 1, 1)
+    # another scenario on the same case and power flow keeps the base
     other = scenario_networks(case, pf,
                               wecc9_scenario(fault_bus=5, cleared_line=(5, 7)))
-    assert len(calls) == 6
+    assert counts(calls) == (1, 1, 2)
+    assert other.pre is first.pre
     assert np.max(np.abs(other.fault.y_red - first.fault.y_red)) > 1e-3
-    # one entry only: the first scenario is built again
+    # one scenario only: the first scenario is built again
     again = scenario_networks(case, pf, scen)
-    assert len(calls) == 9
+    assert counts(calls) == (1, 1, 3)
     assert again is not first
     assert np.array_equal(again.post.y_red, first.post.y_red)
     v_mag = pf.v_mag.copy()
     v_mag[4] *= 1.01
     moved = scenario_networks(case, replace(pf, v_mag=v_mag), scen)
-    assert len(calls) == 12
+    assert counts(calls) == (2, 2, 4)
     assert not np.array_equal(moved.pre.y_red, first.pre.y_red)
     scenario_networks(load_case("wecc9"), pf, scen)
-    assert len(calls) == 15
+    assert counts(calls) == (3, 3, 5)
+
+
+def fresh_networks(case, pf, scen) -> tuple[ReducedNetwork, ...]:
+    """The three networks of a scenario, each reduced from its own freshly
+    built extended system."""
+    ext = extend_network(case, pf)
+    post_case = without_branch(case, *scen.cleared_line)
+    return (kron_reduce(ext), kron_reduce(remove_bus(ext, scen.fault_bus)),
+            kron_reduce(extend_network(post_case, pf)))
+
+
+def assert_fresh(nets, case, pf, scen) -> None:
+    for got, want in zip((nets.pre, nets.fault, nets.post),
+                         fresh_networks(case, pf, scen)):
+        assert got.bus_order == want.bus_order
+        for a, b in ((got.y_red, want.y_red), (got.r_v, want.r_v)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_derived_networks_match_fresh_builds(ne39, ne39_pf):
+    # every screening contingency, the transformer lines among them
+    scens = screening_scenarios()
+    assert {(12, 11), (12, 13)} <= {s.cleared_line for s in scens}
+    assert all(br.tap != 1.0 for br in ne39.branches
+               if (br.from_bus, br.to_bus) in {(12, 11), (12, 13)})
+    for scen in scens:
+        assert_fresh(scenario_networks(ne39, ne39_pf, scen), ne39, ne39_pf,
+                     scen)
+
+
+@pytest.mark.parametrize("name", ["wecc9-fault8", "ne39-fault4"])
+def test_preset_networks_match_fresh_builds(name):
+    cfg = preset(name)
+    case = load_case(cfg.case)
+    pf = solve_power_flow(case)
+    assert_fresh(scenario_networks(case, pf, cfg.scenario), case, pf,
+                 cfg.scenario)
 
 
 def test_scenario_networks_read_only(wecc9, wecc9_pf):
@@ -350,6 +410,8 @@ def test_trajectory_from_states_matches_simulate(wecc9_run):
     assert len(rebuilt) == len(truth) == len(truth.states) == 1001
     assert np.array_equal(rebuilt.delta_matrix(), truth.delta_matrix())
     assert np.array_equal(rebuilt.omega_matrix(), truth.omega_matrix())
+    assert np.array_equal(rebuilt.state_matrix(), np.hstack(
+        [truth.delta_matrix(), truth.omega_matrix()]))
     for k in (0, 150, -1):
         assert isinstance(truth.states[k], DynamicState)
         assert np.array_equal(rebuilt.states[k].delta, truth.states[k].delta)
@@ -363,8 +425,8 @@ def test_trajectory_from_states_matches_simulate(wecc9_run):
 def test_trajectory_arrays_read_only(wecc9, wecc9_pf):
     traj = simulate(wecc9, wecc9_pf, wecc9_scenario(t_end=2.0))
     state = traj.states[120]
-    for array in (traj.delta_matrix(), traj.omega_matrix(), state.delta,
-                  state.omega):
+    for array in (traj.state_matrix(), traj.delta_matrix(),
+                  traj.omega_matrix(), state.delta, state.omega):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 

@@ -173,6 +173,18 @@ def test_faulted_bus_absent_during_fault(wecc9_run):
     assert any(8 not in fr.bus_ids for fr in wecc9_run.frames)
 
 
+def test_regimes_must_be_contiguous_runs(wecc9_net, wecc9_params,
+                                         wecc9_init):
+    # synthesize takes each regime's samples as one run of rows
+    state = DynamicState(delta=wecc9_init.delta0.copy(), omega=np.ones(3))
+    traj = Trajectory(times=np.arange(3) * 0.01, states=[state] * 3,
+                      regime=[Regime.PreFault, Regime.FaultOn,
+                              Regime.PreFault])
+    with pytest.raises(ValueError, match="pre_fault samples .* contiguous"):
+        synthesize(traj, same_net_everywhere(wecc9_net), wecc9_params,
+                   NoiseSpec())
+
+
 def test_complex_power_identity(wecc9_net, rng):
     e_mag = 1.0 + 0.1 * rng.random(3)
     for _ in range(100):

@@ -16,11 +16,11 @@ from powerdse import (
     kron_reduce,
     machine_init,
     electrical_power,
-    remove_bus,
 )
 from powerdse.dynamics import swing_rates
+from powerdse.reduction import fault_network, reduction_base
 
-from oracles import extended_system_currents
+from oracles import extended_system_currents, remove_bus
 
 
 def single_bus_case(p_load=1.0, q_load=0.0, xd=0.1):
@@ -178,6 +178,61 @@ def test_kron_near_singular_block_rejected():
     assert 1e13 < np.linalg.cond(y11, 1) < 1e15
     with pytest.raises(ReductionError, match="singular"):
         kron_reduce(two_bus_block(y11))
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["wecc9", "ne39"])
+def test_fault_network_matches_removed_bus(name, request):
+    # the rank-one update against a fresh reduction, for every bus
+    case = request.getfixturevalue(name)
+    ext = extend_network(case, request.getfixturevalue(f"{name}_pf"))
+    base = reduction_base(ext)
+    for bus_id in ext.bus_order:
+        want = kron_reduce(remove_bus(ext, bus_id))
+        got = fault_network(base, bus_id)
+        assert got.bus_order == want.bus_order
+        assert got.machine_order == want.machine_order
+        assert relative_gap(got.y_red, want.y_red) <= 1e-12
+        assert relative_gap(got.r_v, want.r_v) <= 1e-12
+    with pytest.raises(ReductionError, match="77"):
+        fault_network(base, 77)
+
+
+@pytest.mark.parametrize("y22", [1.0, 1.0 + 4e-14])
+def test_fault_network_singular_block_rejected(y22):
+    # The full bus block is invertible, but without bus 3 (or bus 1) the
+    # two buses left are one node, or nearly (a condition number near
+    # 1e14): the fault-on block is singular.
+    y11 = [[1.0, 1.0, 0.0], [1.0, y22, 1.0], [0.0, 1.0, 1.0]]
+    ext = ExtendedAdmittance(
+        y11=np.asarray(y11, dtype=complex),
+        y12=np.array([[1.0 + 0j], [0.0], [0.0]]),
+        y21=np.array([[1.0 + 0j, 0.0, 0.0]]),
+        y22=np.array([[1.0 + 0j]]),
+        bus_order=(1, 2, 3), machine_order=(4,),
+    )
+    base = reduction_base(ext)
+    with pytest.raises(ReductionError, match="singular"):
+        kron_reduce(remove_bus(ext, 3))
+    with pytest.raises(ReductionError, match="without faulted bus 3"):
+        fault_network(base, 3)
+    # without bus 2 the block is the identity
+    want = kron_reduce(remove_bus(ext, 2))
+    assert np.allclose(fault_network(base, 2).y_red, want.y_red,
+                       rtol=1e-12, atol=1e-12)
+
+
+def test_reduction_base_read_only(wecc9, wecc9_pf):
+    # every contingency of a case reads the same base, so none may change it
+    base = reduction_base(extend_network(wecc9, wecc9_pf))
+    ext = base.ext
+    for array in (ext.y11, ext.y12, ext.y21, ext.y22, base.z,
+                  base.pre.y_red, base.pre.r_v):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
 
 
 def test_machine_init_zero_current():
