@@ -14,12 +14,10 @@ from .cases import (
     Machine,
     NetworkCase,
     bundled_case_path,
-    dump_case,
     load_case,
     parse_case,
     total_load,
     validate_case,
-    without_branch,
 )
 from .powerflow import (
     PowerFlowError,

@@ -125,13 +125,17 @@ def powerflow(case_ref: str, tol: float, max_iter: int, out: str | None):
 @main.command()
 @click.argument("case_ref")
 @click.option("--fault-bus", type=int, required=True)
-@click.option("--t-fault", type=float, default=1.0, show_default=True)
-@click.option("--cycles", type=float, default=2.0, show_default=True,
+@click.option("--t-fault", type=float, default=FaultScenario.t_fault,
+              show_default=True)
+@click.option("--cycles", type=float, default=FaultScenario.clearing_cycles,
+              show_default=True,
               help="Fault duration in cycles before the line opens.")
 @click.option("--clear-line", nargs=2, type=int, required=True,
               help="End buses of the line opened to clear the fault.")
-@click.option("--t-end", type=float, default=10.0, show_default=True)
-@click.option("--dt", type=float, default=0.01, show_default=True)
+@click.option("--t-end", type=float, default=FaultScenario.t_end,
+              show_default=True)
+@click.option("--dt", type=float, default=FaultScenario.dt,
+              show_default=True)
 @click.option("--out", default=None, help="Write the trajectory CSV here.")
 def simulate(case_ref: str, fault_bus: int, t_fault: float, cycles: float,
              clear_line: tuple[int, int], t_end: float, dt: float,

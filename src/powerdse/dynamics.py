@@ -90,17 +90,17 @@ class Regime(Enum):
     PostFault = "post_fault"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FaultScenario:
     """Solid fault at ``fault_bus`` at ``t_fault``, cleared after
     ``clearing_cycles`` cycles by opening ``cleared_line``."""
 
     fault_bus: int
-    t_fault: float
-    clearing_cycles: float
+    t_fault: float = 1.0
+    clearing_cycles: float = 2.0
     cleared_line: tuple[int, int]
-    t_end: float
-    dt: float
+    t_end: float = 10.0
+    dt: float = 0.01
 
     def t_clear(self, frequency: float) -> float:
         return self.t_fault + self.clearing_cycles / frequency

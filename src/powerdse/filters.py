@@ -243,12 +243,12 @@ def swing_measurement_model(params: MachineParams,
                             net: ReducedNetwork) -> MeasurementModel:
     """Power-and-voltage observation map bound to one network topology.
 
-    Voltage angles use the continuous convention of ``machine_outputs``, so
-    predicted measurements stay comparable to unwrapped frames without
-    residual fixups.  ``observe`` takes one state vector or a (k, 2n) stack
-    of them and is ``machine_outputs``.  ``linearize`` takes the Jacobian from
-    the same emfs, powers and voltages as the prediction, and raises
-    ValueError where a reconstructed bus voltage is zero.
+    Voltage angles use the continuous convention of ``machine_outputs``,
+    which ``synthesize`` builds the frames from, so a prediction and its
+    frame differ by the noise alone.  ``observe`` takes one state vector or
+    a (k, 2n) stack of them and is ``machine_outputs``.  ``linearize`` takes
+    the Jacobian from the same emfs, powers and voltages as the prediction,
+    and raises ValueError where a reconstructed bus voltage is zero.
     """
     nm = params.n_machines
 

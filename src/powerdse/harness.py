@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .measurement import (
     MeasurementFrame,
     NoiseSpec,
     channel_names,
+    measurement_indices,
     measurement_variances,
     process_variances,
     synthesize,
@@ -293,20 +294,16 @@ def write_measurements_csv(frames: list[MeasurementFrame],
     nm = frames[0].p_g.size
     header = channel_names(nm, all_bus_ids)
     # Per layout: a row template with a blank for every absent bus, and the
-    # positions in the frame vector of the values it takes, in column order.
+    # order that puts the frame vector in column order.
     layouts: dict[tuple[int, ...], tuple[str, np.ndarray]] = {}
 
     def rows():
         for fr in frames:
             if fr.bus_ids not in layouts:
-                pos = {bus: i for i, bus in enumerate(fr.bus_ids)}
-                nb = len(fr.bus_ids)
-                cells = ["%r"] * (1 + 2 * nm)
-                take = list(range(2 * nm))
-                for offset in (2 * nm, 2 * nm + nb):
-                    cells += ["%r" if b in pos else "" for b in all_bus_ids]
-                    take += [offset + pos[b] for b in all_bus_ids if b in pos]
-                layouts[fr.bus_ids] = (",".join(cells), np.array(take))
+                cols = measurement_indices(all_bus_ids, fr.bus_ids, nm)
+                cells = np.full(len(header), "", dtype=object)
+                cells[0] = cells[1 + cols] = "%r"
+                layouts[fr.bus_ids] = (",".join(cells), np.argsort(cols))
             template, take = layouts[fr.bus_ids]
             yield template % (float(fr.t), *fr.z_vector()[take].tolist())
 
@@ -349,16 +346,26 @@ def _whole(key: str, value) -> int:
     return int(number)
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from a parsed YAML mapping, rejecting unknown keys."""
-    known = {"case", "scenario", "noise", "filters", "out_dir", "seed",
-             "prior_angle_shift", "prior_cov"}
-    extra = set(data) - known
+def _known(cls, section: str, data: dict) -> dict:
+    """``data`` as a dict, after rejecting keys that are not fields of
+    ``cls``."""
+    data = dict(data)
+    extra = set(data) - {f.name for f in fields(cls)}
     if extra:
-        raise ValueError(f"unknown config keys: {sorted(extra)}")
+        raise ValueError(f"unknown {section} keys: {sorted(extra)}")
+    return data
+
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    """Build a config from a parsed YAML mapping, rejecting unknown keys.
+
+    Each key given is coerced to its field's type; a key left out takes the
+    default of its dataclass field.
+    """
+    _known(ExperimentConfig, "config", data)
     if "case" not in data or "scenario" not in data:
         raise ValueError("config needs at least 'case' and 'scenario'")
-    filters = data.get("filters", ["ekf", "ukf"])
+    filters = data.get("filters", ExperimentConfig.filters)
     if not isinstance(filters, (list, tuple)):
         raise ValueError(f"config key 'filters' must be a list, got {filters!r}")
     unknown = [kind for kind in filters if kind not in FILTER_KINDS]
@@ -371,46 +378,33 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ValueError(f"config key 'filters' names filter kinds more than "
                          f"once: {repeated}")
 
-    scen = dict(data["scenario"])
-    scen_known = {"fault_bus", "t_fault", "clearing_cycles", "cleared_line",
-                  "t_end", "dt"}
-    extra = set(scen) - scen_known
-    if extra:
-        raise ValueError(f"unknown scenario keys: {sorted(extra)}")
-    line = scen["cleared_line"]
-    scenario = FaultScenario(
-        fault_bus=_whole("scenario.fault_bus", scen["fault_bus"]),
-        t_fault=float(scen.get("t_fault", 1.0)),
-        clearing_cycles=float(scen.get("clearing_cycles", 2.0)),
-        cleared_line=(_whole("scenario.cleared_line", line[0]),
-                      _whole("scenario.cleared_line", line[1])),
-        t_end=float(scen.get("t_end", 10.0)),
-        dt=float(scen.get("dt", 0.01)),
-    )
+    scen = _known(FaultScenario, "scenario", data["scenario"])
+    # a missing required key fails as the lookup of it always has
+    for key in ("cleared_line", "fault_bus"):
+        if key not in scen:
+            raise KeyError(key)
+    scen_types = {
+        "fault_bus": lambda bus: _whole("scenario.fault_bus", bus),
+        "cleared_line": lambda line: (_whole("scenario.cleared_line", line[0]),
+                                      _whole("scenario.cleared_line", line[1])),
+    }
+    scenario = FaultScenario(**{
+        f.name: scen_types.get(f.name, float)(scen[f.name])
+        for f in fields(FaultScenario) if f.name in scen})
 
-    noise_data = dict(data.get("noise", {}))
-    noise_known = {"sigma_p", "sigma_q", "sigma_vmag", "sigma_vang",
-                   "q_delta", "q_omega", "seed"}
-    extra = set(noise_data) - noise_known
-    if extra:
-        raise ValueError(f"unknown noise keys: {sorted(extra)}")
-    defaults = NoiseSpec()
     noise = NoiseSpec(**{
         key: (_whole("noise.seed", v) if key == "seed" else float(v))
-        for key, v in noise_data.items()
-    }) if noise_data else defaults
+        for key, v in _known(NoiseSpec, "noise", data.get("noise", {})).items()
+    })
 
-    seed = data.get("seed")
-    return ExperimentConfig(
-        case=str(data["case"]),
-        scenario=scenario,
-        noise=noise,
-        filters=tuple(filters),
-        out_dir=str(data.get("out_dir", "out")),
-        seed=None if seed is None else _whole("seed", seed),
-        prior_angle_shift=float(data.get("prior_angle_shift", 0.05)),
-        prior_cov=float(data.get("prior_cov", 1e-2)),
-    )
+    top_types = {
+        "case": str, "filters": tuple, "out_dir": str,
+        "seed": lambda seed: None if seed is None else _whole("seed", seed),
+        "prior_angle_shift": float, "prior_cov": float,
+    }
+    return ExperimentConfig(scenario=scenario, noise=noise, **{
+        key: to_type(data[key]) for key, to_type in top_types.items()
+        if key in data})
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:

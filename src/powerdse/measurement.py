@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -120,86 +121,37 @@ def machine_outputs_linearized(delta: np.ndarray, e_mag: np.ndarray,
                                     dv.imag])
 
 
-def _unwrap_voltage_angles(blocks: list[tuple[np.ndarray, tuple[int, ...],
-                                              np.ndarray]],
-                           n_machines: int) -> None:
-    """Remove 2-pi jumps from each bus's angle series over time, in place.
-
-    ``blocks`` holds (frame rows, bus ids, stacked frame vectors) per layout.
-    Buses that drop out and return (the faulted bus) are unwrapped per
-    contiguous run.  Series that never jump come back bit-identical.
-    """
-    n_frames = sum(rows.size for rows, _, _ in blocks)
-    buses = dict.fromkeys(b for _, ids, _ in blocks for b in ids)
-    column = {b: j for j, b in enumerate(buses)}
-    angles = np.zeros((n_frames, len(column)))
-    present = np.zeros((n_frames, len(column)), dtype=bool)
-    spots = []
-    for rows, ids, z in blocks:
-        spot = np.ix_(rows, [column[b] for b in ids])
-        angles[spot] = z[:, 2 * n_machines + len(ids):]
-        present[spot] = True
-        spots.append(spot)
-
-    for j in range(len(column)):
-        edges = np.flatnonzero(np.diff(present[:, j], prepend=False,
-                                       append=False))
-        for start, stop in zip(edges[::2], edges[1::2]):
-            angles[start:stop, j] = np.unwrap(angles[start:stop, j])
-
-    for (_, ids, z), spot in zip(blocks, spots):
-        z[:, 2 * n_machines + len(ids):] = angles[spot]
-
-
 def synthesize(traj: Trajectory, nets: ScenarioNetworks, params: MachineParams,
                noise: NoiseSpec) -> list[MeasurementFrame]:
     """Noisy measurement frames along a trajectory, one per sample.
 
-    Angle series are unwrapped before noise is added.  The generator is
-    seeded from ``noise.seed`` and consumed in a fixed order (per frame:
-    active powers, reactive powers, magnitudes, angles), so equal seeds give
-    identical frames.  The clean frames of each regime are evaluated as one
-    stack by ``machine_outputs``, so with zero noise every frame equals
-    ``machine_outputs`` of its state alone exactly.  Each regime's samples
-    must be one contiguous run, as a scenario's are; ValueError otherwise.
+    Each run of samples in one regime is evaluated as one stack by
+    ``machine_outputs`` on that regime's network, so with zero noise every
+    frame equals the measurement model of its state alone exactly, angles
+    included.  One generator seeded from ``noise.seed`` draws the runs in
+    frame order (per frame: active powers, reactive powers, magnitudes,
+    angles), so equal seeds give identical frames.
     """
     nm = params.n_machines
     delta = traj.delta_matrix()
-    regimes = traj.regime
-    blocks = []
-    stop = 0
-    while stop < len(regimes):
-        # a scenario's regimes follow each other, so each is one run of rows
-        start, regime = stop, regimes[stop]
-        stop = start + regimes.count(regime)
-        if regimes[start:stop].count(regime) != stop - start:
-            raise ValueError(f"the {regime.value} samples of the trajectory "
-                             "are not one contiguous run")
-        rows = np.arange(start, stop)
+    rng = np.random.default_rng(noise.seed)
+    frames: list[MeasurementFrame] = []
+    start = 0
+    for regime, run in groupby(traj.regime):
+        stop = start + len(list(run))
         net = nets.for_regime(regime)
-        clean = machine_outputs(delta[rows], params.e_mag, net)
-        blocks.append((rows, net.bus_order, np.concatenate(clean, axis=1)))
-    _unwrap_voltage_angles(blocks, nm)
-
-    # Frame k's draws follow frame k-1's; one draw of the total is the same
-    # stream as drawing frame by frame.
-    sizes = np.zeros(len(traj), dtype=int)
-    for rows, _, z in blocks:
-        sizes[rows] = z.shape[1]
-    offsets = np.cumsum(sizes) - sizes
-    draws = np.random.default_rng(noise.seed).standard_normal(int(sizes.sum()))
-
-    frames: list[MeasurementFrame | None] = [None] * len(traj)
-    for rows, ids, z in blocks:
-        nb = len(ids)
+        ids, nb = net.bus_order, len(net.bus_order)
+        z = np.concatenate(
+            machine_outputs(delta[start:stop], params.e_mag, net), axis=1)
         sigma = np.repeat([noise.sigma_p, noise.sigma_q, noise.sigma_vmag,
                            noise.sigma_vang], [nm, nm, nb, nb])
-        z = z + sigma * draws[offsets[rows][:, None] + np.arange(z.shape[1])]
-        for row, zk in zip(rows.tolist(), z):
-            frames[row] = MeasurementFrame(
-                t=float(traj.times[row]), p_g=zk[:nm], q_g=zk[nm:2 * nm],
-                v_mag=zk[2 * nm:2 * nm + nb], v_ang=zk[2 * nm + nb:],
-                bus_ids=ids)
+        z += sigma * rng.standard_normal(z.shape)
+        frames.extend(
+            MeasurementFrame(t=t, p_g=zk[:nm], q_g=zk[nm:2 * nm],
+                             v_mag=zk[2 * nm:2 * nm + nb],
+                             v_ang=zk[2 * nm + nb:], bus_ids=ids)
+            for t, zk in zip(traj.times[start:stop].tolist(), z))
+        start = stop
     return frames
 
 

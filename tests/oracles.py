@@ -5,15 +5,19 @@ different route than the package (Gauss-Seidel instead of Newton, direct
 stamp summation instead of the builder loop, a textbook linear Kalman
 recursion, dense block solves instead of the reduced matrix).  Only plain
 data types are imported from the package; no computational code is shared.
+The module also holds the case helpers that only the tests need:
+``dump_case`` and ``without_branch``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from powerdse.cases import BusKind, NetworkCase
+from powerdse.cases import Branch, BusKind, CaseError, NetworkCase
 from powerdse.reduction import ExtendedAdmittance, ReductionError
 
 
@@ -153,6 +157,56 @@ def remove_bus(ext: ExtendedAdmittance, bus_id: int) -> ExtendedAdmittance:
         bus_order=tuple(b for b in ext.bus_order if b != bus_id),
         machine_order=ext.machine_order,
     )
+
+
+def dump_case(case: NetworkCase) -> str:
+    """Serialize a case to the text format.  parse_case inverts this exactly."""
+
+    def opt(value: float | None) -> str:
+        return "-" if value is None else repr(value)
+
+    out = [
+        f"name {case.name}",
+        f"base_mva {case.base_mva!r}",
+        f"frequency {case.frequency!r}",
+        "",
+        "[buses]",
+    ]
+    with_shunt = any(b.shunt != 0j for b in case.buses)
+    for b in case.buses:
+        row = f"{b.id} {b.kind.value} {b.p_load!r} {b.q_load!r} {opt(b.v_setpoint)}"
+        if with_shunt:
+            row += f" {b.shunt.real!r} {b.shunt.imag!r}"
+        out.append(row)
+    out.append("")
+    out.append("[branches]")
+    for br in case.branches:
+        out.append(f"{br.from_bus} {br.to_bus} {br.r!r} {br.x!r} {br.b_shunt!r} {br.tap!r}")
+    out.append("")
+    out.append("[machines]")
+    with_qgen = any(m.q_gen is not None for m in case.machines)
+    for m in case.machines:
+        row = f"{m.bus} {m.h!r} {m.d!r} {m.xd_prime!r} {opt(m.p_gen)}"
+        if with_qgen:
+            row += f" {opt(m.q_gen)}"
+        out.append(row)
+    out.append("")
+    return "\n".join(out)
+
+
+def without_branch(case: NetworkCase, from_bus: int, to_bus: int) -> NetworkCase:
+    """Copy of the case with one branch removed (either end order accepted)."""
+    ends = {from_bus, to_bus}
+    kept: list[Branch] = []
+    dropped = False
+    for br in case.branches:
+        if not dropped and {br.from_bus, br.to_bus} == ends:
+            dropped = True
+            continue
+        kept.append(br)
+    if not dropped:
+        raise CaseError(f"no branch {from_bus}-{to_bus} in case {case.name!r}")
+    return replace(case, branches=tuple(kept))
 
 
 def static_angle_inversion(z: np.ndarray, observe, n_machines: int,

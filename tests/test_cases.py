@@ -11,13 +11,13 @@ from powerdse import (
     Machine,
     NetworkCase,
     bundled_case_path,
-    dump_case,
     load_case,
     parse_case,
     total_load,
     validate_case,
-    without_branch,
 )
+
+from oracles import dump_case, without_branch
 
 
 def test_wecc9_contents(wecc9):

@@ -28,11 +28,10 @@ from powerdse import (
     solve_power_flow,
     swing_process_model,
     validate_scenario,
-    without_branch,
 )
 from powerdse.dynamics import swing_rates
 
-from oracles import reference_swing_trajectory, remove_bus
+from oracles import reference_swing_trajectory, remove_bus, without_branch
 
 OMEGA0 = 120.0 * math.pi
 CONTINGENCIES = (Path(__file__).resolve().parent.parent / "bench"

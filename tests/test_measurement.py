@@ -17,6 +17,7 @@ from powerdse import (
     measurement_variances,
     process_variances,
     simulate,
+    swing_measurement_model,
     synthesize,
 )
 
@@ -173,16 +174,52 @@ def test_faulted_bus_absent_during_fault(wecc9_run):
     assert any(8 not in fr.bus_ids for fr in wecc9_run.frames)
 
 
-def test_regimes_must_be_contiguous_runs(wecc9_net, wecc9_params,
-                                         wecc9_init):
-    # synthesize takes each regime's samples as one run of rows
-    state = DynamicState(delta=wecc9_init.delta0.copy(), omega=np.ones(3))
-    traj = Trajectory(times=np.arange(3) * 0.01, states=[state] * 3,
-                      regime=[Regime.PreFault, Regime.FaultOn,
-                              Regime.PreFault])
-    with pytest.raises(ValueError, match="pre_fault samples .* contiguous"):
-        synthesize(traj, same_net_everywhere(wecc9_net), wecc9_params,
-                   NoiseSpec())
+def test_regime_that_returns_is_its_own_run(wecc9_run):
+    # a regime may come back; each run of it is evaluated on its own network
+    nets, params = wecc9_run.nets, wecc9_run.params
+    nm = params.n_machines
+    regimes = [Regime.PreFault, Regime.PreFault, Regime.FaultOn,
+               Regime.FaultOn, Regime.FaultOn, Regime.PreFault]
+    states = wecc9_run.truth.state_matrix()[100:100 + len(regimes)]
+    traj = Trajectory(times=np.arange(len(regimes)) * 0.01, states=states,
+                      regime=regimes)
+    silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
+                       sigma_vang=0.0)
+    clean = synthesize(traj, nets, params, silent)
+    for fr, state, regime in zip(clean, states, regimes):
+        net = nets.for_regime(regime)
+        assert fr.bus_ids == net.bus_order
+        assert np.array_equal(fr.z_vector(), np.concatenate(
+            machine_outputs(state[:nm], params.e_mag, net)))
+
+    noise = NoiseSpec(seed=5)
+    noisy = synthesize(traj, nets, params, noise)
+    ends = np.cumsum([fr.size for fr in clean])
+    draws = np.split(np.random.default_rng(5).standard_normal(ends[-1]),
+                     ends[:-1])
+    for fr, base, draw in zip(noisy, clean, draws):
+        nb = len(fr.bus_ids)
+        sigma = np.repeat([noise.sigma_p, noise.sigma_q, noise.sigma_vmag,
+                           noise.sigma_vang], [nm, nm, nb, nb])
+        assert np.array_equal(fr.z_vector(), base.z_vector() + sigma * draw)
+
+
+def test_frames_follow_the_measurement_model(wecc9_net, wecc9_params):
+    # machine 1 turns 3 pi against the others: each frame is still the
+    # filter's own prediction h(x), not a series unwrapped 2 pi away from it
+    n = 301
+    states = np.tile(np.concatenate([wecc9_params.delta0, np.ones(3)]),
+                     (n, 1))
+    states[:, 0] += np.linspace(0.0, 3.0 * np.pi, n)
+    traj = Trajectory(times=np.arange(n) * 0.01, states=states,
+                      regime=[Regime.PreFault] * n)
+    silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
+                       sigma_vang=0.0)
+    frames = synthesize(traj, same_net_everywhere(wecc9_net), wecc9_params,
+                        silent)
+    model = swing_measurement_model(wecc9_params, wecc9_net)
+    for fr, state in zip(frames, states):
+        assert np.array_equal(fr.z_vector(), model.observe(state))
 
 
 def test_complex_power_identity(wecc9_net, rng):
