@@ -439,10 +439,10 @@ def _stage_maps(step: float, omega0: float, inertia: bytes, damping: bytes,
     return tuple(groups), update
 
 
-def _rk_stepper(params: MachineParams, net: ReducedNetwork,
-                maps: _RKMaps) -> Callable[[np.ndarray, np.ndarray], None]:
-    """Runge-Kutta steps on one topology with the step maps ``maps`` from
-    ``_rk_maps``, which are Cooper and Verner's eighth-order method.
+def _rk_stepper(params: MachineParams, net: ReducedNetwork
+                ) -> Callable[[np.ndarray, np.ndarray, _RKMaps], None]:
+    """Runge-Kutta steps on one topology, Cooper and Verner's eighth-order
+    method, with the step maps of each call's step length from ``_rk_maps``.
 
     On y = (angles, speed deviations) the swing right-hand side is
     semilinear:
@@ -457,19 +457,25 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork,
 
     Each stage argument A (y_i, 1) and the update are therefore linear in
     z = (y, 1, g_1, .., g_s).  Those maps depend on the step length but not
-    on the topology, which enters only through R, so topologies share
-    them.  Stages 2g and 2g + 1 read only the powers of stages before 2g
-    (see ``_rk_maps``), so both arguments come from z before either stage
+    on the topology, which enters only through R, so R is built once here
+    and the maps are passed per call: ``simulate`` builds one stepper per
+    topology it steps on and hands each span its step length's maps.
+    Stages 2g and 2g + 1 read only the powers of stages before 2g (see
+    ``_rk_maps``), so both arguments come from z before either stage
     writes, and the pair is evaluated at once: one product for both
     arguments, one cosine, one product with R for the k = 1 or 2 stages as
     the rows of a (k, m) array, and one multiply into their power slots,
-    which are adjacent in z.  A step is six such groups and one update: on a
-    few machines numpy's per-call dispatch, not arithmetic, is the cost, so
-    the stepper also owns its ``z`` and cosine buffers.  Returns
-    ``advance(y0, out)``, which takes ``len(out)`` steps from ``y0`` and
-    writes the state after each into the rows of ``out``.
+    which are adjacent in z.  A step is six such groups of 4 numpy calls,
+    then one product of the update map written straight into the output row
+    and one copy of that row back into z.  On a few machines numpy's
+    per-call dispatch, not arithmetic, is the cost, so the stepper owns its
+    ``z`` and cosine buffers and binds the methods it calls.
+
+    Returns ``advance(y0, out, maps)``, which takes ``len(out)`` steps from
+    ``y0`` with ``maps`` and writes the state after each into the rows of
+    ``out``, a C-contiguous float64 array.  Every call starts from ``y0``
+    alone: each power a step reads it has written earlier in that step.
     """
-    groups, update = maps
     n = params.n_machines
     m = 2 * n
     inv_2h = 0.5 / params.h
@@ -482,28 +488,36 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork,
     rotate_t[:n, n:] = scaled.imag.T
     rotate_t[n:, :n] = -scaled.imag.T
 
-    z = np.zeros(update.shape[1])
+    s = len(_RK_STAGES)
+    z = np.zeros(m + 1 + s * m)
     z[m] = 1.0
     y = z[:m]
     c = np.empty(2 * m)
-    # each group reads a prefix of z and writes its stages' powers in place,
-    # through views into z
-    plan = []
+    # Per group of k = 1 or 2 stages, as ``_rk_maps`` groups them: its
+    # cosine buffer flat and as (k, m) rows, and its stages' power slots,
+    # views into c and z.  Each group writes its powers in place.
+    views = []
     first = m + 1   # z column of the next group's first power
-    for arg in groups:
-        k = arg.shape[0] // m
-        plan.append((arg, z[:arg.shape[1]], c[:k * m], c[:k * m].reshape(k, m),
-                     z[first:first + k * m].reshape(k, m)))
+    for g in range(0, s, 2):
+        k = min(2, s - g)
+        rows = c[:k * m].reshape(k, m)
+        views.append((c[:k * m], rows, rows.dot,
+                      z[first:first + k * m].reshape(k, m)))
         first += k * m
 
-    def advance(y0: np.ndarray, out: np.ndarray) -> None:
+    def advance(y0: np.ndarray, out: np.ndarray, maps: _RKMaps) -> None:
+        groups, update = maps
+        # each group reads the prefix of z as wide as its map
+        plan = [(arg.dot, z[:arg.shape[1]], *view)
+                for arg, view in zip(groups, views)]
+        cos, multiply, dot = np.cos, np.multiply, np.dot
         y[:] = y0
         for row in out:
-            for arg, read, c_flat, c_rows, power in plan:
-                np.cos(arg.dot(read), out=c_flat)
-                np.multiply(c_rows, c_rows.dot(rotate_t), out=power)
-            y[:] = update.dot(z)
-            row[:] = y
+            for arg_dot, read, c_flat, c_rows, rows_dot, power in plan:
+                cos(arg_dot(read), out=c_flat)
+                multiply(c_rows, rows_dot(rotate_t), out=power)
+            dot(update, z, out=row)
+            y[:] = row
 
     return advance
 
@@ -519,8 +533,11 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
     Runge-Kutta (``_rk_stepper``) at one step per sample interval; a finer
     truth takes a smaller ``dt``.  An interval that contains the fault or
     clearing instant is split there, so every step sees a single topology,
-    and each part after the fault takes one step.  Raises InstabilityError
-    at the first sample where a machine's speed leaves the stable band.
+    and each part after the fault takes one step.  One stepper is built per
+    topology stepped on (fault-on, post-clearing), and each run of whole
+    intervals or part of a split one is one call of it, with the shared step
+    maps of its step length.  Raises InstabilityError at the first sample
+    where a machine's speed leaves the stable band.
     """
     nets = scenario_networks(case, pf, scenario)
     params = machine_init(case, pf, nets.pre)
@@ -531,11 +548,13 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
     times = np.arange(n_steps + 1) * scenario.dt
     regimes = scenario.regimes(times, freq)
 
-    def steppers(regime: Regime, h: float) -> tuple[Callable, ...]:
+    advancers = {regime: _rk_stepper(params, nets.for_regime(regime))
+                 for regime in (Regime.FaultOn, Regime.PostFault)}
+
+    def steps(regime: Regime, h: float) -> tuple[tuple[Callable, _RKMaps], ...]:
         if regime is Regime.PreFault:
             return ()   # held at the equilibrium
-        return (_rk_stepper(params, nets.for_regime(regime),
-                            _rk_maps(params, h)),)
+        return ((advancers[regime], _rk_maps(params, h)),)
 
     # Interval k runs from times[k] to times[k + 1] in the regime of
     # times[k], unless a switching instant splits it.
@@ -557,23 +576,23 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
     ys = np.empty((n_steps + 1, 2 * n))
     ys[0, :n] = params.delta0
     ys[0, n:] = 0.0
-    # Each span is one call per stepper; the parts of a split interval each
-    # rewrite its end row, from that row.  The pre-fault run, first if any,
-    # holds row 0; the fault-on part of an interval split at the fault
+    # Each span is one stepper call per part; the parts of a split interval
+    # each rewrite its end row, from that row.  The pre-fault run, first if
+    # any, holds row 0; the fault-on part of an interval split at the fault
     # starts from its held row.
     for a, b in zip(edges[:-1], edges[1:]):
         if a in splits:
             cuts = [float(times[a]), *splits[a], float(times[b])]
-            parts = sum((steppers(scenario.regime(t0, freq), t1 - t0)
+            parts = sum((steps(scenario.regime(t0, freq), t1 - t0)
                          for t0, t1 in zip(cuts[:-1], cuts[1:])), ())
         else:
-            parts = steppers(regimes[a], scenario.dt)
+            parts = steps(regimes[a], scenario.dt)
         out = ys[a + 1:b + 1]
         start = ys[a]
         if not parts:
             out[:] = ys[0]
-        for advance in parts:
-            advance(start, out)
+        for advance, maps in parts:
+            advance(start, out, maps)
             start = out[-1]
         dev = np.abs(out[:, n:])
         over = np.flatnonzero(dev.max(axis=1) > SPEED_LIMIT)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,15 @@ class ExperimentReport:
     power flow, reduction, simulation, synthesis, every filter, and the
     writing of all artifacts, the CSV files and ``report.txt`` included.
     Acceptance criteria 6 and 7 bound this number."""
+    stage_seconds: dict[str, float]
+    """Wall-clock seconds summed per stage tag (``load-case``,
+    ``power-flow``, ``reduction``, ``simulate``, ``synthesize``, ``prior``,
+    ``filter-<kind>``, ``write``), the tags that name a failed stage; their
+    sum is at most ``wall_seconds``."""
+    pf_iterations: int
+    """Newton iterations the power flow took to converge."""
+    pf_max_mismatch: float
+    """Largest power mismatch (pu) left at the converged power flow."""
 
 
 def _rms_by_machine(d_err: np.ndarray, o_err: np.ndarray) -> dict[str, np.ndarray]:
@@ -157,13 +167,18 @@ def default_prior(init_delta: np.ndarray, angle_shift: float,
     return init_belief(x0, cov_scale * np.eye(x0.size))
 
 
-def _stage(name: str, fn, *args, **kwargs):
+def _stage(seconds: dict[str, float], name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its failure tagged ``name`` and its wall
+    time added to ``seconds[name]``."""
+    t0 = time.perf_counter()
     try:
         return fn(*args, **kwargs)
     except ExperimentError:
         raise
     except Exception as exc:
         raise ExperimentError(name, str(exc)) from exc
+    finally:
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -181,54 +196,58 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             raise ExperimentError(f"filter-{kind}",
                                   f"filter kind {kind!r} is repeated")
     noise = cfg.noise if cfg.seed is None else replace(cfg.noise, seed=cfg.seed)
+    stage_seconds: dict[str, float] = {}
+    stage = partial(_stage, stage_seconds)
 
-    case = _stage("load-case", load_case, cfg.case)
+    case = stage("load-case", load_case, cfg.case)
     clear_time = cfg.scenario.t_clear(case.frequency)
     if clear_time >= cfg.scenario.t_end:
         raise ExperimentError(
             "scenario",
             f"window ends at t={cfg.scenario.t_end:g}s but the fault clears "
             f"at t={clear_time:.4f}s; nothing to score after clearing")
-    pf = _stage("power-flow", solve_power_flow, case)
-    nets = _stage("reduction", scenario_networks, case, pf, cfg.scenario)
-    params = _stage("reduction", machine_init, case, pf, nets.pre)
-    truth = _stage("simulate", simulate, case, pf, cfg.scenario)
-    frames = _stage("synthesize", synthesize, truth, nets, params, noise)
+    pf = stage("power-flow", solve_power_flow, case)
+    nets = stage("reduction", scenario_networks, case, pf, cfg.scenario)
+    params = stage("reduction", machine_init, case, pf, nets.pre)
+    truth = stage("simulate", simulate, case, pf, cfg.scenario)
+    frames = stage("synthesize", synthesize, truth, nets, params, noise)
 
     nm = params.n_machines
     all_bus_ids = tuple(b.id for b in case.buses)
     t_clear = cfg.scenario.t_clear(case.frequency)
-    prior = _stage("prior", default_prior, params.delta0,
-                   cfg.prior_angle_shift, cfg.prior_cov)
+    prior = stage("prior", default_prior, params.delta0,
+                  cfg.prior_angle_shift, cfg.prior_cov)
     # Floor at a tiny variance so all-zero noise settings stay invertible.
     q = np.diag(np.maximum(process_variances(noise, nm), 1e-12))
     r = np.diag(np.maximum(
         measurement_variances(noise, nm, len(all_bus_ids)), 1e-12))
 
     out_dir = Path(cfg.out_dir)
-    _stage("write", out_dir.mkdir, parents=True, exist_ok=True)
-    _stage("write", write_trajectory_csv, truth, out_dir / "truth.csv")
-    _stage("write", write_measurements_csv, frames, all_bus_ids,
-           out_dir / "measurements.csv")
+    stage("write", out_dir.mkdir, parents=True, exist_ok=True)
+    stage("write", write_trajectory_csv, truth, out_dir / "truth.csv")
+    stage("write", write_measurements_csv, frames, all_bus_ids,
+          out_dir / "measurements.csv")
 
     metrics: dict[str, FilterMetrics] = {}
     for kind in cfg.filters:
-        estimate, beliefs = _stage(f"filter-{kind}", run_filter,
-                                   FilterConfig(kind=kind, q=q, r=r), case,
-                                   pf, cfg.scenario, frames, prior)
+        estimate, beliefs = stage(f"filter-{kind}", run_filter,
+                                  FilterConfig(kind=kind, q=q, r=r), case,
+                                  pf, cfg.scenario, frames, prior)
         x_hat = estimate.state_matrix()
         metrics[kind] = _metrics(truth, x_hat, t_clear)
         p_diag = np.array([b.p.diagonal() for b in beliefs])
-        _stage("write", write_estimates_csv, truth, x_hat, p_diag,
-               out_dir / f"estimate_{kind}.csv")
+        stage("write", write_estimates_csv, truth, x_hat, p_diag,
+              out_dir / f"estimate_{kind}.csv")
 
     report = ExperimentReport(
         config=cfg, case_name=case.name, n_samples=len(truth),
-        metrics=metrics, out_dir=out_dir, wall_seconds=0.0,
+        metrics=metrics, out_dir=out_dir, wall_seconds=0.0, stage_seconds={},
+        pf_iterations=pf.iterations, pf_max_mismatch=pf.max_mismatch,
     )
     # report.txt holds no timing, so the clock stops once it is written.
-    _stage("write", (out_dir / "report.txt").write_text, format_report(report))
-    return replace(report, wall_seconds=time.perf_counter() - t0)
+    stage("write", (out_dir / "report.txt").write_text, format_report(report))
+    return replace(report, wall_seconds=time.perf_counter() - t0,
+                   stage_seconds=stage_seconds)
 
 
 def format_report(report: ExperimentReport) -> str:
@@ -379,10 +398,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                          f"once: {repeated}")
 
     scen = _known(FaultScenario, "scenario", data["scenario"])
-    # a missing required key fails as the lookup of it always has
     for key in ("cleared_line", "fault_bus"):
         if key not in scen:
-            raise KeyError(key)
+            raise ValueError(f"config key 'scenario.{key}' is required")
     scen_types = {
         "fault_bus": lambda bus: _whole("scenario.fault_bus", bus),
         "cleared_line": lambda line: (_whole("scenario.cleared_line", line[0]),

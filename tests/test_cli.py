@@ -307,3 +307,15 @@ def test_run_nan_noise_level_is_one_line(runner, tmp_path):
     assert lines[0] == ("Error: noise levels must be finite and at least 0: "
                         "sigma_p=nan")
     assert not out_dir.exists()
+
+
+def test_run_missing_scenario_key_is_named(runner, tmp_path):
+    # used to print only "Error: 'cleared_line'", from a bare KeyError
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("case: wecc9\n"
+                   "scenario:\n"
+                   "  fault_bus: 8\n")
+    result = runner.invoke(main, ["run", str(cfg)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: config key 'scenario.cleared_line' is required"]

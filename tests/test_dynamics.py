@@ -526,10 +526,11 @@ def test_default_steps_accuracy(name, bound, request):
 
 
 def test_step_plan_counts(wecc9, wecc9_pf, monkeypatch):
-    # Whole intervals run one step of dt, one stepper per regime; only the
-    # interval split by the clearing instant takes other steps, one stepper
-    # and one step per part.  The step maps are built once per step length
-    # and shared by the steppers of every topology.
+    # One stepper per topology stepped on, fault-on and post.  Whole
+    # intervals run one step of dt; only the interval split by the clearing
+    # instant takes other steps, one call and one step per part.  The step
+    # maps are built once per step length and passed to whichever stepper
+    # runs a span.
     scen = preset("wecc9-fault8").scenario
     built: dict[int, float] = {}   # id of each built map set -> its step
     steppers, calls = [], []
@@ -540,28 +541,49 @@ def test_step_plan_counts(wecc9, wecc9_pf, monkeypatch):
         built[id(maps)] = h
         return maps
 
-    def counting_stepper(params, net, maps):
-        h = built[id(maps)]
-        steppers.append(h)
-        advance = build_stepper(params, net, maps)
+    def counting_stepper(params, net):
+        steppers.append(net)
+        advance = build_stepper(params, net)
 
-        def counted(y0, out):
-            calls.extend([h] * len(out))   # one per interval
-            advance(y0, out)
+        def counted(y0, out, maps):
+            calls.extend([built[id(maps)]] * len(out))   # one per interval
+            advance(y0, out, maps)
         return counted
 
     monkeypatch.setattr(dynamics, "_rk_maps", counting_maps)
     monkeypatch.setattr(dynamics, "_rk_stepper", counting_stepper)
     simulate(wecc9, wecc9_pf, scen)
+    nets = scenario_networks(wecc9, wecc9_pf, scen)
     whole = scen.dt
-    assert sorted(built.values()) == sorted(set(steppers))
+    assert [id(net) for net in steppers] == [id(nets.fault), id(nets.post)]
     assert len(built) == 3
-    assert len(steppers) == 4
-    assert steppers.count(whole) == 2
+    assert sorted(set(built.values())) == sorted(set(calls))
     assert calls.count(whole) == 899
     split = [h for h in calls if h != whole]
     assert len(split) == 2
     assert sum(split) == pytest.approx(scen.dt)
+
+
+def test_stepper_reused_across_step_lengths(wecc9_params, wecc9_net):
+    # One stepper called with the maps of one step length, then another,
+    # each call from the same y0, writes rows bitwise equal to a fresh
+    # stepper per call: each call starts from its y0 alone, whatever the
+    # last call left in its buffers.
+    params = wecc9_params
+    n = params.n_machines
+    rng = np.random.default_rng(3)
+    y0 = np.concatenate([params.delta0 + rng.uniform(-0.3, 0.3, n),
+                         rng.uniform(-0.01, 0.01, n)])
+    spans = [(0.01 / 3, 4), (0.01, 7), (0.01 / 3, 2)]
+    reused = dynamics._rk_stepper(params, wecc9_net)
+    for h, rows in spans:
+        maps = dynamics._rk_maps(params, h)
+        out = np.empty((rows, 2 * n))
+        fresh = np.empty((rows, 2 * n))
+        reused(y0, out, maps)
+        dynamics._rk_stepper(params, wecc9_net)(y0, fresh, maps)
+        assert np.max(np.abs(out - y0)) > 1e-6
+        assert np.array_equal(out, fresh)
 
 
 @pytest.mark.parametrize("name", ["wecc9", "ne39"])
@@ -572,9 +594,10 @@ def test_stepper_holds_equilibrium(name, request):
     params = request.getfixturevalue(f"{name}_params")
     net = request.getfixturevalue(f"{name}_net")
     n = params.n_machines
-    advance = dynamics._rk_stepper(params, net, dynamics._rk_maps(params, 0.01))
+    advance = dynamics._rk_stepper(params, net)
     out = np.empty((1000, 2 * n))
-    advance(np.concatenate([params.delta0, np.zeros(n)]), out)
+    advance(np.concatenate([params.delta0, np.zeros(n)]), out,
+            dynamics._rk_maps(params, 0.01))
     assert np.max(np.abs(out[:, :n] - params.delta0)) < 1e-6
     assert np.max(np.abs(out[:, n:])) < 1e-8
 
@@ -589,9 +612,9 @@ def test_pre_fault_rows_are_held(wecc9, wecc9_pf, t_fault, monkeypatch):
     topologies = []
     build_stepper = dynamics._rk_stepper
 
-    def recording_stepper(params, net, maps):
+    def recording_stepper(params, net):
         topologies.append(net.y_red)
-        return build_stepper(params, net, maps)
+        return build_stepper(params, net)
 
     monkeypatch.setattr(dynamics, "_rk_stepper", recording_stepper)
     traj = simulate(wecc9, wecc9_pf, scen)
@@ -606,10 +629,10 @@ def test_pre_fault_rows_are_held(wecc9, wecc9_pf, t_fault, monkeypatch):
     if traj.times[held[-1]] < t_fault:
         params = machine_init(wecc9, wecc9_pf, nets.pre)
         h = float(traj.times[first]) - t_fault
-        advance = build_stepper(params, nets.fault,
-                                dynamics._rk_maps(params, h))
+        advance = build_stepper(params, nets.fault)
         out = np.empty((1, 6))
-        advance(np.concatenate([params.delta0, np.zeros(3)]), out)
+        advance(np.concatenate([params.delta0, np.zeros(3)]), out,
+                dynamics._rk_maps(params, h))
         assert np.array_equal(ys[first], np.concatenate([out[0, :3],
                                                          1.0 + out[0, 3:]]))
 
@@ -696,9 +719,9 @@ def test_stepper_matches_textbook_runge_kutta(name, request):
     y0 = np.concatenate([init.delta0 + rng.uniform(-0.3, 0.3, n),
                          rng.uniform(-0.01, 0.01, n)])
     h = 0.01
-    advance = dynamics._rk_stepper(params, net, dynamics._rk_maps(params, h))
+    advance = dynamics._rk_stepper(params, net)
     out = np.empty((1, 2 * n))
-    advance(y0, out)
+    advance(y0, out, dynamics._rk_maps(params, h))
     ref = interval_by_textbook(params, net, y0, h)
     assert np.max(np.abs(ref - y0)) > 1e-4
     assert np.max(np.abs(out[0, :n] - ref[:n])) <= 1e-12

@@ -247,6 +247,15 @@ def test_config_from_dict_requires_case_and_scenario():
                                        "cleared_line": [8, 9]}})
 
 
+@pytest.mark.parametrize("key", ["cleared_line", "fault_bus"])
+def test_config_from_dict_requires_scenario_keys(key):
+    scenario = {"fault_bus": 8, "cleared_line": [8, 9]}
+    del scenario[key]
+    with pytest.raises(ValueError,
+                       match=rf"^config key 'scenario\.{key}' is required$"):
+        config_from_dict({"case": "wecc9", "scenario": scenario})
+
+
 def test_load_experiment_config(tmp_path):
     path = tmp_path / "exp.yaml"
     path.write_text(
@@ -325,6 +334,21 @@ def test_report_file_matches_in_memory_report(wecc9_run):
     assert wecc9_run.report.wall_seconds > 0.0
     assert "second" not in text  # timing never lands on disk
     assert f"{wecc9_run.report.n_samples} samples" in text
+
+
+def test_report_times_its_stages(wecc9_run):
+    # every stage from case load to the last write is timed under the tag
+    # that names it on failure, and together they fit in the wall time
+    report = wecc9_run.report
+    assert set(report.stage_seconds) == {
+        "load-case", "power-flow", "reduction", "simulate", "synthesize",
+        "prior", "filter-ekf", "filter-ukf", "write"}
+    assert all(t > 0.0 for t in report.stage_seconds.values())
+    assert sum(report.stage_seconds.values()) <= report.wall_seconds
+    assert report.pf_iterations == wecc9_run.pf.iterations > 0
+    assert report.pf_max_mismatch == wecc9_run.pf.max_mismatch
+    text = (report.out_dir / "report.txt").read_text()
+    assert "iteration" not in text and "mismatch" not in text
 
 
 def test_metrics_recomputable_from_estimates_csv(wecc9_run):
