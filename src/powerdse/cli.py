@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -11,11 +10,12 @@ import click
 import numpy as np
 
 from .cases import NetworkCase, load_case, total_load
-from .dynamics import FaultScenario
+from .dynamics import FaultScenario, _joined_rows
 from .dynamics import simulate as run_simulation
 from .harness import (
     PRESETS,
     ExperimentError,
+    _write_rows,
     format_report,
     load_experiment_config,
     preset,
@@ -40,7 +40,7 @@ def main():
 
 @main.command()
 @click.argument("config")
-@click.option("--seed", type=int, default=None, help="Override the noise seed.")
+@click.option("--seed", type=int, default=None, help="Override the seed.")
 @click.option("--out", default=None, help="Override the output directory.")
 @click.option("--repeat", type=click.IntRange(min=1), default=1,
               show_default=True,
@@ -59,10 +59,9 @@ def run(config: str, seed: int | None, out: str | None, repeat: int):
         cfg = replace(cfg, seed=seed)
     if out is not None:
         cfg = replace(cfg, out_dir=out)
-    first = cfg.seed if cfg.seed is not None else cfg.noise.seed
     runs = [cfg] if repeat == 1 else [
         replace(cfg, seed=k, out_dir=f"{cfg.out_dir}/seed{k}")
-        for k in range(first, first + repeat)]
+        for k in range(cfg.seed, cfg.seed + repeat)]
     metrics = []
     for run_cfg in runs:
         try:
@@ -75,7 +74,7 @@ def run(config: str, seed: int | None, out: str | None, repeat: int):
         metrics.append(report.metrics)
     if repeat > 1:
         click.echo(f"post-clearing angle rmse (rad) over {repeat} seeds "
-                   f"({first}..{first + repeat - 1}):")
+                   f"({cfg.seed}..{cfg.seed + repeat - 1}):")
         for kind in metrics[0]:
             rows = np.array([m[kind].post_rmse_delta for m in metrics])
             click.echo(f"  {kind} mean: " + " ".join(
@@ -110,15 +109,12 @@ def powerflow(case_ref: str, tol: float, max_iter: int, out: str | None):
     click.echo(f"total load: {mw:g} MW, {mvar:g} MVar")
 
     if out is not None:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bus", "kind", "v_mag", "v_ang", "p_inj", "q_inj"])
-            for pos, bus in enumerate(case.buses):
-                writer.writerow([bus.id, bus.kind.value,
-                                 repr(float(sol.v_mag[pos])),
-                                 repr(float(sol.v_ang[pos])),
-                                 repr(float(sol.p_inj[pos])),
-                                 repr(float(sol.q_inj[pos]))])
+        values = _joined_rows(np.column_stack(
+            [sol.v_mag, sol.v_ang, sol.p_inj, sol.q_inj]))
+        _write_rows(Path(out), ["bus", "kind", "v_mag", "v_ang", "p_inj",
+                                "q_inj"],
+                    (f"{bus.id},{bus.kind.value},{cells}"
+                     for bus, cells in zip(case.buses, values)))
         click.echo(f"solution written to {out}")
 
 
@@ -187,25 +183,20 @@ def reduce(case_ref: str, out_dir: str | None):
     if out_dir is not None:
         target = Path(out_dir)
         target.mkdir(parents=True, exist_ok=True)
-        with open(target / "reduced_admittance.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["machine_i", "machine_j", "real", "imag",
-                             "magnitude", "angle"])
-            for i in range(nm):
-                for j in range(nm):
-                    writer.writerow([i + 1, j + 1,
-                                     repr(float(net.y_red[i, j].real)),
-                                     repr(float(net.y_red[i, j].imag)),
-                                     repr(float(y_mag[i, j])),
-                                     repr(float(y_ang[i, j]))])
-        with open(target / "voltage_reconstruction.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bus", "machine", "real", "imag"])
-            for row, bus in enumerate(net.bus_order):
-                for j in range(nm):
-                    writer.writerow([bus, j + 1,
-                                     repr(float(net.r_v[row, j].real)),
-                                     repr(float(net.r_v[row, j].imag))])
+        admittance = _joined_rows(np.column_stack(
+            [net.y_red.real.ravel(), net.y_red.imag.ravel(), y_mag.ravel(),
+             y_ang.ravel()]))
+        _write_rows(target / "reduced_admittance.csv",
+                    ["machine_i", "machine_j", "real", "imag", "magnitude",
+                     "angle"],
+                    (f"{i // nm + 1},{i % nm + 1},{cells}"
+                     for i, cells in enumerate(admittance)))
+        recon = _joined_rows(np.column_stack(
+            [net.r_v.real.ravel(), net.r_v.imag.ravel()]))
+        _write_rows(target / "voltage_reconstruction.csv",
+                    ["bus", "machine", "real", "imag"],
+                    (f"{net.bus_order[i // nm]},{i % nm + 1},{cells}"
+                     for i, cells in enumerate(recon)))
         click.echo(f"matrices written to {target}")
 
 

@@ -9,11 +9,12 @@ in memory only, never written to disk.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
+from numbers import Integral
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -57,10 +58,11 @@ class ExperimentError(RuntimeError):
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
-    ``case`` is a file path or a bundled case name.  ``seed`` overrides the
-    noise seed when set.  The prior belief is the equilibrium with
-    ``prior_angle_shift`` added to the first machine's angle and covariance
-    ``prior_cov`` times the identity.
+    ``case`` is a file path or a bundled case name.  ``seed`` is the one
+    seed of the noise draws.  An unknown or repeated filter kind is rejected
+    here.  The prior belief is the equilibrium with ``prior_angle_shift``
+    added to the first machine's angle and covariance ``prior_cov`` times
+    the identity.
     """
 
     case: str
@@ -68,9 +70,24 @@ class ExperimentConfig:
     noise: NoiseSpec = NoiseSpec()
     filters: tuple[str, ...] = ("ekf", "ukf")
     out_dir: str = "out"
-    seed: int | None = None
+    seed: int = 0
     prior_angle_shift: float = 0.05
     prior_cov: float = 1e-2
+
+    def __post_init__(self):
+        if not isinstance(self.seed, Integral):
+            raise ValueError(f"config key 'seed' must be a whole number, "
+                             f"got {self.seed!r}")
+        unknown = [kind for kind in self.filters if kind not in FILTER_KINDS]
+        if unknown:
+            raise ValueError(f"config key 'filters' names unknown filter "
+                             f"kinds {unknown} (known: "
+                             f"{', '.join(FILTER_KINDS)})")
+        repeated = sorted({kind for i, kind in enumerate(self.filters)
+                           if kind in self.filters[:i]})
+        if repeated:
+            raise ValueError(f"config key 'filters' names filter kinds more "
+                             f"than once: {repeated}")
 
 
 PRESETS: dict[str, ExperimentConfig] = {
@@ -184,18 +201,10 @@ def _stage(seconds: dict[str, float], name: str, fn, *args, **kwargs):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full pipeline and write all artifacts under ``cfg.out_dir``.
 
-    An unknown or repeated filter kind fails before any stage runs, and a
-    bad prior before any file is written, so neither leaves a file behind.
+    A bad prior fails before any file is written, so it leaves no file
+    behind.
     """
     t0 = time.perf_counter()
-    for i, kind in enumerate(cfg.filters):
-        if kind not in FILTER_KINDS:
-            raise ExperimentError(f"filter-{kind}",
-                                  f"unknown filter kind {kind!r}")
-        if kind in cfg.filters[:i]:
-            raise ExperimentError(f"filter-{kind}",
-                                  f"filter kind {kind!r} is repeated")
-    noise = cfg.noise if cfg.seed is None else replace(cfg.noise, seed=cfg.seed)
     stage_seconds: dict[str, float] = {}
     stage = partial(_stage, stage_seconds)
 
@@ -210,17 +219,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     nets = stage("reduction", scenario_networks, case, pf, cfg.scenario)
     params = stage("reduction", machine_init, case, pf, nets.pre)
     truth = stage("simulate", simulate, case, pf, cfg.scenario)
-    frames = stage("synthesize", synthesize, truth, nets, params, noise)
+    frames = stage("synthesize", synthesize, truth, nets, params, cfg.noise,
+                   cfg.seed)
 
     nm = params.n_machines
     all_bus_ids = tuple(b.id for b in case.buses)
-    t_clear = cfg.scenario.t_clear(case.frequency)
     prior = stage("prior", default_prior, params.delta0,
                   cfg.prior_angle_shift, cfg.prior_cov)
     # Floor at a tiny variance so all-zero noise settings stay invertible.
-    q = np.diag(np.maximum(process_variances(noise, nm), 1e-12))
+    q = np.diag(np.maximum(process_variances(cfg.noise, nm), 1e-12))
     r = np.diag(np.maximum(
-        measurement_variances(noise, nm, len(all_bus_ids)), 1e-12))
+        measurement_variances(cfg.noise, nm, len(all_bus_ids)), 1e-12))
 
     out_dir = Path(cfg.out_dir)
     stage("write", out_dir.mkdir, parents=True, exist_ok=True)
@@ -234,7 +243,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                                   FilterConfig(kind=kind, q=q, r=r), case,
                                   pf, cfg.scenario, frames, prior)
         x_hat = estimate.state_matrix()
-        metrics[kind] = _metrics(truth, x_hat, t_clear)
+        metrics[kind] = _metrics(truth, x_hat, clear_time)
         p_diag = np.array([b.p.diagonal() for b in beliefs])
         stage("write", write_estimates_csv, truth, x_hat, p_diag,
               out_dir / f"estimate_{kind}.csv")
@@ -261,7 +270,7 @@ def format_report(report: ExperimentReport) -> str:
         f"cleared after {s.clearing_cycles:g} cycles by opening line "
         f"{s.cleared_line[0]}-{s.cleared_line[1]}",
         f"window: {s.t_end:g}s at dt={s.dt:g}s ({report.n_samples} samples)",
-        f"noise seed: {cfg.seed if cfg.seed is not None else cfg.noise.seed}",
+        f"noise seed: {cfg.seed}",
         "",
     ]
     for kind, m in report.metrics.items():
@@ -351,85 +360,82 @@ def write_estimates_csv(truth: Trajectory, x_hat: np.ndarray,
         _joined_rows(np.column_stack([x_hat[:, nm:], p_diag])))))
 
 
+def _number(key: str, value) -> float:
+    """``value`` as a float; a value ``float`` cannot read is an error."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} must be a number, "
+                         f"got {value!r}") from None
+
+
 def _whole(key: str, value) -> int:
     """``value`` as an int; a fractional number is an error, not truncated."""
     if isinstance(value, int):
         return int(value)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
+    number = _number(key, value)
     if not number.is_integer():
         raise ValueError(f"config key {key!r} must be a whole number, "
                          f"got {value!r}")
     return int(number)
 
 
-def _known(cls, section: str, data: dict) -> dict:
-    """``data`` as a dict, after rejecting keys that are not fields of
-    ``cls``."""
-    data = dict(data)
+def _line(key: str, value) -> tuple[int, int]:
+    """``value`` as the two end buses of a line, neither more nor fewer."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"config key {key!r} must be a list of two whole "
+                         f"numbers, got {value!r}")
+    return _whole(key, value[0]), _whole(key, value[1])
+
+
+def _kinds(key: str, value) -> tuple[str, ...]:
+    """``value`` as filter kinds; a YAML scalar would split into letters."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _section(cls, key: str, data):
+    """The mapping ``data`` under the config key ``key`` ("" at the top
+    level) read as a ``cls``: each value by its field's type, a field
+    without a default required, and every error naming the key at fault."""
+    if not isinstance(data, dict):
+        where = f"config key {key!r}" if key else "config"
+        raise ValueError(f"{where} must be a mapping, got {data!r}")
     extra = set(data) - {f.name for f in fields(cls)}
     if extra:
-        raise ValueError(f"unknown {section} keys: {sorted(extra)}")
-    return data
+        raise ValueError(f"unknown {key or 'config'} keys: {sorted(extra)}")
+    types = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        name = f"{key}.{f.name}" if key else f.name
+        if f.name in data:
+            values[f.name] = _READERS[types[f.name]](name, data[f.name])
+        elif f.default is MISSING:
+            raise ValueError(f"config key {name!r} is required")
+    return cls(**values)
+
+
+_READERS = {
+    int: _whole, float: _number, str: lambda key, value: str(value),
+    tuple[int, int]: _line, tuple[str, ...]: _kinds,
+    FaultScenario: partial(_section, FaultScenario),
+    NoiseSpec: partial(_section, NoiseSpec),
+}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed YAML mapping, rejecting unknown keys.
 
-    Each key given is coerced to its field's type; a key left out takes the
-    default of its dataclass field.
+    Each key given is read as its field's type, and a value that cannot be
+    is an error naming the key; a key left out takes the default of its
+    dataclass field.
     """
-    _known(ExperimentConfig, "config", data)
-    if "case" not in data or "scenario" not in data:
-        raise ValueError("config needs at least 'case' and 'scenario'")
-    filters = data.get("filters", ExperimentConfig.filters)
-    if not isinstance(filters, (list, tuple)):
-        raise ValueError(f"config key 'filters' must be a list, got {filters!r}")
-    unknown = [kind for kind in filters if kind not in FILTER_KINDS]
-    if unknown:
-        raise ValueError(f"config key 'filters' names unknown filter kinds "
-                         f"{unknown} (known: {', '.join(FILTER_KINDS)})")
-    repeated = sorted({kind for i, kind in enumerate(filters)
-                       if kind in filters[:i]})
-    if repeated:
-        raise ValueError(f"config key 'filters' names filter kinds more than "
-                         f"once: {repeated}")
-
-    scen = _known(FaultScenario, "scenario", data["scenario"])
-    for key in ("cleared_line", "fault_bus"):
-        if key not in scen:
-            raise ValueError(f"config key 'scenario.{key}' is required")
-    scen_types = {
-        "fault_bus": lambda bus: _whole("scenario.fault_bus", bus),
-        "cleared_line": lambda line: (_whole("scenario.cleared_line", line[0]),
-                                      _whole("scenario.cleared_line", line[1])),
-    }
-    scenario = FaultScenario(**{
-        f.name: scen_types.get(f.name, float)(scen[f.name])
-        for f in fields(FaultScenario) if f.name in scen})
-
-    noise = NoiseSpec(**{
-        key: (_whole("noise.seed", v) if key == "seed" else float(v))
-        for key, v in _known(NoiseSpec, "noise", data.get("noise", {})).items()
-    })
-
-    top_types = {
-        "case": str, "filters": tuple, "out_dir": str,
-        "seed": lambda seed: None if seed is None else _whole("seed", seed),
-        "prior_angle_shift": float, "prior_cov": float,
-    }
-    return ExperimentConfig(scenario=scenario, noise=noise, **{
-        key: to_type(data[key]) for key, to_type in top_types.items()
-        if key in data})
+    return _section(ExperimentConfig, "", data)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse a YAML experiment config file."""
     import yaml  # only config files need it; keeps it out of `import powerdse`
 
-    data = yaml.safe_load(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a mapping at the top level")
-    return config_from_dict(data)
+    return config_from_dict(yaml.safe_load(Path(path).read_text()))

@@ -9,7 +9,7 @@ length varies with the network regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 
 import numpy as np
@@ -26,7 +26,9 @@ from .reduction import (
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Standard deviations of the sensor noise and process disturbance."""
+    """Standard deviations of the sensor noise and variances of the process
+    disturbance.  The seed of the draws is not a noise level: it is passed to
+    ``synthesize`` on its own."""
 
     sigma_p: float = 0.01
     sigma_q: float = 0.01
@@ -34,12 +36,9 @@ class NoiseSpec:
     sigma_vang: float = 0.005
     q_delta: float = 1e-6
     q_omega: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
-        levels = {name: getattr(self, name)
-                  for name in ("sigma_p", "sigma_q", "sigma_vmag",
-                               "sigma_vang", "q_delta", "q_omega")}
+        levels = {f.name: getattr(self, f.name) for f in fields(self)}
         bad = [f"{name}={value!r}" for name, value in levels.items()
                if not (math.isfinite(value) and value >= 0)]
         if bad:
@@ -122,19 +121,19 @@ def machine_outputs_linearized(delta: np.ndarray, e_mag: np.ndarray,
 
 
 def synthesize(traj: Trajectory, nets: ScenarioNetworks, params: MachineParams,
-               noise: NoiseSpec) -> list[MeasurementFrame]:
+               noise: NoiseSpec, seed: int) -> list[MeasurementFrame]:
     """Noisy measurement frames along a trajectory, one per sample.
 
     Each run of samples in one regime is evaluated as one stack by
     ``machine_outputs`` on that regime's network, so with zero noise every
     frame equals the measurement model of its state alone exactly, angles
-    included.  One generator seeded from ``noise.seed`` draws the runs in
+    included.  One generator seeded from ``seed`` draws the runs in
     frame order (per frame: active powers, reactive powers, magnitudes,
     angles), so equal seeds give identical frames.
     """
     nm = params.n_machines
     delta = traj.delta_matrix()
-    rng = np.random.default_rng(noise.seed)
+    rng = np.random.default_rng(seed)
     frames: list[MeasurementFrame] = []
     start = 0
     for regime, run in groupby(traj.regime):

@@ -97,7 +97,7 @@ def _run_preset(name, out_dir):
     nets = scenario_networks(case, pf, cfg.scenario)
     params = machine_init(case, pf, nets.pre)
     truth = simulate(case, pf, cfg.scenario)
-    frames = synthesize(truth, nets, params, cfg.noise)
+    frames = synthesize(truth, nets, params, cfg.noise, cfg.seed)
     return PresetRun(cfg=cfg, case=case, pf=pf, nets=nets, params=params,
                      truth=truth, frames=frames, report=report)
 

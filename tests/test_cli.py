@@ -40,6 +40,46 @@ def test_powerflow_writes_csv(runner, tmp_path, wecc9_pf):
     assert float(rows[4]["p_inj"]) == wecc9_pf.p_inj[4]
 
 
+def csv_writer_bytes(path, header, rows):
+    """``rows`` written with csv.writer's default dialect, the reference
+    layout of every CSV the commands write."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_command_csvs_match_csv_writer(runner, tmp_path, wecc9, wecc9_pf,
+                                       wecc9_net):
+    pf_csv, red = tmp_path / "pf.csv", tmp_path / "red"
+    assert runner.invoke(main, ["powerflow", "wecc9", "--out",
+                                str(pf_csv)]).exit_code == 0
+    assert runner.invoke(main, ["reduce", "wecc9", "--out-dir",
+                                str(red)]).exit_code == 0
+    pf, net, nm = wecc9_pf, wecc9_net, wecc9_net.n_machines
+    assert pf_csv.read_bytes() == csv_writer_bytes(
+        tmp_path / "pf_ref.csv",
+        ["bus", "kind", "v_mag", "v_ang", "p_inj", "q_inj"],
+        [[bus.id, bus.kind.value] + [repr(float(x[pos])) for x in
+                                     (pf.v_mag, pf.v_ang, pf.p_inj, pf.q_inj)]
+         for pos, bus in enumerate(wecc9.buses)])
+    y = net.y_red
+    assert (red / "reduced_admittance.csv").read_bytes() == csv_writer_bytes(
+        tmp_path / "y_ref.csv",
+        ["machine_i", "machine_j", "real", "imag", "magnitude", "angle"],
+        [[i + 1, j + 1] + [repr(float(v)) for v in
+                           (y[i, j].real, y[i, j].imag, np.abs(y[i, j]),
+                            np.angle(y[i, j]))]
+         for i in range(nm) for j in range(nm)])
+    assert (red / "voltage_reconstruction.csv").read_bytes() == \
+        csv_writer_bytes(
+            tmp_path / "rv_ref.csv", ["bus", "machine", "real", "imag"],
+            [[bus, j + 1, repr(float(net.r_v[row, j].real)),
+              repr(float(net.r_v[row, j].imag))]
+             for row, bus in enumerate(net.bus_order) for j in range(nm)])
+
+
 def test_powerflow_missing_case(runner):
     result = runner.invoke(main, ["powerflow", "nope.case"])
     assert result.exit_code != 0
@@ -319,3 +359,26 @@ def test_run_missing_scenario_key_is_named(runner, tmp_path):
     assert result.exit_code == 1
     assert result.output.splitlines() == [
         "Error: config key 'scenario.cleared_line' is required"]
+
+
+@pytest.mark.parametrize("scenario,noise,message", [
+    ("scenario: null\n", "", "'scenario' must be a mapping, got None"),
+    ("scenario: {fault_bus: 8, cleared_line: [8, 9]}\n", "noise: null\n",
+     "'noise' must be a mapping, got None"),
+    ("scenario: {fault_bus: 8, cleared_line: 8}\n", "",
+     "'scenario.cleared_line' must be a list of two whole numbers, got 8"),
+    ("scenario: {fault_bus: 8, cleared_line: [8, 9, 10]}\n", "",
+     "'scenario.cleared_line' must be a list of two whole numbers, "
+     "got [8, 9, 10]"),
+], ids=["scenario-null", "noise-null", "line-scalar", "line-three-buses"])
+def test_run_malformed_section_is_named(runner, tmp_path, scenario, noise,
+                                        message):
+    # each used to fail as a bare TypeError, or (three buses) run on the
+    # first two
+    cfg = tmp_path / "exp.yaml"
+    out_dir = tmp_path / "results"
+    cfg.write_text(f"case: wecc9\n{scenario}{noise}out_dir: {out_dir}\n")
+    result = runner.invoke(main, ["run", str(cfg)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: config key {message}"]
+    assert list(tmp_path.iterdir()) == [cfg]

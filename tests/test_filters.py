@@ -542,7 +542,7 @@ def quiet_run_inputs(wecc9, wecc9_pf, wecc9_net, wecc9_params, wecc9_init):
     from powerdse import scenario_networks
 
     nets = scenario_networks(wecc9, wecc9_pf, scen)
-    frames = synthesize(truth, nets, wecc9_params, silent)
+    frames = synthesize(truth, nets, wecc9_params, silent, 0)
     b0 = init_belief(np.concatenate([wecc9_init.delta0, np.ones(3)]),
                      1e-6 * np.eye(6))
     return scen, truth, frames, b0

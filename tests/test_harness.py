@@ -128,7 +128,7 @@ def test_config_from_dict_defaults():
     assert cfg.scenario.dt == 0.01
     assert cfg.filters == ("ekf", "ukf")
     assert cfg.noise == NoiseSpec()
-    assert cfg.seed is None
+    assert cfg.seed == 0
     assert cfg.prior_angle_shift == 0.05
 
 
@@ -137,7 +137,7 @@ def test_config_from_dict_full():
         "case": "cases/mine.case",
         "scenario": {"fault_bus": 4, "cleared_line": [4, 14], "t_fault": 0.5,
                      "clearing_cycles": 3, "t_end": 5.0, "dt": 0.02},
-        "noise": {"sigma_p": 0.02, "seed": 77},
+        "noise": {"sigma_p": 0.02},
         "filters": ["ukf"],
         "seed": 9,
     })
@@ -195,9 +195,9 @@ def test_config_from_dict_rejects_scalar_filters():
 
 
 @pytest.mark.parametrize("path,value", [
-    (("seed",), 3.9), (("noise", "seed"), 0.5),
+    (("seed",), 3.9),
     (("scenario", "fault_bus"), 8.5), (("scenario", "cleared_line"), [8, 9.2]),
-], ids=["seed", "noise.seed", "fault_bus", "cleared_line"])
+], ids=["seed", "fault_bus", "cleared_line"])
 def test_config_from_dict_rejects_fractional_integers(path, value):
     # int() used to truncate these: seed 3.9 loaded as 3
     data = {"case": "wecc9", "scenario": {"fault_bus": 8, "cleared_line": [8, 9]}}
@@ -222,12 +222,11 @@ def test_config_from_dict_takes_integral_floats():
     cfg = config_from_dict({
         "case": "wecc9",
         "scenario": {"fault_bus": 8.0, "cleared_line": [8.0, 9]},
-        "noise": {"seed": 4.0}, "seed": 3.0,
+        "seed": 3.0,
     })
-    assert (cfg.seed, cfg.noise.seed) == (3, 4)
+    assert cfg.seed == 3
     assert cfg.scenario.fault_bus == 8 and cfg.scenario.cleared_line == (8, 9)
-    assert all(type(v) is int for v in (cfg.seed, cfg.noise.seed,
-                                        cfg.scenario.fault_bus,
+    assert all(type(v) is int for v in (cfg.seed, cfg.scenario.fault_bus,
                                         *cfg.scenario.cleared_line))
 
 
@@ -296,7 +295,7 @@ def test_load_experiment_config_rejects_non_mapping(tmp_path):
 def test_zero_noise_experiment_recovers_truth(tmp_path):
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0, q_delta=0.0, q_omega=0.0)
-    cfg = quick_config(tmp_path / "quiet", noise=silent, seed=None,
+    cfg = quick_config(tmp_path / "quiet", noise=silent,
                        prior_angle_shift=0.0, prior_cov=1e-6)
     report = run_experiment(cfg)
     for kind in ("ekf", "ukf"):
@@ -310,8 +309,7 @@ def test_shifted_prior_converges_by_clearing(tmp_path):
     # post-clearing window under zero measurement noise
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0, q_delta=0.0, q_omega=0.0)
-    cfg = quick_config(tmp_path / "shifted", noise=silent, seed=None,
-                       filters=("ekf",))
+    cfg = quick_config(tmp_path / "shifted", noise=silent, filters=("ekf",))
     report = run_experiment(cfg)
     m = report.metrics["ekf"]
     assert np.max(m.post_rmse_delta) < 1e-3
@@ -450,38 +448,76 @@ def test_window_must_outlast_clearing(tmp_path):
         run_experiment(cfg)
 
 
-def test_stage_tag_unknown_filter(tmp_path):
-    cfg = quick_config(tmp_path / "x", filters=("emf",))
-    with pytest.raises(ExperimentError, match=r"\[filter-emf\]"):
-        run_experiment(cfg)
-
-
 def test_unknown_filter_kind_writes_nothing(tmp_path):
-    # rejected before any stage runs, not after the truth, the frames and
-    # the EKF estimates are on disk
-    cfg = quick_config(tmp_path / "x", filters=("ekf", "pf"))
-    with pytest.raises(ExperimentError, match=r"\[filter-pf\] .*'pf'"):
-        run_experiment(cfg)
+    # rejected when the config is built, not after the truth, the frames
+    # and the EKF estimates are on disk
+    with pytest.raises(ValueError, match=r"'filters'.*\['pf'\]"):
+        quick_config(tmp_path / "x", filters=("ekf", "pf"))
     assert not (tmp_path / "x").exists()
 
 
 def test_repeated_filter_kind_writes_nothing(tmp_path):
     # a repeat used to run the EKF twice and write estimate_ekf.csv twice
-    cfg = quick_config(tmp_path / "x", filters=("ekf", "ekf"))
-    with pytest.raises(ExperimentError,
-                       match=r"\[filter-ekf\] .*'ekf' is repeated"):
-        run_experiment(cfg)
+    with pytest.raises(ValueError, match=r"'filters'.*once: \['ekf'\]"):
+        quick_config(tmp_path / "x", filters=("ekf", "ekf"))
     assert not (tmp_path / "x").exists()
 
 
-def test_seed_field_overrides_noise_seed(tmp_path):
-    base = NoiseSpec(seed=5)
-    a = run_experiment(quick_config(tmp_path / "a", noise=base, seed=5,
-                                    filters=("ekf",)))
-    b = run_experiment(quick_config(tmp_path / "b", noise=replace(base, seed=99),
-                                    seed=5, filters=("ekf",)))
-    assert (a.out_dir / "measurements.csv").read_bytes() == \
-        (b.out_dir / "measurements.csv").read_bytes()
+@pytest.mark.parametrize("filters,message", [
+    (["ekf", "pf"], r"^config key 'filters' names unknown filter kinds "
+                    r"\['pf'\] \(known: ekf, ukf\)$"),
+    (["ukf", "ekf", "ukf"], r"^config key 'filters' names filter kinds more "
+                            r"than once: \['ukf'\]$"),
+], ids=["unknown", "repeated"])
+def test_filter_kinds_checked_on_every_path(filters, message, tmp_path):
+    # one check in ExperimentConfig serves direct construction, replace on
+    # a preset and YAML alike
+    with pytest.raises(ValueError, match=message):
+        quick_config(tmp_path / "x", filters=tuple(filters))
+    with pytest.raises(ValueError, match=message):
+        replace(preset("wecc9-fault8"), filters=tuple(filters))
+    path = tmp_path / "exp.yaml"
+    path.write_text("case: wecc9\n"
+                    "scenario: {fault_bus: 8, cleared_line: [8, 9]}\n"
+                    f"filters: [{', '.join(filters)}]\n")
+    with pytest.raises(ValueError, match=message):
+        load_experiment_config(path)
+
+
+@pytest.mark.parametrize("seed", [None, 2.0, "3"])
+def test_seed_must_be_an_integer(seed, tmp_path):
+    # None used to mean "take the noise spec's seed"; there is one seed now,
+    # and a None would seed the draws from the operating system
+    with pytest.raises(ValueError, match=r"'seed' must be a whole number"):
+        quick_config(tmp_path / "x", seed=seed)
+
+
+def test_noise_seed_is_an_unknown_key(tmp_path):
+    # the seed moved to the top level, so a seed under noise is unknown
+    path = tmp_path / "exp.yaml"
+    path.write_text("case: wecc9\n"
+                    "scenario: {fault_bus: 8, cleared_line: [8, 9]}\n"
+                    "noise: {sigma_p: 0.01, seed: 4}\n")
+    with pytest.raises(ValueError, match=r"^unknown noise keys: \['seed'\]$"):
+        load_experiment_config(path)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("noise", [0.01], r"'noise' must be a mapping, got \[0\.01\]"),
+    ("t_end", None, r"'scenario\.t_end' must be a number, got None"),
+    ("prior_cov", "big", r"'prior_cov' must be a number, got 'big'"),
+], ids=["noise-list", "t_end-null", "prior_cov-text"])
+def test_config_from_dict_names_malformed_values(key, value, message):
+    # each used to raise a bare TypeError or float()'s ValueError, naming
+    # no key; tests/test_cli.py covers null sections and bad cleared lines
+    data = {"case": "wecc9", "scenario": {"fault_bus": 8,
+                                          "cleared_line": [8, 9]}}
+    if key == "t_end":
+        data["scenario"][key] = value
+    else:
+        data[key] = value
+    with pytest.raises(ValueError, match=rf"^config key {message}$"):
+        config_from_dict(data)
 
 
 @pytest.mark.parametrize("kind", ["ekf", "ukf"])

@@ -104,7 +104,7 @@ def test_zero_noise_frames_exact(wecc9, wecc9_pf, wecc9_net, wecc9_params,
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0)
     frames = synthesize(traj, same_net_everywhere(wecc9_net), wecc9_params,
-                        silent)
+                        silent, 0)
     assert len(frames) == len(traj)
     for fr, state, t in zip(frames, traj.states, traj.times):
         p_g, q_g, v_mag, v_ang = machine_outputs(state.delta,
@@ -121,9 +121,9 @@ def test_noise_sample_std(wecc9_net, wecc9_params, wecc9_init):
     state = DynamicState(delta=wecc9_init.delta0.copy(), omega=np.ones(3))
     traj = frozen_trajectory(state, 10_000)
     noise = NoiseSpec(sigma_p=0.01, sigma_q=0.0, sigma_vmag=0.0,
-                      sigma_vang=0.0, seed=0)
+                      sigma_vang=0.0)
     frames = synthesize(traj, same_net_everywhere(wecc9_net), wecc9_params,
-                        noise)
+                        noise, 0)
     p_g, _, v_mag, _ = machine_outputs(state.delta, wecc9_params.e_mag,
                                        wecc9_net)
     errors = np.stack([fr.p_g - p_g for fr in frames])
@@ -134,7 +134,7 @@ def test_noise_sample_std(wecc9_net, wecc9_params, wecc9_init):
 
 def test_equal_seeds_bit_identical(wecc9_run):
     again = synthesize(wecc9_run.truth, wecc9_run.nets, wecc9_run.params,
-                       wecc9_run.cfg.noise)
+                       wecc9_run.cfg.noise, wecc9_run.cfg.seed)
     for a, b in zip(wecc9_run.frames, again):
         assert a.t == b.t and a.bus_ids == b.bus_ids
         assert np.array_equal(a.p_g, b.p_g)
@@ -145,7 +145,7 @@ def test_equal_seeds_bit_identical(wecc9_run):
 
 def test_different_seeds_differ(wecc9_run):
     other = synthesize(wecc9_run.truth, wecc9_run.nets, wecc9_run.params,
-                       NoiseSpec(seed=99))
+                       NoiseSpec(), 99)
     assert not np.array_equal(wecc9_run.frames[1].p_g, other[1].p_g)
 
 
@@ -185,15 +185,15 @@ def test_regime_that_returns_is_its_own_run(wecc9_run):
                       regime=regimes)
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0)
-    clean = synthesize(traj, nets, params, silent)
+    clean = synthesize(traj, nets, params, silent, 0)
     for fr, state, regime in zip(clean, states, regimes):
         net = nets.for_regime(regime)
         assert fr.bus_ids == net.bus_order
         assert np.array_equal(fr.z_vector(), np.concatenate(
             machine_outputs(state[:nm], params.e_mag, net)))
 
-    noise = NoiseSpec(seed=5)
-    noisy = synthesize(traj, nets, params, noise)
+    noise = NoiseSpec()
+    noisy = synthesize(traj, nets, params, noise, 5)
     ends = np.cumsum([fr.size for fr in clean])
     draws = np.split(np.random.default_rng(5).standard_normal(ends[-1]),
                      ends[:-1])
@@ -216,7 +216,7 @@ def test_frames_follow_the_measurement_model(wecc9_net, wecc9_params):
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0)
     frames = synthesize(traj, same_net_everywhere(wecc9_net), wecc9_params,
-                        silent)
+                        silent, 0)
     model = swing_measurement_model(wecc9_params, wecc9_net)
     for fr, state in zip(frames, states):
         assert np.array_equal(fr.z_vector(), model.observe(state))
