@@ -8,6 +8,7 @@ three network topologies govern the trajectory in sequence.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections import deque
@@ -112,17 +113,12 @@ class FaultScenario:
             return Regime.FaultOn
         return Regime.PostFault
 
-    def switches(self, times: np.ndarray, frequency: float) -> tuple[int, int]:
-        """How many of the ascending ``times`` come before the fault, and
-        how many before clearing: the first fault-on and post-fault samples."""
+    def regimes(self, times: np.ndarray, frequency: float) -> list[Regime]:
+        """``regime`` at each of the ascending ``times``, from the counts of
+        them before the fault and before clearing."""
         fault = int(np.searchsorted(times, self.t_fault, side="left"))
         clear = max(fault, int(np.searchsorted(times, self.t_clear(frequency),
                                                side="left")))
-        return fault, clear
-
-    def regimes(self, times: np.ndarray, frequency: float) -> list[Regime]:
-        """``regime`` at each of the ascending ``times``, from two counts."""
-        fault, clear = self.switches(times, frequency)
         return ([Regime.PreFault] * fault + [Regime.FaultOn] * (clear - fault)
                 + [Regime.PostFault] * (len(times) - clear))
 
@@ -459,17 +455,18 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork
     z = (y, 1, g_1, .., g_s).  Those maps depend on the step length but not
     on the topology, which enters only through R, so R is built once here
     and the maps are passed per call: ``simulate`` builds one stepper per
-    topology it steps on and hands each span its step length's maps.
+    topology it steps on and hands each call its step length's maps.
     Stages 2g and 2g + 1 read only the powers of stages before 2g (see
     ``_rk_maps``), so both arguments come from z before either stage
     writes, and the pair is evaluated at once: one product for both
-    arguments, one cosine, one product with R for the k = 1 or 2 stages as
-    the rows of a (k, m) array, and one multiply into their power slots,
-    which are adjacent in z.  A step is six such groups of 4 numpy calls,
-    then one product of the update map written straight into the output row
-    and one copy of that row back into z.  On a few machines numpy's
-    per-call dispatch, not arithmetic, is the cost, so the stepper owns its
-    ``z`` and cosine buffers and binds the methods it calls.
+    arguments into the group's cosine buffer, one cosine in place, one
+    product with R for the k = 1 or 2 stages as the rows of a (k, m) buffer,
+    and one multiply into their power slots, which are adjacent in z.  A
+    step is six such groups of 4 numpy calls, then one product of the update
+    map into the output row and one copy of that row back into z: 26 calls,
+    none of which allocates.  On a few machines numpy's per-call dispatch,
+    not arithmetic, is the cost, so ``advance`` binds each call's method
+    and operands once and passes every output by position.
 
     Returns ``advance(y0, out, maps)``, which takes ``len(out)`` steps from
     ``y0`` with ``maps`` and writes the state after each into the rows of
@@ -493,15 +490,16 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork
     z[m] = 1.0
     y = z[:m]
     c = np.empty(2 * m)
+    rotated = np.empty((2, m))
     # Per group of k = 1 or 2 stages, as ``_rk_maps`` groups them: its
-    # cosine buffer flat and as (k, m) rows, and its stages' power slots,
-    # views into c and z.  Each group writes its powers in place.
+    # cosine buffer flat and as (k, m) rows, its rows times R^T, and its
+    # power slots in z.  Each group writes its powers in place.
     views = []
     first = m + 1   # z column of the next group's first power
     for g in range(0, s, 2):
         k = min(2, s - g)
         rows = c[:k * m].reshape(k, m)
-        views.append((c[:k * m], rows, rows.dot,
+        views.append((c[:k * m], rows, rows.dot, rotated[:k],
                       z[first:first + k * m].reshape(k, m)))
         first += k * m
 
@@ -510,13 +508,15 @@ def _rk_stepper(params: MachineParams, net: ReducedNetwork
         # each group reads the prefix of z as wide as its map
         plan = [(arg.dot, z[:arg.shape[1]], *view)
                 for arg, view in zip(groups, views)]
-        cos, multiply, dot = np.cos, np.multiply, np.dot
+        cos, multiply, update_dot = np.cos, np.multiply, update.dot
         y[:] = y0
         for row in out:
-            for arg_dot, read, c_flat, c_rows, rows_dot, power in plan:
-                cos(arg_dot(read), out=c_flat)
-                multiply(c_rows, rows_dot(rotate_t), out=power)
-            dot(update, z, out=row)
+            for arg_dot, read, c_flat, c_rows, rows_dot, rows_t, power in plan:
+                arg_dot(read, c_flat)
+                cos(c_flat, c_flat)
+                rows_dot(rotate_t, rows_t)
+                multiply(c_rows, rows_t, power)
+            update_dot(z, row)
             y[:] = row
 
     return advance
@@ -531,13 +531,15 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
     solution stays there, and those samples are written, not integrated.
     From the fault on, integrates with Cooper and Verner's eighth-order
     Runge-Kutta (``_rk_stepper``) at one step per sample interval; a finer
-    truth takes a smaller ``dt``.  An interval that contains the fault or
-    clearing instant is split there, so every step sees a single topology,
-    and each part after the fault takes one step.  One stepper is built per
-    topology stepped on (fault-on, post-clearing), and each run of whole
-    intervals or part of a split one is one call of it, with the shared step
-    maps of its step length.  Raises InstabilityError at the first sample
-    where a machine's speed leaves the stable band.
+    truth takes a smaller ``dt``.  The integration walks two segments, each
+    on one topology with its own stepper: fault-on from the fault to the
+    clearing instant, then post-clearing to the last sample.  From an
+    instant off the sample grid a segment takes one step to the next sample
+    (or to its end, if that comes first), then one stepper call of whole
+    ``dt`` steps, then one step to its end if that is off the grid, so an
+    interval holding a switching instant is split there.  Raises
+    InstabilityError at the first sample where a machine's speed leaves the
+    stable band, checked after each segment.
     """
     nets = scenario_networks(case, pf, scenario)
     params = machine_init(case, pf, nets.pre)
@@ -547,61 +549,45 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
     n_steps = round(scenario.t_end / scenario.dt)   # whole, as validated
     times = np.arange(n_steps + 1) * scenario.dt
     regimes = scenario.regimes(times, freq)
-
-    advancers = {regime: _rk_stepper(params, nets.for_regime(regime))
-                 for regime in (Regime.FaultOn, Regime.PostFault)}
-
-    def steps(regime: Regime, h: float) -> tuple[tuple[Callable, _RKMaps], ...]:
-        if regime is Regime.PreFault:
-            return ()   # held at the equilibrium
-        return ((advancers[regime], _rk_maps(params, h)),)
-
-    # Interval k runs from times[k] to times[k + 1] in the regime of
-    # times[k], unless a switching instant splits it.
-    splits: dict[int, list[float]] = {}
-    for s in (scenario.t_fault, scenario.t_clear(freq)):
-        k = int(np.searchsorted(times, s)) - 1   # times[k] < s <= times[k + 1]
-        if 0 <= k < n_steps and s < times[k + 1]:
-            splits.setdefault(k, []).append(s)
-    # The plan: intervals a .. b - 1 at a time, each span a run of whole
-    # intervals in one regime, taking one step each, or one split interval,
-    # taking a step per part after the fault.  Whole pre-fault intervals
-    # take none.
-    switches = scenario.switches(times, freq)
-    edges = sorted({0, n_steps, *splits, *(k + 1 for k in splits),
-                    *(min(k, n_steps) for k in switches)})
+    grid = times.tolist()
+    last = grid[-1]
+    segments = ((_rk_stepper(params, nets.fault),
+                 min(scenario.t_clear(freq), last)),
+                (_rk_stepper(params, nets.post), last))
 
     # Integrate the speed deviation: at rest it is exactly zero, so the
     # equilibrium loses nothing to cancellation against the nominal speed.
+    # The state at an instant t is in row bisect_left(grid, t), the first
+    # sample at or after t; the held rows run to the fault's.
     ys = np.empty((n_steps + 1, 2 * n))
-    ys[0, :n] = params.delta0
-    ys[0, n:] = 0.0
-    # Each span is one stepper call per part; the parts of a split interval
-    # each rewrite its end row, from that row.  The pre-fault run, first if
-    # any, holds row 0; the fault-on part of an interval split at the fault
-    # starts from its held row.
-    for a, b in zip(edges[:-1], edges[1:]):
-        if a in splits:
-            cuts = [float(times[a]), *splits[a], float(times[b])]
-            parts = sum((steps(scenario.regime(t0, freq), t1 - t0)
-                         for t0, t1 in zip(cuts[:-1], cuts[1:])), ())
-        else:
-            parts = steps(regimes[a], scenario.dt)
-        out = ys[a + 1:b + 1]
-        start = ys[a]
-        if not parts:
-            out[:] = ys[0]
-        for advance, maps in parts:
-            advance(start, out, maps)
-            start = out[-1]
-        dev = np.abs(out[:, n:])
-        over = np.flatnonzero(dev.max(axis=1) > SPEED_LIMIT)
+    t = scenario.t_fault
+    held = bisect.bisect_left(grid, t) + 1
+    ys[:held, :n] = params.delta0
+    ys[:held, n:] = 0.0
+    checked = 0   # rows whose speeds are checked
+    for advance, stop in segments:
+        if t < stop:
+            a = bisect.bisect_left(grid, t)
+            b = bisect.bisect_right(grid, stop) - 1   # last sample <= stop
+            if t < grid[a]:   # off the grid
+                t1 = min(grid[a], stop)
+                advance(ys[a], ys[a:a + 1], _rk_maps(params, t1 - t))
+                t = t1
+            if b > a:
+                advance(ys[a], ys[a + 1:b + 1], _rk_maps(params, scenario.dt))
+                t = grid[b]
+            if t < stop:
+                advance(ys[b], ys[b + 1:b + 2], _rk_maps(params, stop - t))
+                t = stop
+        done = bisect.bisect_right(grid, t)   # rows that hold their sample
+        dev = ys[checked:done, n:]
+        over = np.flatnonzero(np.abs(dev).max(axis=1) > SPEED_LIMIT)
         if over.size:
             j = int(over[0])
-            worst = int(np.argmax(dev[j]))
-            raise InstabilityError(machine=worst + 1,
-                                   t=float(times[a + 1 + j]),
-                                   omega=float(1.0 + out[j, n + worst]))
+            worst = int(np.argmax(np.abs(dev[j])))
+            raise InstabilityError(machine=worst + 1, t=grid[checked + j],
+                                   omega=float(1.0 + dev[j, worst]))
+        checked = done
 
     ys[:, n:] += 1.0   # the speeds
     return Trajectory(times=times, states=ys, regime=regimes)

@@ -75,7 +75,7 @@ class ExperimentConfig:
     prior_cov: float = 1e-2
 
     def __post_init__(self):
-        if not isinstance(self.seed, Integral):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
             raise ValueError(f"config key 'seed' must be a whole number, "
                              f"got {self.seed!r}")
         unknown = [kind for kind in self.filters if kind not in FILTER_KINDS]
@@ -361,23 +361,32 @@ def write_estimates_csv(truth: Trajectory, x_hat: np.ndarray,
 
 
 def _number(key: str, value) -> float:
-    """``value`` as a float; a value ``float`` cannot read is an error."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"config key {key!r} must be a number, "
-                         f"got {value!r}") from None
+    """``value`` as a float; a value ``float`` cannot read is an error, and
+    so is a boolean, which ``float`` would read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"config key {key!r} must be a number, got {value!r}")
 
 
 def _whole(key: str, value) -> int:
-    """``value`` as an int; a fractional number is an error, not truncated."""
-    if isinstance(value, int):
+    """``value`` as an int; a fractional number is an error, not truncated,
+    and so is a boolean."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
-    number = _number(key, value)
-    if not number.is_integer():
+    if isinstance(value, bool) or not _number(key, value).is_integer():
         raise ValueError(f"config key {key!r} must be a whole number, "
                          f"got {value!r}")
-    return int(number)
+    return int(float(value))
+
+
+def _text(key: str, value) -> str:
+    """``value`` as a string; ``str`` would read a YAML null as 'None'."""
+    if not isinstance(value, str):
+        raise ValueError(f"config key {key!r} must be a string, got {value!r}")
+    return value
 
 
 def _line(key: str, value) -> tuple[int, int]:
@@ -417,7 +426,7 @@ def _section(cls, key: str, data):
 
 
 _READERS = {
-    int: _whole, float: _number, str: lambda key, value: str(value),
+    int: _whole, float: _number, str: _text,
     tuple[int, int]: _line, tuple[str, ...]: _kinds,
     FaultScenario: partial(_section, FaultScenario),
     NoiseSpec: partial(_section, NoiseSpec),

@@ -382,3 +382,20 @@ def test_run_malformed_section_is_named(runner, tmp_path, scenario, noise,
     assert result.exit_code == 1
     assert result.output.splitlines() == [f"Error: config key {message}"]
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("key", ["case", "out_dir"])
+def test_run_null_path_is_one_line(runner, tmp_path, monkeypatch, key):
+    # str() used to read a null as 'None': case null loaded the case 'None',
+    # and out_dir null wrote into ./None
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "exp.yaml"
+    values = {"case": "wecc9", "out_dir": tmp_path / "results", key: "null"}
+    cfg.write_text(f"case: {values['case']}\n"
+                   "scenario: {fault_bus: 8, cleared_line: [8, 9]}\n"
+                   f"out_dir: {values['out_dir']}\n")
+    result = runner.invoke(main, ["run", str(cfg)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"Error: config key '{key}' must be a string, got None"]
+    assert list(tmp_path.iterdir()) == [cfg]

@@ -586,6 +586,66 @@ def test_stepper_reused_across_step_lengths(wecc9_params, wecc9_net):
         assert np.array_equal(out, fresh)
 
 
+def interval_reference(case, pf, scen):
+    """``simulate``'s samples, one interval at a time: each interval is cut
+    at the fault and clearing instants inside it, a pre-fault part holds the
+    state, a whole interval takes one step of ``dt`` and each other part
+    one step of its own length, on the network of the instant it starts."""
+    nets = scenario_networks(case, pf, scen)
+    params = machine_init(case, pf, nets.pre)
+    n, freq = params.n_machines, case.frequency
+    steppers = {Regime.FaultOn: dynamics._rk_stepper(params, nets.fault),
+                Regime.PostFault: dynamics._rk_stepper(params, nets.post)}
+    n_steps = round(scen.t_end / scen.dt)
+    times = (np.arange(n_steps + 1) * scen.dt).tolist()
+    ys = np.empty((n_steps + 1, 2 * n))
+    ys[0] = np.concatenate([params.delta0, np.zeros(n)])
+    for k in range(n_steps):
+        cuts = [times[k], *(s for s in (scen.t_fault, scen.t_clear(freq))
+                            if times[k] < s < times[k + 1]), times[k + 1]]
+        y = ys[k]
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            regime = scen.regime(t0, freq)
+            if regime is Regime.PreFault:
+                continue
+            h = scen.dt if len(cuts) == 2 else t1 - t0
+            row = np.empty((1, 2 * n))
+            steppers[regime](y, row, dynamics._rk_maps(params, h))
+            y = row[0]
+        ys[k + 1] = y
+    ys[:, n:] += 1.0
+    return times, ys
+
+
+@pytest.mark.parametrize("t_fault,cycles,on_grid", [
+    (1.0, 2.0, (True, False)),
+    (0.105, 2.0, (False, False)),
+    (1.002, 0.3, (False, False)),
+    (1.0, 3.0, (True, True)),
+    (12.0, 2.0, None),
+], ids=["preset", "fault-off-grid", "one-interval", "clearing-on-grid",
+        "no-fault"])
+def test_simulate_matches_interval_reference(wecc9, wecc9_pf, t_fault, cycles,
+                                             on_grid):
+    # simulate walks the fault-on and post-clearing segments in a few
+    # stepper calls; stepping each sample interval on its own gives the
+    # same bits.  on_grid says whether the fault and clearing instants fall
+    # on samples (None: the fault is after the window).
+    scen = replace(preset("wecc9-fault8").scenario, t_fault=t_fault,
+                   clearing_cycles=cycles)
+    times, ys = interval_reference(wecc9, wecc9_pf, scen)
+    instants = (scen.t_fault, scen.t_clear(wecc9.frequency))
+    if on_grid is None:
+        assert scen.t_fault > times[-1]
+    else:
+        assert tuple(s in times for s in instants) == on_grid
+    traj = simulate(wecc9, wecc9_pf, scen)
+    assert traj.times.tolist() == times
+    assert np.array_equal(traj.state_matrix(), ys)
+    moved = np.max(np.abs(ys - ys[0]))
+    assert (moved == 0.0) == (on_grid is None)
+
+
 @pytest.mark.parametrize("name", ["wecc9", "ne39"])
 def test_stepper_holds_equilibrium(name, request):
     # ``simulate`` writes the pre-fault samples as the equilibrium; the

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -484,7 +485,7 @@ def test_filter_kinds_checked_on_every_path(filters, message, tmp_path):
         load_experiment_config(path)
 
 
-@pytest.mark.parametrize("seed", [None, 2.0, "3"])
+@pytest.mark.parametrize("seed", [None, 2.0, "3", True])
 def test_seed_must_be_an_integer(seed, tmp_path):
     # None used to mean "take the noise spec's seed"; there is one seed now,
     # and a None would seed the draws from the operating system
@@ -518,6 +519,40 @@ def test_config_from_dict_names_malformed_values(key, value, message):
         data[key] = value
     with pytest.raises(ValueError, match=rf"^config key {message}$"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("case", None), ("case", 39), ("out_dir", None), ("out_dir", ["out"]),
+], ids=["case-null", "case-number", "out_dir-null", "out_dir-list"])
+def test_config_from_dict_rejects_non_string_paths(key, value):
+    # str() used to read these: case null loaded the case 'None', and
+    # out_dir null wrote into ./None
+    data = {"case": "wecc9", "scenario": {"fault_bus": 8,
+                                          "cleared_line": [8, 9]},
+            key: value}
+    message = f"config key '{key}' must be a string, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("line,key,kind", [
+    ("scenario: {fault_bus: true, cleared_line: [8, 9]}", "scenario.fault_bus",
+     "whole number"),
+    ("scenario: {fault_bus: 8, cleared_line: [8, 9]}\nseed: true", "seed",
+     "whole number"),
+    ("scenario: {fault_bus: 8, cleared_line: [8, 9], t_end: true}",
+     "scenario.t_end", "number"),
+    ("scenario: {fault_bus: 8, cleared_line: [8, 9]}\n"
+     "noise: {sigma_p: false}", "noise.sigma_p", "number"),
+], ids=["fault_bus", "seed", "t_end", "sigma_p"])
+def test_yaml_booleans_are_not_numbers(tmp_path, line, key, kind):
+    # float() and int() read YAML's true and false as 1 and 0: fault_bus
+    # true loaded as bus 1, and sigma_p false as noise-free measurements
+    path = tmp_path / "exp.yaml"
+    path.write_text(f"case: wecc9\n{line}\n")
+    with pytest.raises(ValueError, match=rf"^config key '{key}' must be a "
+                                         rf"{kind}, got (True|False)$"):
+        load_experiment_config(path)
 
 
 @pytest.mark.parametrize("kind", ["ekf", "ukf"])
