@@ -106,16 +106,10 @@ class FaultScenario:
     def t_clear(self, frequency: float) -> float:
         return self.t_fault + self.clearing_cycles / frequency
 
-    def regime(self, t: float, frequency: float) -> Regime:
-        if t < self.t_fault:
-            return Regime.PreFault
-        if t < self.t_clear(frequency):
-            return Regime.FaultOn
-        return Regime.PostFault
-
     def regimes(self, times: np.ndarray, frequency: float) -> list[Regime]:
-        """``regime`` at each of the ascending ``times``, from the counts of
-        them before the fault and before clearing."""
+        """The regime at each of the ascending ``times``: pre-fault before
+        ``t_fault``, fault-on before ``t_clear``, post-fault from then on,
+        from the counts of times before the fault and before clearing."""
         fault = int(np.searchsorted(times, self.t_fault, side="left"))
         clear = max(fault, int(np.searchsorted(times, self.t_clear(frequency),
                                                side="left")))

@@ -9,6 +9,7 @@ bindings build those models from machine parameters and a reduced network.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from typing import Callable
 
@@ -80,7 +81,8 @@ class FilterConfig:
     """Which filter to run, one of ``FILTER_KINDS``, and its covariances.
 
     ``q`` and ``r`` are the process and measurement covariances; ``r`` spans
-    the intact measurement layout and is subset per frame.
+    the intact measurement layout and is subset per frame.  The EKF updates
+    in information form, so each block of ``r`` it uses must be invertible.
     """
 
     kind: str
@@ -128,19 +130,41 @@ def ekf_predict(belief: GaussianBelief, model: ProcessModel,
 
 
 def ekf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
-               r: np.ndarray) -> GaussianBelief:
-    """Condition the belief on one measurement via the linearized gain."""
+               r_inv: np.ndarray) -> GaussianBelief:
+    """Condition the belief on one measurement in information form.
+
+    ``r_inv`` is the inverse of the measurement covariance R.  With H the
+    measurement Jacobian, P+ = (I + P H^T R^-1 H)^-1 P and
+    x+ = x + P+ H^T R^-1 (z - z_hat): an n x n solve for a state of n,
+    whatever the number of measurements, and no subtraction from P.
+    """
     z_hat, jac = model.linearize(belief.x_hat)
-    jp = jac.dot(belief.p)
-    s = jp.dot(jac.T) + r
+    rh = r_inv.dot(jac)
+    info = belief.p.dot(jac.T.dot(rh))
+    info.ravel()[::info.shape[0] + 1] += 1.0
     try:
-        gain = np.linalg.solve(s, jp).T
+        p = _symmetrize(np.linalg.solve(info, belief.p))
     except np.linalg.LinAlgError as exc:
         raise FilterNumericsError(
-            f"singular innovation covariance (cond {np.linalg.cond(s):.3e})") from exc
-    x = belief.x_hat + gain.dot(z - z_hat)
-    p = belief.p - gain.dot(jp)
-    return GaussianBelief(x_hat=x, p=_symmetrize(p))
+            f"singular information matrix (cond {np.linalg.cond(info):.3e})"
+        ) from exc
+    x = belief.x_hat + p.dot(rh.T.dot(z - z_hat))
+    return GaussianBelief(x_hat=x, p=p)
+
+
+def _inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of a measurement covariance block, or FilterNumericsError
+    if the block is not finite or cannot be inverted."""
+    if not np.isfinite(r).all():
+        raise FilterNumericsError("measurement covariance block is not finite")
+    try:
+        r_inv = np.linalg.inv(r)
+        if np.isfinite(r_inv).all():
+            return r_inv
+    except np.linalg.LinAlgError:
+        pass
+    raise FilterNumericsError("measurement covariance block is singular "
+                              f"(cond {np.linalg.cond(r):.3e})")
 
 
 # --- unscented filter --------------------------------------------------------
@@ -159,6 +183,15 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
             "covariance is not positive semidefinite within jitter") from exc
 
 
+@cache
+def _equal_weights(count: int) -> np.ndarray:
+    """The weight 1/count of each of ``count`` sigma points, built once per
+    count and read-only."""
+    w = np.full(count, 1.0 / count)
+    w.flags.writeable = False
+    return w
+
+
 def sigma_points(belief: GaussianBelief) -> np.ndarray:
     """Symmetric equal-weight point set: 2n points at x +- the columns of a
     factor of n P, each carrying weight 1/(2n).  No point sits at the mean."""
@@ -171,7 +204,7 @@ def ukf_predict(belief: GaussianBelief, model: ProcessModel,
                 q: np.ndarray) -> GaussianBelief:
     """Propagate sigma points through the process model and inflate by q."""
     pts = sigma_points(belief)
-    w = np.full(len(pts), 1.0 / len(pts))
+    w = _equal_weights(len(pts))
     prop = model.step(pts)
     x = w.dot(prop)
     dev = prop - x
@@ -183,7 +216,7 @@ def ukf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
                r: np.ndarray) -> GaussianBelief:
     """Condition the predicted belief on a measurement via fresh sigma points."""
     pts = sigma_points(belief)
-    w = np.full(len(pts), 1.0 / len(pts))
+    w = _equal_weights(len(pts))
     obs = model.observe(pts)
     z_hat = w.dot(obs)
     dz = obs - z_hat
@@ -305,8 +338,10 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     Frame k must be stamped k * ``scenario.dt``, so the process models are
     one per regime.  Every frame is checked before the first step: a
     non-finite value or an off-grid stamp raises FilterNumericsError naming
-    the frame and its time.  Returns the estimate trajectory and the belief
-    after every frame.
+    the frame and its time.  The EKF inverts the block of ``cfg.r`` for each
+    frame layout once; a block that is singular or not finite raises
+    FilterNumericsError naming the first frame with that layout.  Returns
+    the estimate trajectory and the belief after every frame.
     """
     nets = scenario_networks(case, pf, scenario)
     params = machine_init(case, pf, nets.pre)
@@ -321,9 +356,13 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     _check_frames(frames, stamps, flat, ends, nm, scenario.dt)
     regimes = scenario.regimes(stamps, case.frequency)
 
+    def at_frame(k: int, exc: FilterNumericsError) -> FilterNumericsError:
+        return FilterNumericsError(f"frame {k} (t={stamps[k]:.4f}s): {exc}")
+
     # The plan: per frame, the process model of the regime at the start of
     # the interval before it, the measurement model of the regime at the
-    # frame and the covariance block of its layout, and its vector.
+    # frame, the covariance block of its layout (inverted once per layout
+    # for the EKF, which updates in information form), and its vector.
     processes: dict = {}
     observers: dict = {}
     r_blocks: dict = {}
@@ -339,13 +378,19 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
         layout = frames[k].bus_ids
         if layout not in r_blocks:
             idx = measurement_indices(all_bus_ids, layout, nm)
-            r_blocks[layout] = cfg.r[np.ix_(idx, idx)]
+            block = cfg.r[np.ix_(idx, idx)]
+            try:
+                r_blocks[layout] = (_inverse(block) if cfg.kind == "ekf"
+                                    else block)
+            except FilterNumericsError as exc:
+                raise at_frame(k, exc) from exc
         plan.append((processes[before], observers[regime], r_blocks[layout],
                      flat[ends[k - 1]:ends[k]]))
 
     if cfg.kind == "ekf":
-        def advance(belief, process, measure, r, z):
-            return ekf_update(ekf_predict(belief, process, cfg.q), z, measure, r)
+        def advance(belief, process, measure, r_inv, z):
+            return ekf_update(ekf_predict(belief, process, cfg.q), z, measure,
+                              r_inv)
     else:
         def advance(belief, process, measure, r, z):
             return ukf_update(ukf_predict(belief, process, cfg.q), z,
@@ -357,8 +402,7 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
         try:
             belief = advance(belief, *step)
         except FilterNumericsError as exc:
-            raise FilterNumericsError(
-                f"frame {k} (t={stamps[k]:.4f}s): {exc}") from exc
+            raise at_frame(k, exc) from exc
         beliefs.append(belief)
 
     x = np.array([b.x_hat for b in beliefs])

@@ -362,7 +362,8 @@ def write_estimates_csv(truth: Trajectory, x_hat: np.ndarray,
 
 def _number(key: str, value) -> float:
     """``value`` as a float; a value ``float`` cannot read is an error, and
-    so is a boolean, which ``float`` would read as 0 or 1."""
+    so is a boolean, which ``float`` would read as 0 or 1.  Text is read:
+    PyYAML loads an unquoted ``1e-6`` (no dot in the mantissa) as a string."""
     if not isinstance(value, bool):
         try:
             return float(value)
@@ -372,14 +373,15 @@ def _number(key: str, value) -> float:
 
 
 def _whole(key: str, value) -> int:
-    """``value`` as an int; a fractional number is an error, not truncated,
-    and so is a boolean."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    """``value`` as an int, from an integer or a float without a fraction;
+    a fractional number is an error, not truncated, and so are a boolean
+    and text."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
-    if isinstance(value, bool) or not _number(key, value).is_integer():
-        raise ValueError(f"config key {key!r} must be a whole number, "
-                         f"got {value!r}")
-    return int(float(value))
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"config key {key!r} must be a whole number, "
+                     f"got {value!r}")
 
 
 def _text(key: str, value) -> str:

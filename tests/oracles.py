@@ -3,7 +3,9 @@
 Each oracle recomputes its quantity from first principles through a
 different route than the package (Gauss-Seidel instead of Newton, direct
 stamp summation instead of the builder loop, a textbook linear Kalman
-recursion, dense block solves instead of the reduced matrix).  Only plain
+recursion, the covariance-form EKF update instead of the information form,
+the fault timing per instant instead of counted, dense block solves instead
+of the reduced matrix).  Only plain
 data types are imported from the package; no computational code is shared.
 The module also holds the case helpers that only the tests need:
 ``dump_case`` and ``without_branch``.
@@ -18,6 +20,8 @@ import scipy.linalg
 import scipy.optimize
 
 from powerdse.cases import Branch, BusKind, CaseError, NetworkCase
+from powerdse.dynamics import FaultScenario, Regime
+from powerdse.filters import GaussianBelief
 from powerdse.reduction import ExtendedAdmittance, ReductionError
 
 
@@ -127,6 +131,29 @@ def linear_kalman(a: np.ndarray, c: np.ndarray, q: np.ndarray, r: np.ndarray,
         means.append(x.copy())
         covs.append(p.copy())
     return means, covs
+
+
+def ekf_update_covariance_form(belief: GaussianBelief, z: np.ndarray, model,
+                               r: np.ndarray) -> GaussianBelief:
+    """EKF update through the gain, with the m x m innovation covariance
+    S = H P H^T + R: x+ = x + K (z - z_hat) and P+ = P - K H P, symmetrized,
+    for K = P H^T S^-1.  ``model.linearize`` gives z_hat and H."""
+    z_hat, jac = model.linearize(belief.x_hat)
+    jp = jac @ belief.p
+    gain = np.linalg.solve(jp @ jac.T + r, jp).T
+    p = belief.p - gain @ jp
+    return GaussianBelief(x_hat=belief.x_hat + gain @ (z - z_hat),
+                          p=0.5 * (p + p.T))
+
+
+def regime_at(scenario: FaultScenario, t: float, frequency: float) -> Regime:
+    """The regime in force at time t, by comparing t with the fault and
+    clearing instants one at a time."""
+    if t < scenario.t_fault:
+        return Regime.PreFault
+    if t < scenario.t_fault + scenario.clearing_cycles / frequency:
+        return Regime.FaultOn
+    return Regime.PostFault
 
 
 def extended_system_currents(y11: np.ndarray, y12: np.ndarray,

@@ -174,7 +174,8 @@ def test_criterion_5_linear_gaussian_equivalence(verdict):
     ekf_b, ukf_b = init_belief(x0, p0), init_belief(x0, p0)
     worst = 0.0
     for k, z in enumerate(zs):
-        ekf_b = ekf_update(ekf_predict(ekf_b, proc, q), z, meas, r)
+        ekf_b = ekf_update(ekf_predict(ekf_b, proc, q), z, meas,
+                           np.linalg.inv(r))
         ukf_b = ukf_update(ukf_predict(ukf_b, proc, q), z, meas, r)
         for b in (ekf_b, ukf_b):
             worst = max(worst,

@@ -31,7 +31,12 @@ from powerdse import (
 )
 from powerdse.dynamics import swing_rates
 
-from oracles import reference_swing_trajectory, remove_bus, without_branch
+from oracles import (
+    reference_swing_trajectory,
+    regime_at,
+    remove_bus,
+    without_branch,
+)
 
 OMEGA0 = 120.0 * math.pi
 CONTINGENCIES = (Path(__file__).resolve().parent.parent / "bench"
@@ -456,7 +461,7 @@ def test_regime_labels_and_continuity(wecc9_run):
     assert len(traj.times) == len(traj.states) == len(traj.regime)
     assert np.allclose(np.diff(traj.times), scen.dt)
     for t, regime in zip(traj.times, traj.regime):
-        assert regime is scen.regime(float(t), freq)
+        assert regime is regime_at(scen, float(t), freq)
     # no jumps across the regime switches: per-sample increments stay small
     d_steps = np.abs(np.diff(traj.delta_matrix(), axis=0))
     o_steps = np.abs(np.diff(traj.omega_matrix(), axis=0))
@@ -477,7 +482,7 @@ def test_regimes_match_per_sample_regime(which):
                                     t_end=1.0, dt=0.125)]
     for scen in scenarios:
         times = np.arange(round(scen.t_end / scen.dt) + 1) * scen.dt
-        per_sample = [scen.regime(t, 60.0) for t in times.tolist()]
+        per_sample = [regime_at(scen, t, 60.0) for t in times.tolist()]
         assert scen.regimes(times, 60.0) == per_sample
     if which == "on_samples":
         assert per_sample.count(Regime.PreFault) == 4
@@ -605,7 +610,7 @@ def interval_reference(case, pf, scen):
                             if times[k] < s < times[k + 1]), times[k + 1]]
         y = ys[k]
         for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            regime = scen.regime(t0, freq)
+            regime = regime_at(scen, t0, freq)
             if regime is Regime.PreFault:
                 continue
             h = scen.dt if len(cuts) == 2 else t1 - t0

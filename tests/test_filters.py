@@ -36,7 +36,7 @@ from powerdse import (
     ukf_update,
 )
 
-from oracles import central_difference, linear_kalman
+from oracles import central_difference, ekf_update_covariance_form, linear_kalman
 
 
 def linear_process(a):
@@ -329,7 +329,7 @@ def test_ekf_update_zero_innovation(wecc9_params, wecc9_net, wecc9_init):
     x0 = np.concatenate([wecc9_init.delta0, np.ones(3)])
     belief = init_belief(x0, 1e-2 * np.eye(6))
     z = model.observe(x0)
-    out = ekf_update(belief, z, model, 1e-4 * np.eye(z.size))
+    out = ekf_update(belief, z, model, np.linalg.inv(1e-4 * np.eye(z.size)))
     assert np.array_equal(out.x_hat, belief.x_hat)
 
 
@@ -339,7 +339,7 @@ def test_ekf_update_uninformative_measurement(wecc9_params, wecc9_net,
     x0 = np.concatenate([wecc9_init.delta0, np.ones(3)])
     belief = init_belief(x0, 1e-2 * np.eye(6))
     z = model.observe(x0) + 0.5
-    out = ekf_update(belief, z, model, 1e12 * np.eye(z.size))
+    out = ekf_update(belief, z, model, np.linalg.inv(1e12 * np.eye(z.size)))
     assert np.max(np.abs(out.x_hat - belief.x_hat)) < 1e-9
     assert np.max(np.abs(out.p - belief.p)) < 1e-9
 
@@ -347,23 +347,28 @@ def test_ekf_update_uninformative_measurement(wecc9_params, wecc9_net,
 def test_ekf_update_textbook_scalar():
     belief = init_belief(np.array([2.0]), np.array([[1.0]]))
     out = ekf_update(belief, np.array([3.0]),
-                     linear_measurement([[1.0]]), np.array([[1.0]]))
+                     linear_measurement([[1.0]]), np.linalg.inv([[1.0]]))
     assert out.x_hat[0] == pytest.approx(2.5, abs=1e-15)
     assert out.p[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_ekf_update_singular_innovation():
+def test_ekf_update_singular_information_matrix():
+    # with an indefinite R^-1, I + P H^T R^-1 H can be singular: here it is 0
     belief = init_belief(np.zeros(2), np.eye(2))
-    model = MeasurementModel(
-        observe=lambda x: np.array([x[0], x[0]]),
-        linearize=lambda x: (np.array([x[0], x[0]]),
-                             np.array([[1.0, 0.0], [1.0, 0.0]])),
-    )
-    with pytest.raises(FilterNumericsError, match="cond"):
-        ekf_update(belief, np.zeros(2), model, np.zeros((2, 2)))
+    with pytest.raises(FilterNumericsError, match="information matrix.*cond"):
+        ekf_update(belief, np.zeros(2), linear_measurement(np.eye(2)),
+                   -np.eye(2))
 
 
 # --- sigma points ------------------------------------------------------------
+
+
+def test_ukf_weights_built_once_per_count():
+    pts = sigma_points(init_belief(np.zeros(3), np.eye(3)))
+    w = filters._equal_weights(len(pts))
+    assert filters._equal_weights(6) is w
+    assert np.array_equal(w, np.full(6, 1.0 / 6.0))
+    assert not w.flags.writeable
 
 
 def test_sigma_points_unit_scalar():
@@ -522,7 +527,8 @@ def test_linear_equivalence_three_ways(seed):
     ekf_belief = init_belief(x0, p0)
     ukf_belief = init_belief(x0, p0)
     for k, z in enumerate(zs):
-        ekf_belief = ekf_update(ekf_predict(ekf_belief, proc, q), z, meas, r)
+        ekf_belief = ekf_update(ekf_predict(ekf_belief, proc, q), z, meas,
+                                np.linalg.inv(r))
         ukf_belief = ukf_update(ukf_predict(ukf_belief, proc, q), z, meas, r)
         assert np.max(np.abs(ekf_belief.x_hat - ref_means[k])) < 1e-8
         assert np.max(np.abs(ukf_belief.x_hat - ref_means[k])) < 1e-8
@@ -610,6 +616,97 @@ def preset_filter_config(kind, noise):
         kind=kind,
         q=np.diag(np.maximum(process_variances(noise, 3), 1e-12)),
         r=np.diag(np.maximum(measurement_variances(noise, 3, 9), 1e-12)))
+
+
+def preset_ekf_inputs(run, quiet):
+    """EKF config, frames and prior for a preset run: its own noise and
+    frames, or zero-noise frames with q and R at the 1e-12 floor."""
+    nm, nb = run.params.n_machines, len(run.case.buses)
+    b0 = init_belief(np.concatenate([run.params.delta0, np.ones(nm)]),
+                     1e-2 * np.eye(2 * nm))
+    if not quiet:
+        noise = run.cfg.noise
+        cfg = FilterConfig(
+            kind="ekf",
+            q=np.diag(np.maximum(process_variances(noise, nm), 1e-12)),
+            r=np.diag(np.maximum(measurement_variances(noise, nm, nb), 1e-12)))
+        return cfg, run.frames, b0
+    silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
+                       sigma_vang=0.0, q_delta=0.0, q_omega=0.0)
+    frames = synthesize(run.truth, run.nets, run.params, silent, 0)
+    cfg = FilterConfig(kind="ekf", q=1e-12 * np.eye(2 * nm),
+                       r=1e-12 * np.eye(2 * nm + 2 * nb))
+    return cfg, frames, b0
+
+
+@pytest.mark.parametrize("name,quiet", [
+    ("wecc9", False), ("ne39", False), ("wecc9", True), ("ne39", True),
+], ids=["wecc9", "ne39", "wecc9-zero-noise", "ne39-zero-noise"])
+def test_information_form_matches_covariance_form(name, quiet, request,
+                                                  monkeypatch):
+    run = request.getfixturevalue(f"{name}_run")
+    cfg, frames, b0 = preset_ekf_inputs(run, quiet)
+    args = (cfg, run.case, run.pf, run.cfg.scenario, frames, b0)
+    _, beliefs = run_filter(*args)
+    # the same plan, each frame updated in covariance form on R itself
+    monkeypatch.setattr(filters, "ekf_update", ekf_update_covariance_form)
+    monkeypatch.setattr(filters, "_inverse", lambda r: r)
+    _, reference = run_filter(*args)
+    assert len(beliefs) == len(reference) == len(frames)
+    for b, ref in zip(beliefs, reference):
+        assert np.max(np.abs(b.x_hat - ref.x_hat)) < 1e-11
+        assert np.max(np.abs(b.p - ref.p)) < 1e-14
+
+
+@pytest.mark.parametrize("kind,inversions", [("ekf", 2), ("ukf", 0)])
+def test_run_filter_inverts_each_r_block_once(kind, inversions, wecc9,
+                                              wecc9_pf, wecc9_run,
+                                              monkeypatch):
+    # wecc9 has two layouts: the intact one of the pre-fault and
+    # post-clearing frames, and the one without bus 8 while it is faulted
+    sizes = []
+    inverse = filters._inverse
+
+    def counting(r):
+        sizes.append(r.shape[0])
+        return inverse(r)
+
+    monkeypatch.setattr(filters, "_inverse", counting)
+    b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
+                     1e-2 * np.eye(6))
+    run_filter(preset_filter_config(kind, wecc9_run.cfg.noise), wecc9,
+               wecc9_pf, wecc9_run.cfg.scenario, wecc9_run.frames, b0)
+    assert sizes == [2 * 3 + 2 * 9, 2 * 3 + 2 * 8][:inversions]
+
+
+@pytest.mark.parametrize("change,message", [
+    ("zero", r"frame 1 \(t=0\.0100s\): measurement covariance block is "
+             r"singular \(cond"),
+    ("nan", r"frame 1 \(t=0\.0100s\): measurement covariance block is not "
+            r"finite$"),
+    ("fault-on", r"frame 100 \(t=1\.0000s\): measurement covariance block "
+                 r"is singular"),
+], ids=["zero", "nan", "fault-on"])
+def test_run_filter_rejects_singular_r_block(change, message, wecc9, wecc9_pf,
+                                             wecc9_run):
+    cfg = preset_filter_config("ekf", wecc9_run.cfg.noise)
+    r = cfg.r.copy()
+    # channels: p_g and q_g of 3 machines, then v_mag of buses 1..9
+    v_mag_8, v_mag_9 = 2 * 3 + 7, 2 * 3 + 8
+    if change == "zero":
+        r[:] = 0.0
+    elif change == "nan":
+        r[v_mag_9, v_mag_9] = np.nan
+    else:
+        # v_mag_9 has no variance of its own, only a coupling to v_mag_8:
+        # the intact block inverts, the fault-on block without bus 8 does not
+        r[v_mag_9, v_mag_9] = 0.0
+        r[v_mag_8, v_mag_9] = r[v_mag_9, v_mag_8] = r[v_mag_8, v_mag_8]
+    b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
+                     1e-2 * np.eye(6))
+    with pytest.raises(FilterNumericsError, match=message):
+        run_filter(dataclasses.replace(cfg, r=r), wecc9, wecc9_pf,
+                   wecc9_run.cfg.scenario, wecc9_run.frames, b0)
 
 
 def with_nan(frames, k, field, index):

@@ -210,6 +210,33 @@ def test_config_from_dict_rejects_fractional_integers(path, value):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("path,value", [
+    (("seed",), "3"),
+    (("scenario", "fault_bus"), "8"), (("scenario", "cleared_line"), ["8", 9]),
+], ids=["seed", "fault_bus", "cleared_line"])
+def test_config_from_dict_rejects_whole_numbers_as_text(path, value):
+    # float() used to read these: fault_bus "8" loaded as bus 8
+    data = {"case": "wecc9", "scenario": {"fault_bus": 8, "cleared_line": [8, 9]}}
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    shown = value if isinstance(value, str) else value[0]
+    message = (f"config key {'.'.join(path)!r} must be a whole number, "
+               f"got {shown!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict(data)
+
+
+def test_float_keys_read_yaml_exponent_text():
+    # YAML 1.1 needs a dot in the mantissa, so PyYAML loads 1e-6 as text
+    data = yaml.safe_load("case: wecc9\n"
+                          "scenario: {fault_bus: 8, cleared_line: [8, 9]}\n"
+                          "noise: {q_delta: 1e-6}\n")
+    assert data["noise"]["q_delta"] == "1e-6"
+    assert config_from_dict(data).noise.q_delta == 1e-6
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_from_dict_rejects_non_finite_noise(value):
     # YAML's .nan and .inf load as these floats
