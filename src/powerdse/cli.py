@@ -53,10 +53,10 @@ def run(config: str, seed: int | None, out: str | None, repeat: int):
     """
     try:
         cfg = preset(config) if config in PRESETS else load_experiment_config(config)
+        if seed is not None:
+            cfg = replace(cfg, seed=seed)
     except Exception as exc:
         raise click.ClickException(str(exc)) from exc
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
     if out is not None:
         cfg = replace(cfg, out_dir=out)
     runs = [cfg] if repeat == 1 else [

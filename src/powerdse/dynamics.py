@@ -146,11 +146,12 @@ def validate_scenario(case: NetworkCase, scenario: FaultScenario) -> None:
 
 @dataclass(frozen=True)
 class ScenarioNetworks:
-    """Reduced networks for the three scenario topologies."""
+    """The three scenario topologies' reduced networks and machine constants."""
 
     pre: ReducedNetwork
     fault: ReducedNetwork
     post: ReducedNetwork
+    params: MachineParams
 
     def for_regime(self, regime: Regime) -> ReducedNetwork:
         if regime is Regime.PreFault:
@@ -181,52 +182,65 @@ def _machine_islanded(case: NetworkCase, opened: int) -> bool:
     return not terminals <= seen
 
 
-# The last scenario_networks call: (case, bytes of pf.v_mag, the reduction
-# base of that pair, scenario, result); the last two are None when that
-# scenario failed.  Holding the case keeps its id from being reused.
+# The last scenario_networks call: (case, bytes of pf.v_mag, v_ang, p_inj and
+# q_inj, the reduction base and machine constants of that pair, scenario,
+# result); the last two are None when that scenario failed.  Holding the case
+# keeps its id from being reused.
 _last_networks: tuple | None = None
 
 
 def scenario_networks(case: NetworkCase, pf: PowerFlowSolution,
                       scenario: FaultScenario) -> ScenarioNetworks:
-    """Build the pre-fault, fault-on, and post-clearing reduced networks.
+    """Build the pre-fault, fault-on, and post-clearing reduced networks,
+    with the machine constants of the operating point.
 
     The fault-on network has the faulted bus deleted from the extended
     system (its voltage is pinned to zero); the post network has the
     cleared line open, keeping load admittances at pre-fault voltages.
 
-    Both derive from one ``reduction_base`` per case and power flow: the
+    All derive from one ``reduction_base`` per case and power flow: the
     extended system, the inverse of its bus block and the pre-fault
-    network.  The fault-on network is its rank-one ``fault_network``
-    update, and the post network one ``kron_reduce`` of its bus block less
-    the cleared line's stamp (``open_branch``).
+    network, from which ``machine_init`` takes the constants once.  The
+    fault-on network is its rank-one ``fault_network`` update, and the post
+    network one ``kron_reduce`` of its bus block less the cleared line's
+    stamp (``open_branch``).
 
     One entry is kept, the last call's: the same case object and the same
-    ``pf.v_mag`` (the one power-flow field the networks read) reuse its
-    base, and an equal scenario besides returns its result again.  The
-    networks' ``y_red`` and ``r_v`` are read-only.  A failed scenario is
-    not kept, so it is raised again on every call.
+    ``pf.v_mag``, ``v_ang``, ``p_inj`` and ``q_inj`` (the power-flow fields
+    the networks and the constants read) reuse its base and its constants,
+    and an equal scenario besides returns its result again.  The networks'
+    ``y_red`` and ``r_v`` and the constants' arrays are read-only.  A failed
+    scenario is not kept, so it is raised again on every call.
     """
     global _last_networks
-    v_mag = pf.v_mag.tobytes()
+    key = tuple(a.tobytes() for a in (pf.v_mag, pf.v_ang, pf.p_inj, pf.q_inj))
     last = _last_networks
-    same_base = last is not None and last[0] is case and last[1] == v_mag
-    if same_base and last[3] == scenario:
-        return last[4]
+    same_base = last is not None and last[0] is case and last[1] == key
+    if same_base and last[4] == scenario:
+        return last[5]
     validate_scenario(case, scenario)
-    base = last[2] if same_base else reduction_base(extend_network(case, pf))
-    _last_networks = (case, v_mag, base, None, None)
-    nets = _build_networks(case, base, scenario)
+    if same_base:
+        base, params = last[2], last[3]
+    else:
+        base = reduction_base(extend_network(case, pf))
+        params = machine_init(case, pf, base.pre)
+        for array in (params.h, params.d, params.e_mag, params.p_mech,
+                      params.delta0):
+            array.flags.writeable = False
+    _last_networks = (case, key, base, params, None, None)
+    nets = _build_networks(case, base, params, scenario)
     for net in (nets.fault, nets.post):
         net.y_red.flags.writeable = False
         net.r_v.flags.writeable = False
-    _last_networks = (case, v_mag, base, scenario, nets)
+    _last_networks = (case, key, base, params, scenario, nets)
     return nets
 
 
 def _build_networks(case: NetworkCase, base: ReductionBase,
+                    params: MachineParams,
                     scenario: FaultScenario) -> ScenarioNetworks:
-    """The networks of a validated scenario, from the base of its case."""
+    """The networks of a validated scenario, from its case's base and
+    constants."""
     fault = fault_network(base, scenario.fault_bus)
     ends = set(scenario.cleared_line)
     opened = next(pos for pos, br in enumerate(case.branches)
@@ -235,27 +249,7 @@ def _build_networks(case: NetworkCase, base: ReductionBase,
         raise ScenarioError(
             f"clearing line {scenario.cleared_line} islands a machine")
     post = kron_reduce(open_branch(base.ext, case.branches[opened]))
-    return ScenarioNetworks(pre=base.pre, fault=fault, post=post)
-
-
-class _StateRows(Sequence):
-    """The rows of a trajectory's angle and speed arrays as ``DynamicState``
-    views, made on access."""
-
-    def __init__(self, delta: np.ndarray, omega: np.ndarray):
-        self._delta = delta
-        self._omega = omega
-
-    def __len__(self) -> int:
-        return len(self._delta)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        return DynamicState(delta=self._delta[k], omega=self._omega[k])
-
-    def __iter__(self):
-        return map(DynamicState, self._delta, self._omega)
+    return ScenarioNetworks(base.pre, fault, post, params)
 
 
 def _joined_rows(table: np.ndarray) -> list[str]:
@@ -271,8 +265,8 @@ class Trajectory:
     The states are one read-only (samples, 2n) array, each row the angles
     then the speeds.  ``states`` may be given as that array, which is held
     and not copied, or as a sequence of ``DynamicState``, which is stacked
-    once.  The ``states`` attribute reads the rows back as a read-only
-    sequence of ``DynamicState`` views; ``state_matrix`` returns the array,
+    once.  ``states`` reads the rows back as a tuple of ``DynamicState`` of
+    read-only views, built on first use; ``state_matrix`` returns the array,
     and ``delta_matrix`` and ``omega_matrix`` views of it.
     """
 
@@ -294,9 +288,9 @@ class Trajectory:
         self._delta = array[:, :n]
         self._omega = array[:, n:]
 
-    @property
-    def states(self) -> _StateRows:
-        return _StateRows(self._delta, self._omega)
+    @functools.cached_property
+    def states(self) -> tuple[DynamicState, ...]:
+        return tuple(map(DynamicState, self._delta, self._omega))
 
     def state_matrix(self) -> np.ndarray:
         """States (samples, 2n), angles then speeds, read-only."""
@@ -536,7 +530,7 @@ def simulate(case: NetworkCase, pf: PowerFlowSolution,
     stable band, checked after each segment.
     """
     nets = scenario_networks(case, pf, scenario)
-    params = machine_init(case, pf, nets.pre)
+    params = nets.params
     n = params.n_machines
     freq = case.frequency
 

@@ -35,7 +35,6 @@ from .reduction import (
     ReducedNetwork,
     complex_power,
     electrical_power,
-    machine_init,
     power_sensitivity,
 )
 
@@ -340,11 +339,14 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     non-finite value or an off-grid stamp raises FilterNumericsError naming
     the frame and its time.  The EKF inverts the block of ``cfg.r`` for each
     frame layout once; a block that is singular or not finite raises
-    FilterNumericsError naming the first frame with that layout.  Returns
-    the estimate trajectory and the belief after every frame.
+    FilterNumericsError naming the first frame with that layout, and so
+    does an empty frame list.  Returns the estimate trajectory and the
+    belief after every frame.
     """
+    if not frames:
+        raise FilterNumericsError("run_filter needs at least one frame")
     nets = scenario_networks(case, pf, scenario)
-    params = machine_init(case, pf, nets.pre)
+    params = nets.params
     nm = params.n_machines
     all_bus_ids = tuple(b.id for b in case.buses)
 

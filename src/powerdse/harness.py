@@ -43,7 +43,6 @@ from .measurement import (
     synthesize,
 )
 from .powerflow import solve_power_flow
-from .reduction import machine_init
 
 
 class ExperimentError(RuntimeError):
@@ -59,10 +58,10 @@ class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
     ``case`` is a file path or a bundled case name.  ``seed`` is the one
-    seed of the noise draws.  An unknown or repeated filter kind is rejected
-    here.  The prior belief is the equilibrium with ``prior_angle_shift``
-    added to the first machine's angle and covariance ``prior_cov`` times
-    the identity.
+    seed of the noise draws, a whole number from 0; a negative seed, and an
+    unknown or repeated filter kind, are rejected here.  The prior belief is
+    the equilibrium with ``prior_angle_shift`` added to the first machine's
+    angle and covariance ``prior_cov`` times the identity.
     """
 
     case: str
@@ -75,9 +74,10 @@ class ExperimentConfig:
     prior_cov: float = 1e-2
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
-            raise ValueError(f"config key 'seed' must be a whole number, "
-                             f"got {self.seed!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, Integral)
+                or self.seed < 0):
+            raise ValueError(f"config key 'seed' must be a whole number "
+                             f">= 0, got {self.seed!r}")
         unknown = [kind for kind in self.filters if kind not in FILTER_KINDS]
         if unknown:
             raise ValueError(f"config key 'filters' names unknown filter "
@@ -217,14 +217,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             f"at t={clear_time:.4f}s; nothing to score after clearing")
     pf = stage("power-flow", solve_power_flow, case)
     nets = stage("reduction", scenario_networks, case, pf, cfg.scenario)
-    params = stage("reduction", machine_init, case, pf, nets.pre)
     truth = stage("simulate", simulate, case, pf, cfg.scenario)
-    frames = stage("synthesize", synthesize, truth, nets, params, cfg.noise,
-                   cfg.seed)
+    frames = stage("synthesize", synthesize, truth, nets, cfg.noise, cfg.seed)
 
-    nm = params.n_machines
+    nm = nets.params.n_machines
     all_bus_ids = tuple(b.id for b in case.buses)
-    prior = stage("prior", default_prior, params.delta0,
+    prior = stage("prior", default_prior, nets.params.delta0,
                   cfg.prior_angle_shift, cfg.prior_cov)
     # Floor at a tiny variance so all-zero noise settings stay invertible.
     q = np.diag(np.maximum(process_variances(cfg.noise, nm), 1e-12))
@@ -317,8 +315,11 @@ def write_measurements_csv(frames: list[MeasurementFrame],
                            all_bus_ids: tuple[int, ...], path: Path) -> None:
     """Columns: t, machine powers, then voltage magnitude/angle per bus id.
 
-    Buses absent from a frame's layout leave their cells empty.
+    Buses absent from a frame's layout leave their cells empty.  An empty
+    frame list is an error: the frames give the machine count.
     """
+    if not frames:
+        raise ValueError("write_measurements_csv needs at least one frame")
     nm = frames[0].p_g.size
     header = channel_names(nm, all_bus_ids)
     # Per layout: a row template with a blank for every absent bus, and the

@@ -16,7 +16,6 @@ import numpy as np
 
 from .dynamics import ScenarioNetworks, Trajectory
 from .reduction import (
-    MachineParams,
     ReducedNetwork,
     _apply,
     complex_power,
@@ -120,18 +119,19 @@ def machine_outputs_linearized(delta: np.ndarray, e_mag: np.ndarray,
                                     dv.imag])
 
 
-def synthesize(traj: Trajectory, nets: ScenarioNetworks, params: MachineParams,
-               noise: NoiseSpec, seed: int) -> list[MeasurementFrame]:
+def synthesize(traj: Trajectory, nets: ScenarioNetworks, noise: NoiseSpec,
+               seed: int) -> list[MeasurementFrame]:
     """Noisy measurement frames along a trajectory, one per sample.
 
     Each run of samples in one regime is evaluated as one stack by
-    ``machine_outputs`` on that regime's network, so with zero noise every
-    frame equals the measurement model of its state alone exactly, angles
-    included.  One generator seeded from ``seed`` draws the runs in
-    frame order (per frame: active powers, reactive powers, magnitudes,
-    angles), so equal seeds give identical frames.
+    ``machine_outputs`` on that regime's network with the emf magnitudes of
+    ``nets.params``, so with zero noise every frame equals the measurement
+    model of its state alone exactly, angles included.  One generator
+    seeded from ``seed`` draws the runs in frame order (per frame: active
+    powers, reactive powers, magnitudes, angles), so equal seeds give
+    identical frames.
     """
-    nm = params.n_machines
+    nm, e_mag = nets.params.n_machines, nets.params.e_mag
     delta = traj.delta_matrix()
     rng = np.random.default_rng(seed)
     frames: list[MeasurementFrame] = []
@@ -141,7 +141,7 @@ def synthesize(traj: Trajectory, nets: ScenarioNetworks, params: MachineParams,
         net = nets.for_regime(regime)
         ids, nb = net.bus_order, len(net.bus_order)
         z = np.concatenate(
-            machine_outputs(delta[start:stop], params.e_mag, net), axis=1)
+            machine_outputs(delta[start:stop], e_mag, net), axis=1)
         sigma = np.repeat([noise.sigma_p, noise.sigma_q, noise.sigma_vmag,
                            noise.sigma_vang], [nm, nm, nb, nb])
         z += sigma * rng.standard_normal(z.shape)

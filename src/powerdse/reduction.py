@@ -252,7 +252,9 @@ def power_sensitivity(emf: np.ndarray, power: np.ndarray,
     """dS_i/d delta_k (n, n) at one state, from its ``complex_power`` emfs
     and powers: j (delta_ik S_i - emf_i conj(Y_ik emf_k)).  Its real and
     imaginary parts are the derivatives of P and Q."""
-    return 1j * (np.diag(power) - emf[:, None] * np.conj(net.y_red * emf))
+    ds = -1j * (emf[:, None] * np.conj(net.y_red * emf))
+    ds.ravel()[::ds.shape[0] + 1] += 1j * power
+    return ds
 
 
 @dataclass(frozen=True)

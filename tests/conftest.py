@@ -95,10 +95,9 @@ def _run_preset(name, out_dir):
     case = load_case(cfg.case)
     pf = solve_power_flow(case)
     nets = scenario_networks(case, pf, cfg.scenario)
-    params = machine_init(case, pf, nets.pre)
     truth = simulate(case, pf, cfg.scenario)
-    frames = synthesize(truth, nets, params, cfg.noise, cfg.seed)
-    return PresetRun(cfg=cfg, case=case, pf=pf, nets=nets, params=params,
+    frames = synthesize(truth, nets, cfg.noise, cfg.seed)
+    return PresetRun(cfg=cfg, case=case, pf=pf, nets=nets, params=nets.params,
                      truth=truth, frames=frames, report=report)
 
 

@@ -349,6 +349,16 @@ def test_run_nan_noise_level_is_one_line(runner, tmp_path):
     assert not out_dir.exists()
 
 
+def test_run_negative_seed_is_one_line(runner, tmp_path):
+    out_dir = tmp_path / "results"
+    result = runner.invoke(main, ["run", "wecc9-fault8", "--seed", "-1",
+                                  "--out", str(out_dir)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: config key 'seed' must be a whole number >= 0, got -1"]
+    assert not out_dir.exists()
+
+
 def test_run_missing_scenario_key_is_named(runner, tmp_path):
     # used to print only "Error: 'cleared_line'", from a bare KeyError
     cfg = tmp_path / "exp.yaml"

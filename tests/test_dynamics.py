@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerdse import dynamics
+import powerdse
+from powerdse import dynamics, filters, harness, measurement, reduction
 from powerdse import (
     DynamicState,
     FaultScenario,
@@ -202,6 +203,17 @@ def test_scenario_networks_ne39(ne39, ne39_pf):
     assert len(nets.fault.bus_order) == 38
 
 
+def test_fault_at_machine_terminal_runs(ne39, ne39_pf):
+    # A solid fault may sit at a machine's terminal bus: on ne39, bus 39
+    # (machine 1's) faulted and cleared by line 1-39 validates and stays in
+    # the stable speed band.
+    scen = FaultScenario(fault_bus=39, cleared_line=(1, 39), t_end=4.0)
+    assert 39 in ne39.machine_buses()
+    validate_scenario(ne39, scen)
+    traj = simulate(ne39, ne39_pf, scen)
+    assert np.max(np.abs(traj.omega_matrix() - 1.0)) < dynamics.SPEED_LIMIT
+
+
 def test_scenario_islanding_machine_rejected(wecc9, wecc9_pf):
     scen = wecc9_scenario(fault_bus=5, cleared_line=(1, 4))
     with pytest.raises(ScenarioError, match="islands a machine"):
@@ -305,6 +317,68 @@ def test_scenario_networks_rebuilt_for_new_inputs(monkeypatch):
     assert not np.array_equal(moved.pre.y_red, first.pre.y_red)
     scenario_networks(load_case("wecc9"), pf, scen)
     assert counts(calls) == (3, 3, 5)
+
+
+def counted_machine_inits(monkeypatch) -> list:
+    """The calls made from now on to ``machine_init``, from every powerdse
+    module that holds it by name."""
+    original = reduction.machine_init
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (powerdse, reduction, dynamics, filters, harness,
+                   measurement):
+        if getattr(module, "machine_init", None) is original:
+            monkeypatch.setattr(module, "machine_init", counting)
+    return calls
+
+
+def test_screening_round_inits_machines_once(monkeypatch):
+    # Every contingency of one case and power flow shares one constants
+    # object, taken once with the reduction base; the benchmark's screening
+    # job asks for the networks, then simulate asks again.
+    case = load_case("ne39")
+    pf = solve_power_flow(case)
+    calls = counted_machine_inits(monkeypatch)
+    params = set()
+    for scen in screening_scenarios():
+        params.add(id(scenario_networks(case, pf, scen).params))
+        simulate(case, pf, scen)
+    assert len(calls) == 1
+    assert len(params) == 1
+    assert not scenario_networks(case, pf, scen).params.delta0.flags.writeable
+
+
+def test_experiment_inits_machines_once(tmp_path, monkeypatch):
+    # run_experiment, simulate and both filters read the networks' constants
+    cfg = preset("wecc9-fault8")
+    cfg = replace(cfg, scenario=replace(cfg.scenario, t_end=2.0),
+                  out_dir=str(tmp_path))
+    calls = counted_machine_inits(monkeypatch)
+    run_experiment(cfg)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", ["v_ang", "p_inj", "q_inj"])
+def test_machine_constants_follow_the_operating_point(field):
+    # The constants read the power flow's angles and injections as well as
+    # its magnitudes, so each of them is part of the memo's key.
+    case = load_case("wecc9")
+    pf = solve_power_flow(case)
+    scen = wecc9_scenario()
+    first = scenario_networks(case, pf, scen).params
+    assert scenario_networks(case, replace(pf, v_mag=pf.v_mag.copy()),
+                             scen).params is first
+    moved = replace(pf, **{field: getattr(pf, field) + 1e-3})
+    other = scenario_networks(case, moved, scen).params
+    assert other is not first
+    assert not np.array_equal(other.delta0, first.delta0)
+    fresh = machine_init(case, moved, scenario_networks(case, moved, scen).pre)
+    for name in ("e_mag", "p_mech", "delta0"):
+        assert np.array_equal(getattr(other, name), getattr(fresh, name))
 
 
 def fresh_networks(case, pf, scen) -> tuple[ReducedNetwork, ...]:
@@ -431,6 +505,21 @@ def test_trajectory_arrays_read_only(wecc9, wecc9_pf):
     state = traj.states[120]
     for array in (traj.state_matrix(), traj.delta_matrix(),
                   traj.omega_matrix(), state.delta, state.omega):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_trajectory_states_tuple_built_once(wecc9, wecc9_pf):
+    # the rows as DynamicState are made on first use, then kept
+    traj = simulate(wecc9, wecc9_pf, wecc9_scenario(t_end=2.0))
+    assert "states" not in traj.__dict__
+    states = traj.states
+    assert isinstance(states, tuple)
+    assert traj.states is states
+    assert len(states) == len(traj) == 201
+    assert np.array_equal(states[-1].delta, traj.delta_matrix()[-1])
+    assert np.array_equal(states[-1].omega, traj.omega_matrix()[-1])
+    for array in (states[0].delta, states[-1].omega):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 

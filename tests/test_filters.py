@@ -548,7 +548,7 @@ def quiet_run_inputs(wecc9, wecc9_pf, wecc9_net, wecc9_params, wecc9_init):
     from powerdse import scenario_networks
 
     nets = scenario_networks(wecc9, wecc9_pf, scen)
-    frames = synthesize(truth, nets, wecc9_params, silent, 0)
+    frames = synthesize(truth, nets, silent, 0)
     b0 = init_belief(np.concatenate([wecc9_init.delta0, np.ones(3)]),
                      1e-6 * np.eye(6))
     return scen, truth, frames, b0
@@ -600,6 +600,18 @@ def test_covariance_health_along_preset_run(kind, wecc9, wecc9_pf, wecc9_run):
         assert np.linalg.eigvalsh(belief.p).min() > -1e-10
 
 
+def test_run_filter_needs_a_frame(wecc9, wecc9_pf, wecc9_run):
+    # one error naming the need, not numpy's "need at least one array to
+    # concatenate"
+    nm, nb = wecc9_run.params.n_machines, len(wecc9.buses)
+    cfg = FilterConfig(kind="ekf", q=1e-6 * np.eye(2 * nm),
+                       r=1e-4 * np.eye(2 * nm + 2 * nb))
+    b0 = init_belief(np.concatenate([wecc9_run.params.delta0, np.ones(nm)]),
+                     1e-2 * np.eye(2 * nm))
+    with pytest.raises(FilterNumericsError, match="at least one frame"):
+        run_filter(cfg, wecc9, wecc9_pf, wecc9_run.cfg.scenario, [], b0)
+
+
 def test_run_filter_error_names_frame(wecc9, wecc9_pf, wecc9_run):
     # all-zero covariances make the very first innovation solve singular
     cfg = FilterConfig(kind="ekf", q=np.zeros((6, 6)),
@@ -633,7 +645,7 @@ def preset_ekf_inputs(run, quiet):
         return cfg, run.frames, b0
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0, q_delta=0.0, q_omega=0.0)
-    frames = synthesize(run.truth, run.nets, run.params, silent, 0)
+    frames = synthesize(run.truth, run.nets, silent, 0)
     cfg = FilterConfig(kind="ekf", q=1e-12 * np.eye(2 * nm),
                        r=1e-12 * np.eye(2 * nm + 2 * nb))
     return cfg, frames, b0

@@ -354,6 +354,32 @@ def test_seeded_rerun_byte_identical(tmp_path):
             (second.out_dir / name).read_bytes(), name
 
 
+def test_pipeline_never_builds_state_tuples(tmp_path, monkeypatch):
+    # the truth and the estimates are read as arrays, never as DynamicState
+    made = []
+
+    def recording(fn):
+        def call(*args):
+            made.append(fn(*args))
+            return made[-1]
+        return call
+
+    monkeypatch.setattr(harness, "simulate", recording(harness.simulate))
+    monkeypatch.setattr(harness, "run_filter", recording(harness.run_filter))
+    run_experiment(quick_config(tmp_path))
+    truth, (ekf, _), (ukf, _) = made
+    for traj in (truth, ekf, ukf):
+        assert "states" not in traj.__dict__
+
+
+def test_measurements_writer_needs_a_frame(tmp_path):
+    # one error naming the need, not an IndexError on frames[0]
+    path = tmp_path / "measurements.csv"
+    with pytest.raises(ValueError, match="at least one frame"):
+        write_measurements_csv([], (1, 2, 3), path)
+    assert not path.exists()
+
+
 def test_report_file_matches_in_memory_report(wecc9_run):
     text = (wecc9_run.report.out_dir / "report.txt").read_text()
     assert text == format_report(wecc9_run.report)
@@ -508,6 +534,19 @@ def test_filter_kinds_checked_on_every_path(filters, message, tmp_path):
     path.write_text("case: wecc9\n"
                     "scenario: {fault_bus: 8, cleared_line: [8, 9]}\n"
                     f"filters: [{', '.join(filters)}]\n")
+    with pytest.raises(ValueError, match=message):
+        load_experiment_config(path)
+
+
+def test_negative_seed_rejected_with_its_key(tmp_path):
+    # rejected when the config is built, not by numpy at the synthesize stage
+    message = r"^config key 'seed' must be a whole number >= 0, got -1$"
+    with pytest.raises(ValueError, match=message):
+        replace(preset("wecc9-fault8"), seed=-1)
+    path = tmp_path / "exp.yaml"
+    path.write_text("case: wecc9\n"
+                    "scenario: {fault_bus: 8, cleared_line: [8, 9]}\n"
+                    "seed: -1\n")
     with pytest.raises(ValueError, match=message):
         load_experiment_config(path)
 

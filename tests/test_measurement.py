@@ -94,8 +94,8 @@ def frozen_trajectory(state, n, dt=0.01):
     )
 
 
-def same_net_everywhere(net):
-    return ScenarioNetworks(pre=net, fault=net, post=net)
+def same_net_everywhere(net, params):
+    return ScenarioNetworks(pre=net, fault=net, post=net, params=params)
 
 
 def test_zero_noise_frames_exact(wecc9, wecc9_pf, wecc9_net, wecc9_params,
@@ -105,7 +105,7 @@ def test_zero_noise_frames_exact(wecc9, wecc9_pf, wecc9_net, wecc9_params,
     traj = simulate(wecc9, wecc9_pf, scen)
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0)
-    frames = synthesize(traj, same_net_everywhere(wecc9_net), wecc9_params,
+    frames = synthesize(traj, same_net_everywhere(wecc9_net, wecc9_params),
                         silent, 0)
     assert len(frames) == len(traj)
     for fr, state, t in zip(frames, traj.states, traj.times):
@@ -124,7 +124,7 @@ def test_noise_sample_std(wecc9_net, wecc9_params, wecc9_init):
     traj = frozen_trajectory(state, 10_000)
     noise = NoiseSpec(sigma_p=0.01, sigma_q=0.0, sigma_vmag=0.0,
                       sigma_vang=0.0)
-    frames = synthesize(traj, same_net_everywhere(wecc9_net), wecc9_params,
+    frames = synthesize(traj, same_net_everywhere(wecc9_net, wecc9_params),
                         noise, 0)
     p_g, _, v_mag, _ = machine_outputs(state.delta, wecc9_params.e_mag,
                                        wecc9_net)
@@ -135,8 +135,8 @@ def test_noise_sample_std(wecc9_net, wecc9_params, wecc9_init):
 
 
 def test_equal_seeds_bit_identical(wecc9_run):
-    again = synthesize(wecc9_run.truth, wecc9_run.nets, wecc9_run.params,
-                       wecc9_run.cfg.noise, wecc9_run.cfg.seed)
+    again = synthesize(wecc9_run.truth, wecc9_run.nets, wecc9_run.cfg.noise,
+                       wecc9_run.cfg.seed)
     for a, b in zip(wecc9_run.frames, again):
         assert a.t == b.t and a.bus_ids == b.bus_ids
         assert np.array_equal(a.p_g, b.p_g)
@@ -146,8 +146,7 @@ def test_equal_seeds_bit_identical(wecc9_run):
 
 
 def test_different_seeds_differ(wecc9_run):
-    other = synthesize(wecc9_run.truth, wecc9_run.nets, wecc9_run.params,
-                       NoiseSpec(), 99)
+    other = synthesize(wecc9_run.truth, wecc9_run.nets, NoiseSpec(), 99)
     assert not np.array_equal(wecc9_run.frames[1].p_g, other[1].p_g)
 
 
@@ -187,7 +186,7 @@ def test_regime_that_returns_is_its_own_run(wecc9_run):
                       regime=regimes)
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0)
-    clean = synthesize(traj, nets, params, silent, 0)
+    clean = synthesize(traj, nets, silent, 0)
     for fr, state, regime in zip(clean, states, regimes):
         net = nets.for_regime(regime)
         assert fr.bus_ids == net.bus_order
@@ -195,7 +194,7 @@ def test_regime_that_returns_is_its_own_run(wecc9_run):
             machine_outputs(state[:nm], params.e_mag, net)))
 
     noise = NoiseSpec()
-    noisy = synthesize(traj, nets, params, noise, 5)
+    noisy = synthesize(traj, nets, noise, 5)
     ends = np.cumsum([fr.size for fr in clean])
     draws = np.split(np.random.default_rng(5).standard_normal(ends[-1]),
                      ends[:-1])
@@ -217,7 +216,7 @@ def test_frames_follow_the_measurement_model(wecc9_net, wecc9_params):
                       regime=[Regime.PreFault] * n)
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0)
-    frames = synthesize(traj, same_net_everywhere(wecc9_net), wecc9_params,
+    frames = synthesize(traj, same_net_everywhere(wecc9_net, wecc9_params),
                         silent, 0)
     model = swing_measurement_model(wecc9_params, wecc9_net)
     for fr, state in zip(frames, states):
