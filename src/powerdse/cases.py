@@ -245,11 +245,11 @@ def parse_case(text: str, source: str = "<string>") -> NetworkCase:
 def load_case(path: str | Path) -> NetworkCase:
     """Load and validate a case file; bare bundled names like "wecc9" work too."""
     p = Path(path)
-    if not p.exists() and p.name == str(path):
+    if not p.is_file() and p.name == str(path):
         bundled = bundled_case_path(str(path))
         if bundled is not None:
             p = bundled
-    if not p.exists():
+    if not p.is_file():
         raise CaseError(f"case file not found: {path}")
     return parse_case(p.read_text(), source=str(p))
 

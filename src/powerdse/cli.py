@@ -9,7 +9,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .cases import NetworkCase, load_case, total_load
+from .cases import load_case, total_load
 from .dynamics import FaultScenario, _joined_rows
 from .dynamics import simulate as run_simulation
 from .harness import (
@@ -24,13 +24,6 @@ from .harness import (
 )
 from .powerflow import solve_power_flow
 from .reduction import extend_network, kron_reduce
-
-
-def _load(case_ref: str) -> NetworkCase:
-    try:
-        return load_case(case_ref)
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
 
 
 @click.group()
@@ -87,12 +80,13 @@ def run(config: str, seed: int | None, out: str | None, repeat: int):
 @click.argument("case_ref")
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Convergence threshold on the largest mismatch entry.")
-@click.option("--max-iter", type=int, default=20, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=1), default=20,
+              show_default=True)
 @click.option("--out", default=None, help="Also write the solution as CSV.")
 def powerflow(case_ref: str, tol: float, max_iter: int, out: str | None):
     """Solve the steady-state power flow of a case (bundled name or path)."""
-    case = _load(case_ref)
     try:
+        case = load_case(case_ref)
         sol = solve_power_flow(case, tol=tol, max_iter=max_iter)
     except Exception as exc:
         raise click.ClickException(str(exc)) from exc
@@ -137,12 +131,12 @@ def simulate(case_ref: str, fault_bus: int, t_fault: float, cycles: float,
              clear_line: tuple[int, int], t_end: float, dt: float,
              out: str | None):
     """Simulate a fault scenario and report the rotor swing."""
-    case = _load(case_ref)
     scenario = FaultScenario(fault_bus=fault_bus, t_fault=t_fault,
                              clearing_cycles=cycles,
                              cleared_line=(clear_line[0], clear_line[1]),
                              t_end=t_end, dt=dt)
     try:
+        case = load_case(case_ref)
         pf = solve_power_flow(case)
         traj = run_simulation(case, pf, scenario)
     except Exception as exc:
@@ -166,8 +160,8 @@ def simulate(case_ref: str, fault_bus: int, t_fault: float, cycles: float,
                    "reconstruction map as CSVs.")
 def reduce(case_ref: str, out_dir: str | None):
     """Reduce a case to its machine internal nodes."""
-    case = _load(case_ref)
     try:
+        case = load_case(case_ref)
         pf = solve_power_flow(case)
         net = kron_reduce(extend_network(case, pf))
     except Exception as exc:

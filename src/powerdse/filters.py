@@ -152,10 +152,8 @@ def ekf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
 
 
 def _inverse(r: np.ndarray) -> np.ndarray:
-    """Inverse of a measurement covariance block, or FilterNumericsError
-    if the block is not finite or cannot be inverted."""
-    if not np.isfinite(r).all():
-        raise FilterNumericsError("measurement covariance block is not finite")
+    """Inverse of a finite measurement covariance block, or
+    FilterNumericsError if it cannot be inverted."""
     try:
         r_inv = np.linalg.inv(r)
         if np.isfinite(r_inv).all():
@@ -326,6 +324,25 @@ def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
                 "is not finite")
 
 
+def _check_inputs(cfg: FilterConfig, b0: GaussianBelief, n_states: int,
+                  n_channels: int) -> None:
+    """Raise FilterNumericsError naming the first of q, R, the prior mean and
+    the prior covariance whose shape is wrong or that is not finite."""
+    for name, value, shape in (
+            ("process covariance q", cfg.q, (n_states, n_states)),
+            ("measurement covariance r", cfg.r, (n_channels, n_channels)),
+            ("prior mean", b0.x_hat, (n_states,)),
+            ("prior covariance", b0.p, (n_states, n_states))):
+        value = np.asarray(value, dtype=float)
+        if value.shape != shape:
+            raise FilterNumericsError(
+                f"{name} has shape {value.shape}, expected {shape}")
+        bad = value.size - np.count_nonzero(np.isfinite(value))
+        if bad:
+            raise FilterNumericsError(
+                f"{name} is not finite ({bad} of {value.size} entries)")
+
+
 def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
                scenario: FaultScenario, frames: list[MeasurementFrame],
                b0: GaussianBelief) -> tuple[Trajectory, list[GaussianBelief]]:
@@ -334,14 +351,13 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     The first frame seeds nothing: the estimate at its time is ``b0``.  Each
     later frame triggers one predict with the topology in force at the start
     of the interval, then one update with the topology at the frame time.
-    Frame k must be stamped k * ``scenario.dt``, so the process models are
-    one per regime.  Every frame is checked before the first step: a
-    non-finite value or an off-grid stamp raises FilterNumericsError naming
-    the frame and its time.  The EKF inverts the block of ``cfg.r`` for each
-    frame layout once; a block that is singular or not finite raises
-    FilterNumericsError naming the first frame with that layout, and so
-    does an empty frame list.  Returns the estimate trajectory and the
-    belief after every frame.
+    Every input is checked once, before the first step, the same for both
+    kinds: an empty frame list, a q, intact-layout ``cfg.r`` or ``b0`` of the
+    wrong size or not finite, a frame not finite or not stamped k *
+    ``scenario.dt``, and an R layout block the EKF cannot invert raise
+    FilterNumericsError, the last two naming the first frame at fault and
+    its time.  Returns the estimate trajectory and the belief after every
+    frame.
     """
     if not frames:
         raise FilterNumericsError("run_filter needs at least one frame")
@@ -349,6 +365,7 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     params = nets.params
     nm = params.n_machines
     all_bus_ids = tuple(b.id for b in case.buses)
+    _check_inputs(cfg, b0, 2 * nm, 2 * nm + 2 * len(all_bus_ids))
 
     stamps = np.array([fr.t for fr in frames])
     # every frame's vector as one array, frame k's ending at ends[k]
@@ -358,54 +375,35 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     _check_frames(frames, stamps, flat, ends, nm, scenario.dt)
     regimes = scenario.regimes(stamps, case.frequency)
 
-    def at_frame(k: int, exc: FilterNumericsError) -> FilterNumericsError:
-        return FilterNumericsError(f"frame {k} (t={stamps[k]:.4f}s): {exc}")
-
-    # The plan: per frame, the process model of the regime at the start of
-    # the interval before it, the measurement model of the regime at the
-    # frame, the covariance block of its layout (inverted once per layout
-    # for the EKF, which updates in information form), and its vector.
-    processes: dict = {}
-    observers: dict = {}
-    r_blocks: dict = {}
-    plan = []
-    for k in range(1, len(frames)):
-        before, regime = regimes[k - 1], regimes[k]
-        if before not in processes:
-            processes[before] = swing_process_model(
-                params, nets.for_regime(before), scenario.dt)
-        if regime not in observers:
-            observers[regime] = swing_measurement_model(
-                params, nets.for_regime(regime))
-        layout = frames[k].bus_ids
-        if layout not in r_blocks:
-            idx = measurement_indices(all_bus_ids, layout, nm)
-            block = cfg.r[np.ix_(idx, idx)]
-            try:
-                r_blocks[layout] = (_inverse(block) if cfg.kind == "ekf"
-                                    else block)
-            except FilterNumericsError as exc:
-                raise at_frame(k, exc) from exc
-        plan.append((processes[before], observers[regime], r_blocks[layout],
-                     flat[ends[k - 1]:ends[k]]))
-
+    # The EKF updates in information form, on the inverse of each R block;
+    # the UKF conditions on the block itself.
     if cfg.kind == "ekf":
-        def advance(belief, process, measure, r_inv, z):
-            return ekf_update(ekf_predict(belief, process, cfg.q), z, measure,
-                              r_inv)
+        predict, update, r_form = ekf_predict, ekf_update, _inverse
     else:
-        def advance(belief, process, measure, r, z):
-            return ukf_update(ukf_predict(belief, process, cfg.q), z,
-                              measure, r)
+        predict, update, r_form = ukf_predict, ukf_update, np.asarray
+    # Every interval is one dt, so one process model per regime that starts
+    # an interval, and one measurement model per regime of a frame.
+    processes = {reg: swing_process_model(params, nets.for_regime(reg), scenario.dt)
+                 for reg in dict.fromkeys(regimes[:-1])}
+    observers = {reg: swing_measurement_model(params, nets.for_regime(reg))
+                 for reg in dict.fromkeys(regimes[1:])}
 
-    belief = b0
-    beliefs = [belief]
-    for k, step in enumerate(plan, start=1):
-        try:
-            belief = advance(belief, *step)
-        except FilterNumericsError as exc:
-            raise at_frame(k, exc) from exc
-        beliefs.append(belief)
+    try:
+        r_blocks = {}
+        for k in range(1, len(frames)):
+            layout = frames[k].bus_ids
+            if layout not in r_blocks:
+                idx = measurement_indices(all_bus_ids, layout, nm)
+                r_blocks[layout] = r_form(cfg.r[np.ix_(idx, idx)])
+        belief, beliefs = b0, [b0]
+        for k in range(1, len(frames)):
+            belief = update(predict(belief, processes[regimes[k - 1]], cfg.q),
+                            flat[ends[k - 1]:ends[k]], observers[regimes[k]],
+                            r_blocks[frames[k].bus_ids])
+            beliefs.append(belief)
+    except FilterNumericsError as exc:
+        raise FilterNumericsError(
+            f"frame {k} (t={stamps[k]:.4f}s): {exc}") from exc
 
     x = np.array([b.x_hat for b in beliefs])
     return Trajectory(times=stamps, states=x, regime=regimes), beliefs

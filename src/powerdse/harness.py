@@ -308,7 +308,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
               + [f"omega_{i + 1}" for i in range(nm)]
               + ["regime"])
     _write_rows(path, header, map(",".join, zip(
-        *traj.cells, (regime.value for regime in traj.regime))))
+        *traj.cells, (regime.value for regime in traj.regime), strict=True)))
 
 
 def write_measurements_csv(frames: list[MeasurementFrame],
@@ -356,6 +356,9 @@ def write_estimates_csv(truth: Trajectory, x_hat: np.ndarray,
               + [f"p_delta_{i + 1}" for i in range(nm)]
               + [f"p_omega_{i + 1}" for i in range(nm)])
     times, delta, omega = truth.cells
+    if not len(times) == len(x_hat) == len(p_diag):
+        raise ValueError(f"{len(times)} truth samples, but {len(x_hat)} estimate "
+                         f"rows and {len(p_diag)} covariance rows")
     _write_rows(path, header, map(",".join, zip(
         times, delta, _joined_rows(x_hat[:, :nm]), omega,
         _joined_rows(np.column_stack([x_hat[:, nm:], p_diag])))))

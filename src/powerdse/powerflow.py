@@ -123,8 +123,12 @@ def solve_power_flow(case: NetworkCase, tol: float = 1e-8,
 
     Convergence means the largest absolute mismatch entry drops below ``tol``.
     ``iterations`` counts mismatch evaluations, so an already-balanced case
-    reports 1.  Raises PowerFlowError on divergence or a singular Jacobian.
+    reports 1.  Raises PowerFlowError on divergence, a singular Jacobian,
+    ``max_iter`` below 1 or a ``tol`` that is not a positive finite number.
     """
+    if max_iter < 1 or not 0 < tol < np.inf:
+        raise PowerFlowError(f"power flow needs max_iter >= 1 and a positive "
+                             f"finite tol, got max_iter={max_iter}, tol={tol}")
     ybus = build_ybus(case)
     pvpq, pq = _bus_classes(case)
     n_ang = pvpq.size

@@ -94,6 +94,16 @@ def test_load_case_missing_file(tmp_path):
         load_case(tmp_path / "nope.case")
 
 
+@pytest.mark.parametrize("ref", ["directory", ""], ids=["directory", "empty"])
+def test_load_case_rejects_non_file(ref, tmp_path, monkeypatch):
+    # a directory (the empty path is the working directory) is not a case
+    # file: CaseError, not IsADirectoryError
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "directory").mkdir()
+    with pytest.raises(CaseError, match=f"^case file not found: {ref}$"):
+        load_case(ref)
+
+
 def test_parse_error_names_line():
     text = "name broken\n[buses]\n1 slack zero 0 1.0\n"
     with pytest.raises(CaseError, match=":3"):

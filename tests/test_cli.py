@@ -92,6 +92,17 @@ def test_powerflow_iteration_cap(runner):
     assert "did not converge" in result.output
 
 
+def test_powerflow_settings_checked(runner):
+    # a usage error from the option itself, not "cannot access local variable"
+    result = runner.invoke(main, ["powerflow", "wecc9", "--max-iter", "0"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--max-iter'" in result.output
+    result = runner.invoke(main, ["powerflow", "wecc9", "--tol", "nan"])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: power flow needs max_iter >= 1 "
+                                    "and a positive finite tol")
+
+
 def test_simulate_writes_trajectory(runner, tmp_path):
     out = tmp_path / "traj.csv"
     result = runner.invoke(main, [

@@ -694,8 +694,7 @@ def test_run_filter_inverts_each_r_block_once(kind, inversions, wecc9,
 @pytest.mark.parametrize("change,message", [
     ("zero", r"frame 1 \(t=0\.0100s\): measurement covariance block is "
              r"singular \(cond"),
-    ("nan", r"frame 1 \(t=0\.0100s\): measurement covariance block is not "
-            r"finite$"),
+    ("nan", r"^measurement covariance r is not finite \(1 of 576 entries\)$"),
     ("fault-on", r"frame 100 \(t=1\.0000s\): measurement covariance block "
                  r"is singular"),
 ], ids=["zero", "nan", "fault-on"])
@@ -719,6 +718,52 @@ def test_run_filter_rejects_singular_r_block(change, message, wecc9, wecc9_pf,
     with pytest.raises(FilterNumericsError, match=message):
         run_filter(dataclasses.replace(cfg, r=r), wecc9, wecc9_pf,
                    wecc9_run.cfg.scenario, wecc9_run.frames, b0)
+
+
+@pytest.mark.parametrize("change,message", [
+    ("nan-q", r"^process covariance q is not finite \(1 of 36 entries\)$"),
+    ("inf-r", r"^measurement covariance r is not finite \(1 of 576 entries\)$"),
+    ("q-shape", r"^process covariance q has shape \(5, 5\), expected \(6, 6\)$"),
+    ("r-shape", r"^measurement covariance r has shape \(22, 22\), "
+                r"expected \(24, 24\)$"),
+    ("b0-size", r"^prior mean has shape \(5,\), expected \(6,\)$"),
+    ("nan-p0", r"^prior covariance is not finite \(1 of 36 entries\)$"),
+], ids=["nan-q", "inf-r", "q-shape", "r-shape", "b0-size", "nan-p0"])
+@pytest.mark.parametrize("kind", ["ekf", "ukf"])
+def test_run_filter_checks_inputs_before_any_step(kind, change, message, wecc9,
+                                                 wecc9_pf, wecc9_run,
+                                                 monkeypatch):
+    # one contract for both kinds: the same error, raised before any predict
+    predicts = []
+    for name in ("ekf_predict", "ukf_predict"):
+        def counting(*args, _predict=getattr(filters, name)):
+            predicts.append(1)
+            return _predict(*args)
+        monkeypatch.setattr(filters, name, counting)
+    cfg = preset_filter_config(kind, wecc9_run.cfg.noise)
+    b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
+                     1e-2 * np.eye(6))
+    q, r, x0, p0 = cfg.q.copy(), cfg.r.copy(), b0.x_hat, b0.p.copy()
+    if change == "nan-q":
+        q[2, 3] = np.nan
+    elif change == "inf-r":
+        r[5, 5] = np.inf
+    elif change == "q-shape":
+        q = q[:5, :5]
+    elif change == "r-shape":
+        r = r[:22, :22]
+    elif change == "b0-size":
+        x0 = x0[:5]
+    else:
+        p0[0, 0] = np.nan
+    args = (wecc9, wecc9_pf, wecc9_run.cfg.scenario, wecc9_run.frames)
+    with pytest.raises(FilterNumericsError, match=message):
+        run_filter(dataclasses.replace(cfg, q=q, r=r), *args,
+                   GaussianBelief(x_hat=x0, p=p0))
+    assert predicts == []
+    # the counting wrappers are the ones run_filter calls
+    run_filter(cfg, *args[:3], wecc9_run.frames[:3], b0)
+    assert len(predicts) == 2
 
 
 def with_nan(frames, k, field, index):

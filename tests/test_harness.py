@@ -380,6 +380,24 @@ def test_measurements_writer_needs_a_frame(tmp_path):
     assert not path.exists()
 
 
+def test_writers_reject_row_count_mismatch(tmp_path):
+    # 500 estimate rows for a 1,001-sample truth: an error naming both
+    # counts, before the file is opened, not a 500-row file
+    n = 1001
+    truth = Trajectory(times=np.arange(n) * 0.01, states=np.zeros((n, 6)),
+                       regime=[Regime.PreFault] * n)
+    path = tmp_path / "estimate.csv"
+    with pytest.raises(ValueError, match=r"^1001 truth samples, but 500 "
+                       r"estimate rows and 500 covariance rows$"):
+        write_estimates_csv(truth, np.zeros((500, 6)), np.zeros((500, 6)), path)
+    assert not path.exists()
+    # a regime list shorter than the samples is not cut to its length
+    short = Trajectory(times=truth.times, states=truth.state_matrix(),
+                       regime=truth.regime[:500])
+    with pytest.raises(ValueError, match="shorter"):
+        write_trajectory_csv(short, tmp_path / "truth.csv")
+
+
 def test_report_file_matches_in_memory_report(wecc9_run):
     text = (wecc9_run.report.out_dir / "report.txt").read_text()
     assert text == format_report(wecc9_run.report)

@@ -191,6 +191,17 @@ def test_complex_power_balance(name, request):
     assert abs(injected - _independent_losses(case, v)) < 10 * 1e-8
 
 
+@pytest.mark.parametrize("setting", [
+    {"max_iter": 0}, {"max_iter": -1}, {"tol": 0.0}, {"tol": -1e-8},
+    {"tol": float("nan")}, {"tol": float("inf")},
+], ids=["max_iter=0", "max_iter=-1", "tol=0", "tol<0", "tol=nan", "tol=inf"])
+def test_solver_settings_rejected(setting, wecc9):
+    # max_iter=0 raised UnboundLocalError on the unassigned last mismatch
+    with pytest.raises(PowerFlowError, match="needs max_iter >= 1 and a "
+                                             "positive finite tol"):
+        solve_power_flow(wecc9, **setting)
+
+
 def test_divergence_reported():
     with pytest.raises(PowerFlowError, match="did not converge|singular"):
         solve_power_flow(two_bus(p_load=100.0), max_iter=8)
