@@ -265,9 +265,10 @@ class Trajectory:
     The states are one read-only (samples, 2n) array, each row the angles
     then the speeds.  ``states`` may be given as that array, which is held
     and not copied, or as a sequence of ``DynamicState``, which is stacked
-    once.  ``states`` reads the rows back as a tuple of ``DynamicState`` of
-    read-only views, built on first use; ``state_matrix`` returns the array,
-    and ``delta_matrix`` and ``omega_matrix`` views of it.
+    once.  ``times`` and ``regime`` hold one entry per row.  ``states``
+    reads the rows back as a tuple of ``DynamicState`` of read-only views,
+    built on first use; ``state_matrix`` returns the array, and
+    ``delta_matrix`` and ``omega_matrix`` views of it.
     """
 
     def __init__(self, times: np.ndarray,
@@ -280,6 +281,9 @@ class Trajectory:
         if array.ndim != 2 or array.shape[1] % 2:
             raise ValueError(f"states must be (samples, 2n) rows, "
                              f"got shape {array.shape}")
+        if len(times) != len(array) or len(regime) != len(array):
+            raise ValueError(f"{len(array)} state rows, but {len(times)} "
+                             f"times and {len(regime)} regimes")
         array.flags.writeable = False
         n = array.shape[1] // 2
         self.times = times

@@ -14,6 +14,7 @@ from itertools import accumulate
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cases import NetworkCase
 from .dynamics import (
@@ -41,6 +42,12 @@ from .reduction import (
 FILTER_KINDS = ("ekf", "ukf")
 # Added once to the diagonal of a covariance whose square root fails.
 _JITTER = 1e-9
+# The error state of every public frame function, entered once per call.
+# The frames factorize and solve with the LAPACK gufuncs that np.linalg
+# wraps, without its per-call checks and conversions; under this state a
+# failed factorization or a singular solve raises FloatingPointError, as
+# does any NaN that the frame's arithmetic makes from numbers.
+_raise_invalid = np.errstate(invalid="raise")
 
 
 class FilterNumericsError(RuntimeError):
@@ -120,6 +127,7 @@ def init_belief(x0: np.ndarray, p0: np.ndarray) -> GaussianBelief:
 # --- extended filter ---------------------------------------------------------
 
 
+@_raise_invalid
 def ekf_predict(belief: GaussianBelief, model: ProcessModel,
                 q: np.ndarray) -> GaussianBelief:
     """Propagate the belief through the process model and inflate by q."""
@@ -128,6 +136,7 @@ def ekf_predict(belief: GaussianBelief, model: ProcessModel,
     return GaussianBelief(x_hat=x, p=_symmetrize(p))
 
 
+@_raise_invalid
 def ekf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
                r_inv: np.ndarray) -> GaussianBelief:
     """Condition the belief on one measurement in information form.
@@ -142,11 +151,12 @@ def ekf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
     info = belief.p.dot(jac.T.dot(rh))
     info.ravel()[::info.shape[0] + 1] += 1.0
     try:
-        p = _symmetrize(np.linalg.solve(info, belief.p))
-    except np.linalg.LinAlgError as exc:
+        p = _umath_linalg.solve(info, belief.p)
+    except FloatingPointError as exc:
         raise FilterNumericsError(
             f"singular information matrix (cond {np.linalg.cond(info):.3e})"
         ) from exc
+    p = _symmetrize(p)
     x = belief.x_hat + p.dot(rh.T.dot(z - z_hat))
     return GaussianBelief(x_hat=x, p=p)
 
@@ -168,14 +178,15 @@ def _inverse(r: np.ndarray) -> np.ndarray:
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor of a nominally PSD matrix, with one retry."""
+    """Lower-triangular factor of a nominally PSD matrix, with one retry.
+    Called under ``_raise_invalid``, where a failed factorization raises."""
     try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
+        return _umath_linalg.cholesky_lo(mat)
+    except FloatingPointError:
         pass
     try:
-        return np.linalg.cholesky(mat + _JITTER * np.eye(mat.shape[0]))
-    except np.linalg.LinAlgError as exc:
+        return _umath_linalg.cholesky_lo(mat + _JITTER * np.eye(mat.shape[0]))
+    except FloatingPointError as exc:
         raise FilterNumericsError(
             "covariance is not positive semidefinite within jitter") from exc
 
@@ -189,18 +200,26 @@ def _equal_weights(count: int) -> np.ndarray:
     return w
 
 
+@_raise_invalid
 def sigma_points(belief: GaussianBelief) -> np.ndarray:
     """Symmetric equal-weight point set: 2n points at x +- the columns of a
     factor of n P, each carrying weight 1/(2n).  No point sits at the mean."""
+    return _sigma_points(belief)
+
+
+def _sigma_points(belief: GaussianBelief) -> np.ndarray:
+    """``sigma_points`` without its error state, for the frame functions
+    that are already in it."""
     n = belief.x_hat.size
     root = _psd_sqrt(n * belief.p)
     return np.concatenate([belief.x_hat + root.T, belief.x_hat - root.T])
 
 
+@_raise_invalid
 def ukf_predict(belief: GaussianBelief, model: ProcessModel,
                 q: np.ndarray) -> GaussianBelief:
     """Propagate sigma points through the process model and inflate by q."""
-    pts = sigma_points(belief)
+    pts = _sigma_points(belief)
     w = _equal_weights(len(pts))
     prop = model.step(pts)
     x = w.dot(prop)
@@ -209,10 +228,11 @@ def ukf_predict(belief: GaussianBelief, model: ProcessModel,
     return GaussianBelief(x_hat=x, p=_symmetrize(p))
 
 
+@_raise_invalid
 def ukf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
                r: np.ndarray) -> GaussianBelief:
     """Condition the predicted belief on a measurement via fresh sigma points."""
-    pts = sigma_points(belief)
+    pts = _sigma_points(belief)
     w = _equal_weights(len(pts))
     obs = model.observe(pts)
     z_hat = w.dot(obs)
@@ -222,8 +242,8 @@ def ukf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
     p_zz = wdz.T.dot(dz) + r
     p_xz = dx.T.dot(wdz)
     try:
-        gain = np.linalg.solve(p_zz, p_xz.T).T
-    except np.linalg.LinAlgError as exc:
+        gain = _umath_linalg.solve(p_zz, p_xz.T).T
+    except FloatingPointError as exc:
         raise FilterNumericsError(
             f"singular innovation covariance (cond {np.linalg.cond(p_zz):.3e})") from exc
     x = belief.x_hat + gain.dot(z - z_hat)
@@ -356,8 +376,10 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     wrong size or not finite, a frame not finite or not stamped k *
     ``scenario.dt``, and an R layout block the EKF cannot invert raise
     FilterNumericsError, the last two naming the first frame at fault and
-    its time.  Returns the estimate trajectory and the belief after every
-    frame.
+    its time.  A step that breaks down, by a failed factorization or solve or
+    by a NaN its arithmetic makes, raises FilterNumericsError naming its
+    frame the same way.  Returns the estimate trajectory and the belief after
+    every frame.
     """
     if not frames:
         raise FilterNumericsError("run_filter needs at least one frame")
@@ -401,7 +423,7 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
                             flat[ends[k - 1]:ends[k]], observers[regimes[k]],
                             r_blocks[frames[k].bus_ids])
             beliefs.append(belief)
-    except FilterNumericsError as exc:
+    except (FilterNumericsError, FloatingPointError) as exc:
         raise FilterNumericsError(
             f"frame {k} (t={stamps[k]:.4f}s): {exc}") from exc
 

@@ -88,7 +88,7 @@ def machine_outputs(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
     """
     ref, emf, power = complex_power(delta, e_mag, net)
     v = _apply(net.r_v, emf)
-    return power.real, power.imag, np.abs(v), ref + np.angle(v)
+    return power.real, power.imag, np.abs(v), ref + np.arctan2(v.imag, v.real)
 
 
 def machine_outputs_linearized(delta: np.ndarray, e_mag: np.ndarray,
@@ -106,15 +106,15 @@ def machine_outputs_linearized(delta: np.ndarray, e_mag: np.ndarray,
     ref, emf, power = complex_power(delta, e_mag, net)
     v = _apply(net.r_v, emf)
     vm = np.abs(v)
-    dead = np.flatnonzero(vm < 1e-12)
-    if dead.size:
-        bus = net.bus_order[int(dead[0])]
+    if np.minimum.reduce(vm) < 1e-12:
+        bus = net.bus_order[int(np.flatnonzero(vm < 1e-12)[0])]
         raise ValueError(f"reconstructed voltage at bus {bus} is zero; "
                          "angle derivative undefined")
     ds = power_sensitivity(emf, power, net)
     # (dV/d delta) / V = d ln|V| + j d(angle V)
     dv = net.r_v * (1j * emf) / v[:, None]
-    outputs = np.concatenate([power.real, power.imag, vm, ref + np.angle(v)])
+    outputs = np.concatenate([power.real, power.imag, vm,
+                              ref + np.arctan2(v.imag, v.real)])
     return outputs, np.concatenate([ds.real, ds.imag, vm[:, None] * dv.real,
                                     dv.imag])
 

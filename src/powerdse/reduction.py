@@ -235,7 +235,7 @@ def complex_power(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
     rotation cancels in S.  Each row of a stack is bitwise the value that row
     gives alone.
     """
-    ref = delta.sum(axis=-1, keepdims=True) / delta.shape[-1]
+    ref = np.add.reduce(delta, -1, keepdims=True) / delta.shape[-1]
     emf = e_mag * np.exp(1j * (delta - ref))
     return ref, emf, emf * np.conj(_apply(net.y_red, emf))
 

@@ -500,6 +500,21 @@ def test_trajectory_from_states_matches_simulate(wecc9_run):
         assert np.array_equal(ours.omega, original.omega)
 
 
+@pytest.mark.parametrize("times,regimes,message", [
+    (1000, 1001, r"^1001 state rows, but 1000 times and 1001 regimes$"),
+    (1002, 1002, r"^1001 state rows, but 1002 times and 1002 regimes$"),
+], ids=["short-times", "long-both"])
+def test_trajectory_rejects_length_mismatch(times, regimes, message):
+    # one time and one regime per state row, for either form of the states;
+    # a short regime list is test_writers_reject_row_count_mismatch's case
+    states = np.zeros((1001, 6))
+    for form in (states, [DynamicState(delta=row[:3], omega=row[3:])
+                          for row in states]):
+        with pytest.raises(ValueError, match=message):
+            Trajectory(times=np.arange(times) * 0.01, states=form,
+                       regime=[Regime.PreFault] * regimes)
+
+
 def test_trajectory_arrays_read_only(wecc9, wecc9_pf):
     traj = simulate(wecc9, wecc9_pf, wecc9_scenario(t_end=2.0))
     state = traj.states[120]

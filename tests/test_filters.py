@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -360,6 +361,42 @@ def test_ekf_update_singular_information_matrix():
                    -np.eye(2))
 
 
+@pytest.mark.parametrize("n", [6, 20, 24, 98])
+def test_lapack_gufuncs_are_np_linalg_bitwise(n):
+    # the frames call the gufuncs np.linalg wraps, at the sizes of the
+    # presets' sigma sets and innovation solves; a numpy that moves or
+    # changes them fails here
+    rng = np.random.default_rng(n)
+    a = random_psd(rng, n)
+    b = rng.normal(size=(n, 6))
+    lapack = filters._umath_linalg
+    assert np.array_equal(lapack.cholesky_lo(a), np.linalg.cholesky(a))
+    assert np.array_equal(lapack.solve(a, b), np.linalg.solve(a, b))
+    assert np.array_equal(lapack.solve(a, a.T), np.linalg.solve(a, a.T))
+
+
+def test_ukf_update_singular_innovation_covariance():
+    # a measurement blind to the state, with R = 0: P_zz is 0
+    belief = init_belief(np.zeros(2), np.eye(2))
+    with pytest.raises(FilterNumericsError,
+                       match=r"^singular innovation covariance \(cond "):
+        ukf_update(belief, np.zeros(2), linear_measurement(np.zeros((2, 2))),
+                   np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("frame_step", [ekf_predict, ukf_predict])
+def test_frame_step_raises_on_a_nan_it_makes(frame_step):
+    # inf - inf inside the process model is an error of the call, and the
+    # error state ends with it
+    inf = np.full(1, np.inf)
+    model = ProcessModel(step=lambda x: x + (inf - inf),
+                         linearize=lambda x: (x + (inf - inf), np.eye(1)))
+    invalid = np.geterr()["invalid"]
+    with pytest.raises(FloatingPointError, match="invalid value"):
+        frame_step(init_belief(np.zeros(1), np.eye(1)), model, np.eye(1))
+    assert np.geterr()["invalid"] == invalid
+
+
 # --- sigma points ------------------------------------------------------------
 
 
@@ -621,6 +658,47 @@ def test_run_filter_error_names_frame(wecc9, wecc9_pf, wecc9_run):
     with pytest.raises(FilterNumericsError, match="frame 1"):
         run_filter(cfg, wecc9, wecc9_pf, wecc9_run.cfg.scenario,
                    wecc9_run.frames, b0)
+
+
+@pytest.mark.parametrize("kind,stage,method", [
+    ("ekf", "predict", "linearize"), ("ukf", "predict", "step"),
+    ("ekf", "update", "linearize"), ("ukf", "update", "observe"),
+], ids=["ekf-predict", "ukf-predict", "ekf-update", "ukf-update"])
+def test_run_filter_names_frame_of_a_nan_made_mid_run(kind, stage, method,
+                                                      wecc9, wecc9_pf,
+                                                      wecc9_run, monkeypatch):
+    # the model's 200th evaluation, frame 200's, adds inf - inf to its
+    # value: the run stops there, naming the frame, instead of carrying NaN
+    factory = ("swing_process_model" if stage == "predict"
+               else "swing_measurement_model")
+    build = getattr(filters, factory)
+    calls = itertools.count(1)
+
+    def poisoned(*args):
+        model = build(*args)
+        evaluate = getattr(model, method)
+
+        def wrapped(vec):
+            out = evaluate(vec)
+            if next(calls) == 200:
+                inf = np.full(1, np.inf)
+                if isinstance(out, tuple):
+                    return (out[0] + (inf - inf), *out[1:])
+                return out + (inf - inf)
+            return out
+
+        return dataclasses.replace(model, **{method: wrapped})
+
+    monkeypatch.setattr(filters, factory, poisoned)
+    b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
+                     1e-2 * np.eye(6))
+    with pytest.raises(FilterNumericsError,
+                       match=r"^frame 200 \(t=2\.0000s\): invalid value "
+                             r"encountered in subtract$") as err:
+        run_filter(preset_filter_config(kind, wecc9_run.cfg.noise), wecc9,
+                   wecc9_pf, wecc9_run.cfg.scenario, wecc9_run.frames, b0)
+    assert isinstance(err.value.__cause__, FloatingPointError)
+    assert next(calls) == 201
 
 
 def preset_filter_config(kind, noise):

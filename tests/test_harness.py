@@ -391,11 +391,12 @@ def test_writers_reject_row_count_mismatch(tmp_path):
                        r"estimate rows and 500 covariance rows$"):
         write_estimates_csv(truth, np.zeros((500, 6)), np.zeros((500, 6)), path)
     assert not path.exists()
-    # a regime list shorter than the samples is not cut to its length
-    short = Trajectory(times=truth.times, states=truth.state_matrix(),
-                       regime=truth.regime[:500])
-    with pytest.raises(ValueError, match="shorter"):
-        write_trajectory_csv(short, tmp_path / "truth.csv")
+    # a regime list shorter than the samples never reaches a writer: the
+    # trajectory itself is refused
+    with pytest.raises(ValueError, match=r"^1001 state rows, but 1001 times "
+                       r"and 500 regimes$"):
+        Trajectory(times=truth.times, states=truth.state_matrix(),
+                   regime=truth.regime[:500])
 
 
 def test_report_file_matches_in_memory_report(wecc9_run):
