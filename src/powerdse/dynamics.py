@@ -22,15 +22,15 @@ import numpy as np
 from .cases import NetworkCase
 from .powerflow import PowerFlowSolution
 from .reduction import (
+    ExtendedAdmittance,
     MachineParams,
     ReducedNetwork,
-    ReductionBase,
+    ReductionError,
     extend_network,
-    fault_network,
+    ground_bus,
     kron_reduce,
     machine_init,
     open_branch,
-    reduction_base,
 )
 
 SPEED_LIMIT = 0.2  # per-unit speed deviation treated as loss of synchronism
@@ -183,9 +183,9 @@ def _machine_islanded(case: NetworkCase, opened: int) -> bool:
 
 
 # The last scenario_networks call: (case, bytes of pf.v_mag, v_ang, p_inj and
-# q_inj, the reduction base and machine constants of that pair, scenario,
-# result); the last two are None when that scenario failed.  Holding the case
-# keeps its id from being reused.
+# q_inj, the extended system, pre-fault network and machine constants of that
+# pair, scenario, result); the last two are None when that scenario failed.
+# Holding the case keeps its id from being reused.
 _last_networks: tuple | None = None
 
 
@@ -194,62 +194,66 @@ def scenario_networks(case: NetworkCase, pf: PowerFlowSolution,
     """Build the pre-fault, fault-on, and post-clearing reduced networks,
     with the machine constants of the operating point.
 
-    The fault-on network has the faulted bus deleted from the extended
-    system (its voltage is pinned to zero); the post network has the
-    cleared line open, keeping load admittances at pre-fault voltages.
-
-    All derive from one ``reduction_base`` per case and power flow: the
-    extended system, the inverse of its bus block and the pre-fault
-    network, from which ``machine_init`` takes the constants once.  The
-    fault-on network is its rank-one ``fault_network`` update, and the post
-    network one ``kron_reduce`` of its bus block less the cleared line's
-    stamp (``open_branch``).
+    Each network is one ``kron_reduce``: of the extended system, of it with
+    the faulted bus grounded (``ground_bus``) and of it with the cleared
+    line open (``open_branch``).  A ReductionError names the topology.
 
     One entry is kept, the last call's: the same case object and the same
-    ``pf.v_mag``, ``v_ang``, ``p_inj`` and ``q_inj`` (the power-flow fields
-    the networks and the constants read) reuse its base and its constants,
-    and an equal scenario besides returns its result again.  The networks'
-    ``y_red`` and ``r_v`` and the constants' arrays are read-only.  A failed
-    scenario is not kept, so it is raised again on every call.
+    ``pf.v_mag``, ``v_ang``, ``p_inj`` and ``q_inj`` (the fields the networks
+    and the constants read) reuse its extended system, pre-fault network and
+    constants, and an equal scenario besides returns its result again.  All
+    their arrays are read-only.  A failed scenario is not kept, so it is
+    raised again on every call.
     """
     global _last_networks
     key = tuple(a.tobytes() for a in (pf.v_mag, pf.v_ang, pf.p_inj, pf.q_inj))
     last = _last_networks
-    same_base = last is not None and last[0] is case and last[1] == key
-    if same_base and last[4] == scenario:
-        return last[5]
+    same_point = last is not None and last[0] is case and last[1] == key
+    if same_point and last[5] == scenario:
+        return last[6]
     validate_scenario(case, scenario)
-    if same_base:
-        base, params = last[2], last[3]
+    if same_point:
+        ext, pre, params = last[2:5]
     else:
-        base = reduction_base(extend_network(case, pf))
-        params = machine_init(case, pf, base.pre)
-        for array in (params.h, params.d, params.e_mag, params.p_mech,
-                      params.delta0):
+        ext = extend_network(case, pf)
+        pre = _reduce(ext, "intact network")
+        params = machine_init(case, pf, pre)
+        for array in (ext.y11, ext.y12, ext.y21, ext.y22, params.h, params.d,
+                      params.e_mag, params.p_mech, params.delta0):
             array.flags.writeable = False
-    _last_networks = (case, key, base, params, None, None)
-    nets = _build_networks(case, base, params, scenario)
-    for net in (nets.fault, nets.post):
-        net.y_red.flags.writeable = False
-        net.r_v.flags.writeable = False
-    _last_networks = (case, key, base, params, scenario, nets)
+    _last_networks = (case, key, ext, pre, params, None, None)
+    nets = ScenarioNetworks(pre, *_build_networks(case, ext, scenario), params)
+    _last_networks = (case, key, ext, pre, params, scenario, nets)
     return nets
 
 
-def _build_networks(case: NetworkCase, base: ReductionBase,
-                    params: MachineParams,
-                    scenario: FaultScenario) -> ScenarioNetworks:
-    """The networks of a validated scenario, from its case's base and
-    constants."""
-    fault = fault_network(base, scenario.fault_bus)
+def _reduce(ext: ExtendedAdmittance, topology: str) -> ReducedNetwork:
+    """``kron_reduce(ext)`` with read-only arrays, its ReductionError
+    naming ``topology``."""
+    try:
+        net = kron_reduce(ext)
+    except ReductionError as exc:
+        raise ReductionError(f"{topology}: {exc}") from exc
+    net.y_red.flags.writeable = False
+    net.r_v.flags.writeable = False
+    return net
+
+
+def _build_networks(case: NetworkCase, ext: ExtendedAdmittance,
+                    scenario: FaultScenario) -> tuple[ReducedNetwork, ...]:
+    """The fault-on and post networks of a validated scenario, from its
+    case's extended system."""
+    fault = _reduce(ground_bus(ext, scenario.fault_bus),
+                    f"network without faulted bus {scenario.fault_bus}")
     ends = set(scenario.cleared_line)
     opened = next(pos for pos, br in enumerate(case.branches)
                   if {br.from_bus, br.to_bus} == ends)
     if _machine_islanded(case, opened):
         raise ScenarioError(
             f"clearing line {scenario.cleared_line} islands a machine")
-    post = kron_reduce(open_branch(base.ext, case.branches[opened]))
-    return ScenarioNetworks(base.pre, fault, post, params)
+    post = _reduce(open_branch(ext, case.branches[opened]),
+                   f"network with line {scenario.cleared_line} open")
+    return fault, post
 
 
 def _joined_rows(table: np.ndarray) -> list[str]:

@@ -19,6 +19,8 @@ from numpy.linalg import _umath_linalg
 from .cases import NetworkCase
 from .dynamics import (
     FaultScenario,
+    Regime,
+    ScenarioNetworks,
     Trajectory,
     euler_step,
     scenario_networks,
@@ -319,29 +321,45 @@ def swing_measurement_model(params: MachineParams,
 
 
 def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
-                  flat: np.ndarray, ends: list[int], n_machines: int,
+                  sizes: list[int], flat: np.ndarray, ends: list[int],
+                  regimes: list[Regime], nets: ScenarioNetworks,
                   dt: float) -> None:
-    """Raise FilterNumericsError naming the first frame, its time and its
-    channel (the column name of ``measurements.csv``) that is not finite,
-    else the first frame k stamped off k * dt by more than 1e-9 relative.
-    Frame k's vector is ``flat[ends[k - 1]:ends[k]]``."""
-    if np.isfinite(times).all() and np.isfinite(flat).all():
-        grid = np.arange(times.size) * dt
-        off = np.flatnonzero(np.abs(times - grid) > 1e-9 * np.maximum(grid, dt))
-        if off.size:
-            k = int(off[0])
+    """Raise FilterNumericsError naming the first frame, and its time, whose
+    p_g, q_g, v_mag and v_ang (``sizes``, four per frame) do not hold n, n,
+    and its bus count twice of entries; else that holds a value that is not
+    finite, naming its channel (the column name of ``measurements.csv``);
+    else that is frame k stamped off k * dt by more than 1e-9 relative; else
+    whose buses are not the bus order of its regime's network.  Frame k's
+    vector is ``flat[ends[k - 1]:ends[k]]``."""
+    nm = nets.params.n_machines
+    for k, fr in enumerate(frames):
+        want = [nm, nm, len(fr.bus_ids), len(fr.bus_ids)]
+        if sizes[4 * k:4 * k + 4] != want:
             raise FilterNumericsError(
-                f"frame {k} (t={times[k]:.4f}s): stamp is off the sample "
-                f"grid, {k} * dt = {grid[k]:g}s")
-        return
-    for k, (fr, start, stop) in enumerate(zip(frames, [0, *ends], ends)):
-        bad = np.flatnonzero(~np.isfinite(np.concatenate([[fr.t],
-                                                          flat[start:stop]])))
-        if bad.size:
-            name = channel_names(n_machines, fr.bus_ids)[bad[0]]
+                f"frame {k} (t={fr.t:.4f}s): p_g, q_g, v_mag and v_ang hold "
+                f"{sizes[4 * k:4 * k + 4]} entries, expected {want}")
+    if not (np.isfinite(times).all() and np.isfinite(flat).all()):
+        for k, (fr, start, stop) in enumerate(zip(frames, [0, *ends], ends)):
+            bad = np.flatnonzero(~np.isfinite(
+                np.concatenate([[fr.t], flat[start:stop]])))
+            if bad.size:
+                name = channel_names(nm, fr.bus_ids)[bad[0]]
+                raise FilterNumericsError(
+                    f"frame {k} (t={fr.t:.4f}s): measurement {name} "
+                    "is not finite")
+    grid = np.arange(times.size) * dt
+    off = np.flatnonzero(np.abs(times - grid) > 1e-9 * np.maximum(grid, dt))
+    if off.size:
+        k = int(off[0])
+        raise FilterNumericsError(
+            f"frame {k} (t={times[k]:.4f}s): stamp is off the sample "
+            f"grid, {k} * dt = {grid[k]:g}s")
+    for k, (fr, regime) in enumerate(zip(frames, regimes)):
+        order = nets.for_regime(regime).bus_order
+        if fr.bus_ids != order:
             raise FilterNumericsError(
-                f"frame {k} (t={fr.t:.4f}s): measurement {name} "
-                "is not finite")
+                f"frame {k} (t={fr.t:.4f}s): buses {fr.bus_ids} are not "
+                f"the {regime.value} network's bus order {order}")
 
 
 def _check_inputs(cfg: FilterConfig, b0: GaussianBelief, n_states: int,
@@ -373,13 +391,12 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     of the interval, then one update with the topology at the frame time.
     Every input is checked once, before the first step, the same for both
     kinds: an empty frame list, a q, intact-layout ``cfg.r`` or ``b0`` of the
-    wrong size or not finite, a frame not finite or not stamped k *
-    ``scenario.dt``, and an R layout block the EKF cannot invert raise
-    FilterNumericsError, the last two naming the first frame at fault and
-    its time.  A step that breaks down, by a failed factorization or solve or
-    by a NaN its arithmetic makes, raises FilterNumericsError naming its
-    frame the same way.  Returns the estimate trajectory and the belief after
-    every frame.
+    wrong size or not finite, a malformed frame (``_check_frames``), and an
+    R layout block the EKF cannot invert raise FilterNumericsError, the last
+    two naming the first frame at fault and its time.  A step that breaks
+    down, by a failed factorization or solve or by a NaN its arithmetic
+    makes, raises FilterNumericsError naming its frame the same way.
+    Returns the estimate trajectory and the belief after every frame.
     """
     if not frames:
         raise FilterNumericsError("run_filter needs at least one frame")
@@ -392,10 +409,11 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     stamps = np.array([fr.t for fr in frames])
     # every frame's vector as one array, frame k's ending at ends[k]
     arrays = [a for fr in frames for a in (fr.p_g, fr.q_g, fr.v_mag, fr.v_ang)]
+    sizes = list(map(len, arrays))
     flat = np.concatenate(arrays)
-    ends = list(accumulate(map(len, arrays)))[3::4]
-    _check_frames(frames, stamps, flat, ends, nm, scenario.dt)
+    ends = list(accumulate(sizes))[3::4]
     regimes = scenario.regimes(stamps, case.frequency)
+    _check_frames(frames, stamps, sizes, flat, ends, regimes, nets, scenario.dt)
 
     # The EKF updates in information form, on the inverse of each R block;
     # the UKF conditions on the block itself.

@@ -4,9 +4,9 @@ Loads become constant admittances at their power-flow voltages, every machine
 adds an internal emf node behind its transient reactance, and all network
 buses are then eliminated, leaving a dense machine-to-machine admittance plus
 a linear map that reconstructs network bus voltages from the internal emfs.
-The contingencies of one case share one ``reduction_base``: each fault-on
-network is a rank-one update of it, and each post network one reduction of
-its bus block less a branch stamp.
+Every topology of a scenario is one ``kron_reduce`` of its extended system:
+the intact one, the one with the faulted bus grounded (``ground_bus``) and
+the one with the cleared line open (``open_branch``).
 """
 
 from __future__ import annotations
@@ -88,30 +88,24 @@ def extend_network(case: NetworkCase, pf: PowerFlowSolution) -> ExtendedAdmittan
     )
 
 
-def _check_conditioning(cond: float, block: str) -> None:
-    """Raise ReductionError naming ``block`` when its 1-norm condition
-    number ``cond`` is not finite or exceeds 1e12."""
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ReductionError(
-            f"{block} is numerically singular (cond {cond:.3e})")
+def kron_reduce(ext: ExtendedAdmittance) -> ReducedNetwork:
+    """Eliminate all network buses, keeping only machine internal nodes.
 
-
-def _inverse(y11: np.ndarray) -> np.ndarray:
-    """Inverse of a bus block that passes ``_check_conditioning``."""
+    Also returns the reconstruction matrix r_v mapping internal emfs to the
+    eliminated bus voltages.  Raises ReductionError when the bus block is
+    numerically singular: its 1-norm condition number is not finite or
+    exceeds 1e12.
+    """
     try:
-        inv = np.linalg.inv(y11)
+        inv = np.linalg.inv(ext.y11)
     except np.linalg.LinAlgError:
         cond = math.inf
     else:
         # the 1-norm condition number, from the inverse already in hand
-        cond = np.linalg.norm(y11, 1) * np.linalg.norm(inv, 1)
-    _check_conditioning(cond, "bus admittance block")
-    return inv
-
-
-def _reduced(ext: ExtendedAdmittance, inv: np.ndarray) -> ReducedNetwork:
-    """The machine-node equivalent of ``ext``, given the inverse of its bus
-    block."""
+        cond = np.linalg.norm(ext.y11, 1) * np.linalg.norm(inv, 1)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise ReductionError(
+            f"bus admittance block is numerically singular (cond {cond:.3e})")
     solved = inv @ ext.y12
     return ReducedNetwork(
         y_red=ext.y22 - ext.y21 @ solved,
@@ -121,82 +115,16 @@ def _reduced(ext: ExtendedAdmittance, inv: np.ndarray) -> ReducedNetwork:
     )
 
 
-def kron_reduce(ext: ExtendedAdmittance) -> ReducedNetwork:
-    """Eliminate all network buses, keeping only machine internal nodes.
-
-    Also returns the reconstruction matrix r_v mapping internal emfs to the
-    eliminated bus voltages.  Raises ReductionError when the bus block is
-    numerically singular.
-    """
-    return _reduced(ext, _inverse(ext.y11))
-
-
-@dataclass(frozen=True)
-class ReductionBase:
-    """What every contingency of one case at one operating point shares:
-    the extended admittance, the inverse ``z`` of its bus block and the
-    pre-fault reduction made with that inverse.  Its arrays are read-only."""
-
-    ext: ExtendedAdmittance
-    z: np.ndarray
-    pre: ReducedNetwork
-
-
-def reduction_base(ext: ExtendedAdmittance) -> ReductionBase:
-    """Invert the bus block of ``ext`` once and reduce the intact network
-    with it, as ``kron_reduce`` does; the fault-on and post networks of
-    every contingency derive from the result."""
-    z = _inverse(ext.y11)
-    pre = _reduced(ext, z)
-    for array in (ext.y11, ext.y12, ext.y21, ext.y22, z, pre.y_red, pre.r_v):
-        array.flags.writeable = False
-    return ReductionBase(ext=ext, z=z, pre=pre)
-
-
-def _norm_without(mat: np.ndarray, k: int) -> float:
-    """The 1-norm of ``mat`` with row and column k deleted."""
-    mags = np.abs(mat)
-    mags[k] = 0.0
-    mags[:, k] = 0.0
-    return float(mags.sum(axis=0).max())
-
-
-def fault_network(base: ReductionBase, bus_id: int) -> ReducedNetwork:
-    """The reduced network with bus ``bus_id`` grounded by a solid fault,
-    derived from the base without a new inverse.
-
-    Pinning the bus voltage V_k to zero takes an injection
-    -r_v[k] E / Z_kk at bus k, with z_k the k-th column of the base's Z.
-    The bus voltages become r_v - z_k r_v[k] / Z_kk, whose row k is zero
-    and is dropped, and the machine admittance takes the rank-one update
-    y_red - (Y21 z_k) r_v[k] / Z_kk: the Z-bus short-circuit update.
-
-    The bus block without bus k has the inverse Z_keep - z_k Z_k,keep / Z_kk
-    (z_k z_k^T / Z_kk, as Z is symmetric), so its 1-norm condition number
-    comes without a new inverse too.  As in
-    ``kron_reduce``, a block whose condition number is not finite or
-    exceeds 1e12 raises ReductionError, which names the faulted bus.
-    """
-    ext, z, pre = base.ext, base.z, base.pre
+def ground_bus(ext: ExtendedAdmittance, bus_id: int) -> ExtendedAdmittance:
+    """The extended system with bus ``bus_id`` grounded by a solid fault:
+    its row and column deleted, as its voltage is pinned to zero."""
     if bus_id not in ext.bus_order:
         raise ReductionError(f"bus {bus_id} is not part of the extended network")
     k = ext.bus_order.index(bus_id)
-    z_k = z[:, k]
-    z_kk = z_k[k]
-    cond = math.inf
-    if z_kk != 0.0:
-        with np.errstate(all="ignore"):   # a huge downdate reads as inf
-            down = z - np.outer(z_k, z[k] / z_kk)
-            cond = _norm_without(ext.y11, k) * _norm_without(down, k)
-    _check_conditioning(
-        cond, f"bus admittance block without faulted bus {bus_id}")
-    gain = pre.r_v[k] / z_kk
-    return ReducedNetwork(
-        y_red=pre.y_red - np.outer(ext.y21 @ z_k, gain),
-        r_v=np.delete(pre.r_v - np.outer(z_k, gain), k, axis=0),
-        bus_order=ext.bus_order[:k] + ext.bus_order[k + 1:],
-        machine_order=ext.machine_order,
-    )
+    keep = np.delete(np.arange(len(ext.bus_order)), k)
+    return replace(ext, y11=ext.y11[np.ix_(keep, keep)], y12=ext.y12[keep],
+                   y21=ext.y21[:, keep],
+                   bus_order=ext.bus_order[:k] + ext.bus_order[k + 1:])
 
 
 def open_branch(ext: ExtendedAdmittance, br: Branch) -> ExtendedAdmittance:

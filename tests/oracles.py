@@ -170,8 +170,9 @@ def extended_system_currents(y11: np.ndarray, y12: np.ndarray,
 
 def remove_bus(ext: ExtendedAdmittance, bus_id: int) -> ExtendedAdmittance:
     """Extended system with one network bus deleted (a solid fault to
-    ground): the fresh fault-on system that the rank-one update of
-    ``reduction.fault_network`` must reduce to."""
+    ground), the system ``reduction.ground_bus`` builds: with
+    ``extended_system_currents`` it is the dense-block reference for the
+    fault-on network."""
     if bus_id not in ext.bus_order:
         raise ReductionError(f"bus {bus_id} is not part of the extended network")
     pos = ext.bus_order.index(bus_id)

@@ -14,6 +14,7 @@ from powerdse import (
     InstabilityError,
     MachineParams,
     ReducedNetwork,
+    ReductionError,
     Regime,
     ScenarioError,
     Trajectory,
@@ -22,6 +23,7 @@ from powerdse import (
     kron_reduce,
     load_case,
     machine_init,
+    parse_case,
     preset,
     run_experiment,
     scenario_networks,
@@ -230,7 +232,7 @@ def test_islanding_rejected_on_every_call(wecc9, wecc9_pf):
 
 def counted_builds(monkeypatch) -> dict[str, list]:
     """The calls ``scenario_networks`` makes from now on to build an
-    extended system, a reduction base and a Kron reduction, by name."""
+    extended system and a Kron reduction, by name."""
     calls: dict[str, list] = {}
 
     def counter(name):
@@ -243,37 +245,37 @@ def counted_builds(monkeypatch) -> dict[str, list]:
 
         return counting
 
-    for name in ("extend_network", "reduction_base", "kron_reduce"):
+    for name in ("extend_network", "kron_reduce"):
         monkeypatch.setattr(dynamics, name, counter(name))
     return calls
 
 
-def counts(calls: dict[str, list]) -> tuple[int, int, int]:
-    """(extended systems, bases, Kron reductions) built so far."""
+def counts(calls: dict[str, list]) -> tuple[int, int]:
+    """(extended systems, Kron reductions) built so far."""
     return tuple(len(calls[name]) for name in
-                 ("extend_network", "reduction_base", "kron_reduce"))
+                 ("extend_network", "kron_reduce"))
 
 
 def test_screening_job_reduces_each_topology_once(monkeypatch):
     # A screening job asks for the networks, then simulate asks again; the
     # second request is the last result.  Every contingency of the case
-    # shares one extended system and its base, and reduces only its post
-    # network.  A freshly loaded case cannot be the one an earlier test
-    # left behind.
+    # shares one extended system and its pre-fault network, and reduces only
+    # its fault-on and post networks.  A freshly loaded case cannot be the
+    # one an earlier test left behind.
     case = load_case("ne39")
     pf = solve_power_flow(case)
     scens = screening_scenarios()
     calls = counted_builds(monkeypatch)
     nets = scenario_networks(case, pf, scens[0])
     truth = simulate(case, pf, scens[0])
-    assert counts(calls) == (1, 1, 1)
+    assert counts(calls) == (1, 3)
     assert scenario_networks(case, pf, scens[0]) is nets
     for scen in scens[1:]:
         assert scenario_networks(case, pf, scen).pre is nets.pre
-    assert counts(calls) == (1, 1, 33)
-    # the same truth as a run that builds its own base
+    assert counts(calls) == (1, 67)
+    # the same truth as a run that builds its own extended system
     again = simulate(load_case("ne39"), pf, scens[0])
-    assert counts(calls) == (2, 2, 34)
+    assert counts(calls) == (2, 70)
     assert np.array_equal(truth.delta_matrix(), again.delta_matrix())
     assert np.array_equal(truth.omega_matrix(), again.omega_matrix())
 
@@ -285,7 +287,7 @@ def test_experiment_reduces_each_topology_once(tmp_path, monkeypatch):
                   out_dir=str(tmp_path))
     calls = counted_builds(monkeypatch)
     run_experiment(cfg)
-    assert counts(calls) == (1, 1, 1)
+    assert counts(calls) == (1, 3)
 
 
 def test_scenario_networks_rebuilt_for_new_inputs(monkeypatch):
@@ -294,29 +296,30 @@ def test_scenario_networks_rebuilt_for_new_inputs(monkeypatch):
     scen = wecc9_scenario()
     calls = counted_builds(monkeypatch)
     first = scenario_networks(case, pf, scen)
-    assert counts(calls) == (1, 1, 1)
+    assert counts(calls) == (1, 3)
     # an equal scenario and an equal v_mag in other objects are a repeat
     assert scenario_networks(case, replace(pf, v_mag=pf.v_mag.copy()),
                              replace(scen)) is first
-    assert counts(calls) == (1, 1, 1)
-    # another scenario on the same case and power flow keeps the base
+    assert counts(calls) == (1, 3)
+    # another scenario on the same case and power flow keeps the extended
+    # system and the pre-fault network
     other = scenario_networks(case, pf,
                               wecc9_scenario(fault_bus=5, cleared_line=(5, 7)))
-    assert counts(calls) == (1, 1, 2)
+    assert counts(calls) == (1, 5)
     assert other.pre is first.pre
     assert np.max(np.abs(other.fault.y_red - first.fault.y_red)) > 1e-3
     # one scenario only: the first scenario is built again
     again = scenario_networks(case, pf, scen)
-    assert counts(calls) == (1, 1, 3)
+    assert counts(calls) == (1, 7)
     assert again is not first
     assert np.array_equal(again.post.y_red, first.post.y_red)
     v_mag = pf.v_mag.copy()
     v_mag[4] *= 1.01
     moved = scenario_networks(case, replace(pf, v_mag=v_mag), scen)
-    assert counts(calls) == (2, 2, 4)
+    assert counts(calls) == (2, 10)
     assert not np.array_equal(moved.pre.y_red, first.pre.y_red)
     scenario_networks(load_case("wecc9"), pf, scen)
-    assert counts(calls) == (3, 3, 5)
+    assert counts(calls) == (3, 13)
 
 
 def counted_machine_inits(monkeypatch) -> list:
@@ -338,7 +341,7 @@ def counted_machine_inits(monkeypatch) -> list:
 
 def test_screening_round_inits_machines_once(monkeypatch):
     # Every contingency of one case and power flow shares one constants
-    # object, taken once with the reduction base; the benchmark's screening
+    # object, taken once with the pre-fault network; the benchmark's screening
     # job asks for the networks, then simulate asks again.
     case = load_case("ne39")
     pf = solve_power_flow(case)
@@ -419,12 +422,19 @@ def test_preset_networks_match_fresh_builds(name):
 
 
 def test_scenario_networks_read_only(wecc9, wecc9_pf):
-    # the kept result is handed to every caller, so none may change it
+    # The kept result is handed to every caller, and every contingency of
+    # the case reads the kept extended system, pre-fault network and
+    # constants, so none may change them.
     nets = scenario_networks(wecc9, wecc9_pf, wecc9_scenario())
+    ext, pre, params = dynamics._last_networks[2:5]
+    assert pre is nets.pre and params is nets.params
+    arrays = [ext.y11, ext.y12, ext.y21, ext.y22, params.h, params.d,
+              params.e_mag, params.p_mech, params.delta0]
     for net in (nets.pre, nets.fault, nets.post):
-        for array in (net.y_red, net.r_v):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0.0
+        arrays += [net.y_red, net.r_v]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.0
 
 
 def test_clearing_mesh_line_keeps_reduction_valid(wecc9, wecc9_pf):
@@ -432,6 +442,41 @@ def test_clearing_mesh_line_keeps_reduction_valid(wecc9, wecc9_pf):
                              wecc9_scenario(fault_bus=5, cleared_line=(5, 7)))
     for net in (nets.pre, nets.fault, nets.post):
         assert np.all(np.isfinite(net.y_red))
+
+
+# Bus 4 carries no load, and line 2-4 is its only branch.
+STUB_BUS_CASE = """\
+name stubbus
+base_mva 100.0
+frequency 60.0
+[buses]
+1 slack 0.0 0.0 1.0
+2 pq    0.5 0.2 -
+3 pv    0.0 0.0 1.0
+4 pq    0.0 0.0 -
+[branches]
+1 2 0.01 0.1 0.0 1.0
+2 3 0.01 0.1 0.0 1.0
+1 3 0.01 0.1 0.0 1.0
+2 4 0.01 0.1 0.0 1.0
+[machines]
+1 5.0 0.0 0.1 -
+3 5.0 0.0 0.1 0.2
+"""
+
+
+def test_post_network_error_names_cleared_line():
+    # with line 2-4 open, bus 4's row of the post bus block is empty
+    case = parse_case(STUB_BUS_CASE)
+    pf = solve_power_flow(case)
+    with pytest.raises(ReductionError, match=r"^network with line \(2, 4\) "
+                       r"open: bus admittance block is numerically singular"):
+        scenario_networks(case, pf,
+                          FaultScenario(fault_bus=2, cleared_line=(2, 4)))
+    # the fault-on network of the same fault, cleared elsewhere, reduces
+    nets = scenario_networks(case, pf,
+                             FaultScenario(fault_bus=2, cleared_line=(1, 3)))
+    assert nets.fault.bus_order == (1, 3, 4)
 
 
 def test_validate_scenario_collects_problems(wecc9):

@@ -806,7 +806,16 @@ def test_run_filter_rejects_singular_r_block(change, message, wecc9, wecc9_pf,
                 r"expected \(24, 24\)$"),
     ("b0-size", r"^prior mean has shape \(5,\), expected \(6,\)$"),
     ("nan-p0", r"^prior covariance is not finite \(1 of 36 entries\)$"),
-], ids=["nan-q", "inf-r", "q-shape", "r-shape", "b0-size", "nan-p0"])
+    ("unknown-bus", r"^frame 500 \(t=5\.0000s\): buses \(1, 2, 3, 4, 5, 6, 7, "
+                    r"8, 99\) are not the post_fault network's bus order "
+                    r"\(1, 2, 3, 4, 5, 6, 7, 8, 9\)$"),
+    ("intact-fault-on", r"^frame 102 \(t=1\.0200s\): buses \(1, 2, 3, 4, 5, "
+                        r"6, 7, 8, 9\) are not the fault_on network's bus "
+                        r"order \(1, 2, 3, 4, 5, 6, 7, 9\)$"),
+    ("short-p_g", r"^frame 500 \(t=5\.0000s\): p_g, q_g, v_mag and v_ang "
+                  r"hold \[2, 3, 9, 9\] entries, expected \[3, 3, 9, 9\]$"),
+], ids=["nan-q", "inf-r", "q-shape", "r-shape", "b0-size", "nan-p0",
+        "unknown-bus", "intact-fault-on", "short-p_g"])
 @pytest.mark.parametrize("kind", ["ekf", "ukf"])
 def test_run_filter_checks_inputs_before_any_step(kind, change, message, wecc9,
                                                  wecc9_pf, wecc9_run,
@@ -822,6 +831,7 @@ def test_run_filter_checks_inputs_before_any_step(kind, change, message, wecc9,
     b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
                      1e-2 * np.eye(6))
     q, r, x0, p0 = cfg.q.copy(), cfg.r.copy(), b0.x_hat, b0.p.copy()
+    frames = list(wecc9_run.frames)
     if change == "nan-q":
         q[2, 3] = np.nan
     elif change == "inf-r":
@@ -832,15 +842,27 @@ def test_run_filter_checks_inputs_before_any_step(kind, change, message, wecc9,
         r = r[:22, :22]
     elif change == "b0-size":
         x0 = x0[:5]
-    else:
+    elif change == "nan-p0":
         p0[0, 0] = np.nan
-    args = (wecc9, wecc9_pf, wecc9_run.cfg.scenario, wecc9_run.frames)
+    elif change == "unknown-bus":
+        frames[500] = dataclasses.replace(frames[500],
+                                          bus_ids=(*range(1, 9), 99))
+    elif change == "intact-fault-on":
+        # frame 102 is fault-on, whose network has no bus 8
+        intact = frames[99]
+        frames[102] = dataclasses.replace(
+            frames[102], v_mag=intact.v_mag, v_ang=intact.v_ang,
+            bus_ids=intact.bus_ids)
+    else:
+        frames[500] = dataclasses.replace(frames[500],
+                                          p_g=frames[500].p_g[:2])
+    args = (wecc9, wecc9_pf, wecc9_run.cfg.scenario)
     with pytest.raises(FilterNumericsError, match=message):
-        run_filter(dataclasses.replace(cfg, q=q, r=r), *args,
+        run_filter(dataclasses.replace(cfg, q=q, r=r), *args, frames,
                    GaussianBelief(x_hat=x0, p=p0))
     assert predicts == []
     # the counting wrappers are the ones run_filter calls
-    run_filter(cfg, *args[:3], wecc9_run.frames[:3], b0)
+    run_filter(cfg, *args, wecc9_run.frames[:3], b0)
     assert len(predicts) == 2
 
 

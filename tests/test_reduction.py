@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from powerdse import (
+    Branch,
     Bus,
     BusKind,
     DynamicState,
     ExtendedAdmittance,
+    FaultScenario,
     Machine,
     MachineParams,
     NetworkCase,
@@ -16,9 +18,11 @@ from powerdse import (
     kron_reduce,
     machine_init,
     electrical_power,
+    scenario_networks,
 )
+from powerdse import dynamics
 from powerdse.dynamics import swing_rates
-from powerdse.reduction import fault_network, reduction_base
+from powerdse.reduction import ground_bus
 
 from oracles import extended_system_currents, remove_bus
 
@@ -185,24 +189,42 @@ def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
 
 
 @pytest.mark.parametrize("name", ["wecc9", "ne39"])
-def test_fault_network_matches_removed_bus(name, request):
-    # the rank-one update against a fresh reduction, for every bus
+def test_fault_network_matches_removed_bus(name, request, rng):
+    # every bus grounded in turn, against dense block solves of the system
+    # with that bus deleted
     case = request.getfixturevalue(name)
     ext = extend_network(case, request.getfixturevalue(f"{name}_pf"))
-    base = reduction_base(ext)
+    nm = len(case.machines)
+    emfs = rng.normal(size=(3, nm)) + 1j * rng.normal(size=(3, nm))
     for bus_id in ext.bus_order:
-        want = kron_reduce(remove_bus(ext, bus_id))
-        got = fault_network(base, bus_id)
+        got = kron_reduce(ground_bus(ext, bus_id))
+        want = remove_bus(ext, bus_id)
         assert got.bus_order == want.bus_order
         assert got.machine_order == want.machine_order
-        assert relative_gap(got.y_red, want.y_red) <= 1e-12
-        assert relative_gap(got.r_v, want.r_v) <= 1e-12
+        for e in emfs:
+            currents = extended_system_currents(want.y11, want.y12, want.y21,
+                                                want.y22, e)
+            assert relative_gap(got.y_red @ e, currents) <= 1e-12
+            injected = want.y12 @ e
+            residual = want.y11 @ (got.r_v @ e) + injected
+            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(injected))
     with pytest.raises(ReductionError, match="77"):
-        fault_network(base, 77)
+        ground_bus(ext, 77)
+
+
+def three_bus_line():
+    """Buses 1-2-3 in a line, one machine on bus 1."""
+    return NetworkCase(
+        name="threebus", base_mva=100.0, frequency=60.0,
+        buses=(Bus(1, BusKind.SLACK, v_setpoint=1.0), Bus(2, BusKind.PQ),
+               Bus(3, BusKind.PQ)),
+        branches=(Branch(1, 2, 0.0, 0.1), Branch(2, 3, 0.0, 0.1)),
+        machines=(Machine(1, 5.0, 0.0, 0.1),),
+    )
 
 
 @pytest.mark.parametrize("y22", [1.0, 1.0 + 4e-14])
-def test_fault_network_singular_block_rejected(y22):
+def test_fault_network_singular_block_rejected(y22, monkeypatch):
     # The full bus block is invertible, but without bus 3 (or bus 1) the
     # two buses left are one node, or nearly (a condition number near
     # 1e14): the fault-on block is singular.
@@ -212,25 +234,38 @@ def test_fault_network_singular_block_rejected(y22):
         y12=np.array([[1.0 + 0j], [0.0], [0.0]]),
         y21=np.array([[1.0 + 0j, 0.0, 0.0]]),
         y22=np.array([[1.0 + 0j]]),
-        bus_order=(1, 2, 3), machine_order=(4,),
+        bus_order=(1, 2, 3), machine_order=(1,),
     )
-    base = reduction_base(ext)
     with pytest.raises(ReductionError, match="singular"):
-        kron_reduce(remove_bus(ext, 3))
-    with pytest.raises(ReductionError, match="without faulted bus 3"):
-        fault_network(base, 3)
+        kron_reduce(ground_bus(ext, 3))
+    # scenario_networks names the faulted bus, here on a three-bus case
+    # whose extended system is this one
+    monkeypatch.setattr(dynamics, "extend_network", lambda case, pf: ext)
+    with pytest.raises(ReductionError,
+                       match="without faulted bus 3: .*singular"):
+        scenario_networks(three_bus_line(), flat_solution(3),
+                          FaultScenario(fault_bus=3, cleared_line=(1, 2)))
     # without bus 2 the block is the identity
-    want = kron_reduce(remove_bus(ext, 2))
-    assert np.allclose(fault_network(base, 2).y_red, want.y_red,
+    want = remove_bus(ext, 2)
+    e = np.array([0.8 + 0.6j])
+    currents = extended_system_currents(want.y11, want.y12, want.y21,
+                                        want.y22, e)
+    assert np.allclose(kron_reduce(ground_bus(ext, 2)).y_red @ e, currents,
                        rtol=1e-12, atol=1e-12)
 
 
 def test_reduction_base_read_only(wecc9, wecc9_pf):
-    # every contingency of a case reads the same base, so none may change it
-    base = reduction_base(extend_network(wecc9, wecc9_pf))
-    ext = base.ext
-    for array in (ext.y11, ext.y12, ext.y21, ext.y22, base.z,
-                  base.pre.y_red, base.pre.r_v):
+    # every contingency of a case reads the same kept extended system and
+    # pre-fault network, so none may change them
+    first = scenario_networks(wecc9, wecc9_pf, FaultScenario(
+        fault_bus=8, cleared_line=(8, 9)))
+    ext = dynamics._last_networks[2]
+    second = scenario_networks(wecc9, wecc9_pf, FaultScenario(
+        fault_bus=5, cleared_line=(5, 7)))
+    assert dynamics._last_networks[2] is ext
+    assert second.pre is first.pre
+    for array in (ext.y11, ext.y12, ext.y21, ext.y22,
+                  first.pre.y_red, first.pre.r_v):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.0
 
