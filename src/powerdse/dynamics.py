@@ -218,7 +218,7 @@ def scenario_networks(case: NetworkCase, pf: PowerFlowSolution,
         ext = extend_network(case, pf)
         pre = _reduce(ext, "intact network")
         params = machine_init(case, pf, pre)
-        for array in (ext.y11, ext.y12, ext.y21, ext.y22, params.h, params.d,
+        for array in (ext.y11, ext.y12, ext.y22, params.h, params.d,
                       params.e_mag, params.p_mech, params.delta0):
             array.flags.writeable = False
     _last_networks = (case, key, ext, pre, params, None, None)

@@ -28,6 +28,7 @@ from .dynamics import (
 from .measurement import (
     MeasurementFrame,
     channel_names,
+    check_frame_sizes,
     machine_outputs,
     machine_outputs_linearized,
     measurement_indices,
@@ -48,8 +49,8 @@ _JITTER = 1e-9
 # The frames factorize and solve with the LAPACK gufuncs that np.linalg
 # wraps, without its per-call checks and conversions; under this state a
 # failed factorization or a singular solve raises FloatingPointError, as
-# does any NaN that the frame's arithmetic makes from numbers.
-_raise_invalid = np.errstate(invalid="raise")
+# does a NaN, or an inf from finite numbers, made by the frame's arithmetic.
+_raise_nonfinite = np.errstate(invalid="raise", over="raise", divide="raise")
 
 
 class FilterNumericsError(RuntimeError):
@@ -129,7 +130,7 @@ def init_belief(x0: np.ndarray, p0: np.ndarray) -> GaussianBelief:
 # --- extended filter ---------------------------------------------------------
 
 
-@_raise_invalid
+@_raise_nonfinite
 def ekf_predict(belief: GaussianBelief, model: ProcessModel,
                 q: np.ndarray) -> GaussianBelief:
     """Propagate the belief through the process model and inflate by q."""
@@ -138,7 +139,7 @@ def ekf_predict(belief: GaussianBelief, model: ProcessModel,
     return GaussianBelief(x_hat=x, p=_symmetrize(p))
 
 
-@_raise_invalid
+@_raise_nonfinite
 def ekf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
                r_inv: np.ndarray) -> GaussianBelief:
     """Condition the belief on one measurement in information form.
@@ -181,7 +182,7 @@ def _inverse(r: np.ndarray) -> np.ndarray:
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Lower-triangular factor of a nominally PSD matrix, with one retry.
-    Called under ``_raise_invalid``, where a failed factorization raises."""
+    Called under ``_raise_nonfinite``, where a failed factorization raises."""
     try:
         return _umath_linalg.cholesky_lo(mat)
     except FloatingPointError:
@@ -202,7 +203,7 @@ def _equal_weights(count: int) -> np.ndarray:
     return w
 
 
-@_raise_invalid
+@_raise_nonfinite
 def sigma_points(belief: GaussianBelief) -> np.ndarray:
     """Symmetric equal-weight point set: 2n points at x +- the columns of a
     factor of n P, each carrying weight 1/(2n).  No point sits at the mean."""
@@ -217,7 +218,7 @@ def _sigma_points(belief: GaussianBelief) -> np.ndarray:
     return np.concatenate([belief.x_hat + root.T, belief.x_hat - root.T])
 
 
-@_raise_invalid
+@_raise_nonfinite
 def ukf_predict(belief: GaussianBelief, model: ProcessModel,
                 q: np.ndarray) -> GaussianBelief:
     """Propagate sigma points through the process model and inflate by q."""
@@ -230,7 +231,7 @@ def ukf_predict(belief: GaussianBelief, model: ProcessModel,
     return GaussianBelief(x_hat=x, p=_symmetrize(p))
 
 
-@_raise_invalid
+@_raise_nonfinite
 def ukf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
                r: np.ndarray) -> GaussianBelief:
     """Condition the predicted belief on a measurement via fresh sigma points."""
@@ -321,23 +322,19 @@ def swing_measurement_model(params: MachineParams,
 
 
 def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
-                  sizes: list[int], flat: np.ndarray, ends: list[int],
-                  regimes: list[Regime], nets: ScenarioNetworks,
-                  dt: float) -> None:
-    """Raise FilterNumericsError naming the first frame, and its time, whose
-    p_g, q_g, v_mag and v_ang (``sizes``, four per frame) do not hold n, n,
-    and its bus count twice of entries; else that holds a value that is not
+                  flat: np.ndarray, ends: list[int], regimes: list[Regime],
+                  nets: ScenarioNetworks, dt: float) -> None:
+    """Raise FilterNumericsError naming the first frame, and its time, that
+    is malformed (``check_frame_sizes``); else that holds a value that is not
     finite, naming its channel (the column name of ``measurements.csv``);
     else that is frame k stamped off k * dt by more than 1e-9 relative; else
     whose buses are not the bus order of its regime's network.  Frame k's
     vector is ``flat[ends[k - 1]:ends[k]]``."""
     nm = nets.params.n_machines
-    for k, fr in enumerate(frames):
-        want = [nm, nm, len(fr.bus_ids), len(fr.bus_ids)]
-        if sizes[4 * k:4 * k + 4] != want:
-            raise FilterNumericsError(
-                f"frame {k} (t={fr.t:.4f}s): p_g, q_g, v_mag and v_ang hold "
-                f"{sizes[4 * k:4 * k + 4]} entries, expected {want}")
+    try:
+        check_frame_sizes(frames, nm)
+    except ValueError as exc:
+        raise FilterNumericsError(str(exc)) from exc
     if not (np.isfinite(times).all() and np.isfinite(flat).all()):
         for k, (fr, start, stop) in enumerate(zip(frames, [0, *ends], ends)):
             bad = np.flatnonzero(~np.isfinite(
@@ -394,8 +391,8 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     wrong size or not finite, a malformed frame (``_check_frames``), and an
     R layout block the EKF cannot invert raise FilterNumericsError, the last
     two naming the first frame at fault and its time.  A step that breaks
-    down, by a failed factorization or solve or by a NaN its arithmetic
-    makes, raises FilterNumericsError naming its frame the same way.
+    down (a failed factorization or solve, or a NaN or inf its arithmetic
+    makes) raises FilterNumericsError naming its frame the same way.
     Returns the estimate trajectory and the belief after every frame.
     """
     if not frames:
@@ -403,17 +400,16 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     nets = scenario_networks(case, pf, scenario)
     params = nets.params
     nm = params.n_machines
-    all_bus_ids = tuple(b.id for b in case.buses)
+    all_bus_ids = nets.pre.bus_order
     _check_inputs(cfg, b0, 2 * nm, 2 * nm + 2 * len(all_bus_ids))
 
     stamps = np.array([fr.t for fr in frames])
     # every frame's vector as one array, frame k's ending at ends[k]
     arrays = [a for fr in frames for a in (fr.p_g, fr.q_g, fr.v_mag, fr.v_ang)]
-    sizes = list(map(len, arrays))
     flat = np.concatenate(arrays)
-    ends = list(accumulate(sizes))[3::4]
+    ends = list(accumulate(map(len, arrays)))[3::4]
     regimes = scenario.regimes(stamps, case.frequency)
-    _check_frames(frames, stamps, sizes, flat, ends, regimes, nets, scenario.dt)
+    _check_frames(frames, stamps, flat, ends, regimes, nets, scenario.dt)
 
     # The EKF updates in information form, on the inverse of each R block;
     # the UKF conditions on the block itself.

@@ -37,6 +37,7 @@ from .measurement import (
     MeasurementFrame,
     NoiseSpec,
     channel_names,
+    check_frame_sizes,
     measurement_indices,
     measurement_variances,
     process_variances,
@@ -150,29 +151,20 @@ class ExperimentReport:
     """Largest power mismatch (pu) left at the converged power flow."""
 
 
-def _rms_by_machine(d_err: np.ndarray, o_err: np.ndarray) -> dict[str, np.ndarray]:
-    return {
-        "delta": np.sqrt(np.mean(d_err ** 2, axis=0)),
-        "omega": np.sqrt(np.mean(o_err ** 2, axis=0)),
-    }
-
-
 def _metrics(truth: Trajectory, x_hat: np.ndarray,
              t_clear: float) -> FilterMetrics:
     """Errors of the stacked estimates ``x_hat`` (samples, angles then
     speeds) against the truth on the same samples."""
-    delta = truth.delta_matrix()
-    nm = delta.shape[1]
-    d_err = delta - x_hat[:, :nm]
-    o_err = truth.omega_matrix() - x_hat[:, nm:]
-    mask = truth.times >= t_clear
-    full = _rms_by_machine(d_err, o_err)
-    post = _rms_by_machine(d_err[mask], o_err[mask])
+    nm = x_hat.shape[1] // 2
+    err = truth.state_matrix() - x_hat
+    post = err[truth.times >= t_clear]
+    full_rms = np.sqrt(np.mean(err ** 2, axis=0))
+    post_rms = np.sqrt(np.mean(post ** 2, axis=0))
     return FilterMetrics(
-        rmse_delta=full["delta"], rmse_omega=full["omega"],
-        post_rmse_delta=post["delta"], post_rmse_omega=post["omega"],
-        post_max_delta=float(np.abs(d_err[mask]).max()),
-        post_max_omega=float(np.abs(o_err[mask]).max()),
+        rmse_delta=full_rms[:nm], rmse_omega=full_rms[nm:],
+        post_rmse_delta=post_rms[:nm], post_rmse_omega=post_rms[nm:],
+        post_max_delta=float(np.abs(post[:, :nm]).max()),
+        post_max_omega=float(np.abs(post[:, nm:]).max()),
     )
 
 
@@ -221,7 +213,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     frames = stage("synthesize", synthesize, truth, nets, cfg.noise, cfg.seed)
 
     nm = nets.params.n_machines
-    all_bus_ids = tuple(b.id for b in case.buses)
+    all_bus_ids = nets.pre.bus_order
     prior = stage("prior", default_prior, nets.params.delta0,
                   cfg.prior_angle_shift, cfg.prior_cov)
     # Floor at a tiny variance so all-zero noise settings stay invertible.
@@ -316,27 +308,32 @@ def write_measurements_csv(frames: list[MeasurementFrame],
     """Columns: t, machine powers, then voltage magnitude/angle per bus id.
 
     Buses absent from a frame's layout leave their cells empty.  An empty
-    frame list is an error: the frames give the machine count.
+    frame list is an error: the frames give the machine count.  So are a
+    malformed frame (``check_frame_sizes``) and a bus not in ``all_bus_ids``,
+    raised as ValueError naming the frame before the file is opened.
     """
     if not frames:
         raise ValueError("write_measurements_csv needs at least one frame")
     nm = frames[0].p_g.size
+    check_frame_sizes(frames, nm)
     header = channel_names(nm, all_bus_ids)
     # Per layout: a row template with a blank for every absent bus, and the
     # order that puts the frame vector in column order.
     layouts: dict[tuple[int, ...], tuple[str, np.ndarray]] = {}
-
-    def rows():
-        for fr in frames:
-            if fr.bus_ids not in layouts:
-                cols = measurement_indices(all_bus_ids, fr.bus_ids, nm)
-                cells = np.full(len(header), "", dtype=object)
-                cells[0] = cells[1 + cols] = "%r"
-                layouts[fr.bus_ids] = (",".join(cells), np.argsort(cols))
-            template, take = layouts[fr.bus_ids]
-            yield template % (float(fr.t), *fr.z_vector()[take].tolist())
-
-    _write_rows(path, header, rows())
+    rows = []
+    for k, fr in enumerate(frames):
+        if fr.bus_ids not in layouts:
+            unknown = [b for b in fr.bus_ids if b not in all_bus_ids]
+            if unknown:
+                raise ValueError(f"frame {k} (t={fr.t:.4f}s): buses {unknown}"
+                                 f" are not among the buses {all_bus_ids}")
+            cols = measurement_indices(all_bus_ids, fr.bus_ids, nm)
+            cells = np.full(len(header), "", dtype=object)
+            cells[0] = cells[1 + cols] = "%r"
+            layouts[fr.bus_ids] = (",".join(cells), np.argsort(cols))
+        template, take = layouts[fr.bus_ids]
+        rows.append(template % (float(fr.t), *fr.z_vector()[take].tolist()))
+    _write_rows(path, header, rows)
 
 
 def write_estimates_csv(truth: Trajectory, x_hat: np.ndarray,

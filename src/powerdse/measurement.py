@@ -64,6 +64,18 @@ class MeasurementFrame:
         return 2 * self.p_g.size + 2 * len(self.bus_ids)
 
 
+def check_frame_sizes(frames: list[MeasurementFrame], n_machines: int) -> None:
+    """Raise ValueError naming the first frame, and its time, whose p_g and
+    q_g do not hold ``n_machines`` entries each, or whose v_mag and v_ang do
+    not hold one entry per bus of its ``bus_ids``."""
+    for k, fr in enumerate(frames):
+        sizes = [len(fr.p_g), len(fr.q_g), len(fr.v_mag), len(fr.v_ang)]
+        want = [n_machines, n_machines, len(fr.bus_ids), len(fr.bus_ids)]
+        if sizes != want:
+            raise ValueError(f"frame {k} (t={fr.t:.4f}s): p_g, q_g, v_mag "
+                             f"and v_ang hold {sizes} entries, expected {want}")
+
+
 def channel_names(n_machines: int, bus_ids: tuple[int, ...]) -> list[str]:
     """The time and the channels of a frame with the buses ``bus_ids``, in
     frame order: the column names of ``measurements.csv``."""

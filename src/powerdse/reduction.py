@@ -29,15 +29,13 @@ class ExtendedAdmittance:
     """Block admittance of the network augmented with machine internal nodes.
 
     Block rows/columns are (network buses, machine nodes): y11 couples buses,
-    y22 couples machine nodes, y12/y21 tie each machine to its terminal bus.
+    y22 couples machine nodes, y12 buses to machines (``y12.T`` the reverse).
     """
 
     y11: np.ndarray
     y12: np.ndarray
-    y21: np.ndarray
     y22: np.ndarray
     bus_order: tuple[int, ...]
-    machine_order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,6 @@ class ReducedNetwork:
     y_red: np.ndarray
     r_v: np.ndarray
     bus_order: tuple[int, ...]
-    machine_order: tuple[int, ...]
 
     @property
     def n_machines(self) -> int:
@@ -82,9 +79,8 @@ def extend_network(case: NetworkCase, pf: PowerFlowSolution) -> ExtendedAdmittan
         y12[pos, col] = -ym
 
     return ExtendedAdmittance(
-        y11=y11, y12=y12, y21=y12.T.copy(), y22=y22,
+        y11=y11, y12=y12, y22=y22,
         bus_order=tuple(b.id for b in case.buses),
-        machine_order=case.machine_buses(),
     )
 
 
@@ -108,10 +104,9 @@ def kron_reduce(ext: ExtendedAdmittance) -> ReducedNetwork:
             f"bus admittance block is numerically singular (cond {cond:.3e})")
     solved = inv @ ext.y12
     return ReducedNetwork(
-        y_red=ext.y22 - ext.y21 @ solved,
+        y_red=ext.y22 - ext.y12.T @ solved,
         r_v=-solved,
         bus_order=ext.bus_order,
-        machine_order=ext.machine_order,
     )
 
 
@@ -123,7 +118,6 @@ def ground_bus(ext: ExtendedAdmittance, bus_id: int) -> ExtendedAdmittance:
     k = ext.bus_order.index(bus_id)
     keep = np.delete(np.arange(len(ext.bus_order)), k)
     return replace(ext, y11=ext.y11[np.ix_(keep, keep)], y12=ext.y12[keep],
-                   y21=ext.y21[:, keep],
                    bus_order=ext.bus_order[:k] + ext.bus_order[k + 1:])
 
 

@@ -180,10 +180,8 @@ def remove_bus(ext: ExtendedAdmittance, bus_id: int) -> ExtendedAdmittance:
     return ExtendedAdmittance(
         y11=ext.y11[np.ix_(keep, keep)],
         y12=ext.y12[keep, :],
-        y21=ext.y21[:, keep],
         y22=ext.y22,
         bus_order=tuple(b for b in ext.bus_order if b != bus_id),
-        machine_order=ext.machine_order,
     )
 
 

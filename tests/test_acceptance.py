@@ -87,7 +87,7 @@ def test_criterion_2_reduction_equivalence(verdict, wecc9, wecc9_pf,
             e = (rng.uniform(0.9, 1.1, nm)
                  * np.exp(1j * rng.uniform(-np.pi, np.pi, nm)))
             i_red = net.y_red @ e
-            i_full = extended_system_currents(ext.y11, ext.y12, ext.y21,
+            i_full = extended_system_currents(ext.y11, ext.y12, ext.y12.T,
                                               ext.y22, e)
             worst_current = max(worst_current, np.max(np.abs(i_red - i_full)))
             recon = ext.y11 @ (net.r_v @ e) + ext.y12 @ e

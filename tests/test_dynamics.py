@@ -51,7 +51,6 @@ def toy_net(y_red):
     nm = y_red.shape[0]
     return ReducedNetwork(
         y_red=y_red, r_v=np.zeros((0, nm), dtype=complex), bus_order=(),
-        machine_order=tuple(range(1, nm + 1)),
     )
 
 
@@ -428,7 +427,7 @@ def test_scenario_networks_read_only(wecc9, wecc9_pf):
     nets = scenario_networks(wecc9, wecc9_pf, wecc9_scenario())
     ext, pre, params = dynamics._last_networks[2:5]
     assert pre is nets.pre and params is nets.params
-    arrays = [ext.y11, ext.y12, ext.y21, ext.y22, params.h, params.d,
+    arrays = [ext.y11, ext.y12, ext.y22, params.h, params.d,
               params.e_mag, params.p_mech, params.delta0]
     for net in (nets.pre, nets.fault, nets.post):
         arrays += [net.y_red, net.r_v]

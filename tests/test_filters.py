@@ -190,7 +190,7 @@ def test_process_jacobian_single_machine():
 
     y = np.array([[1.2 - 3.0j]])
     net = ReducedNetwork(y_red=y, r_v=np.zeros((0, 1), dtype=complex),
-                         bus_order=(), machine_order=(1,))
+                         bus_order=())
     params = MachineParams(h=np.array([4.0]), d=np.array([0.8]),
                            e_mag=np.ones(1), p_mech=np.ones(1),
                            omega0=120.0 * np.pi, delta0=np.zeros(1))
@@ -287,7 +287,7 @@ def test_measurement_jacobian_zero_voltage_named():
 
     y = np.array([[1.0 - 1.0j]])
     net = ReducedNetwork(y_red=y, r_v=np.zeros((1, 1), dtype=complex),
-                         bus_order=(7,), machine_order=(1,))
+                         bus_order=(7,))
     params = MachineParams(h=np.ones(1), d=np.zeros(1), e_mag=np.ones(1),
                            p_mech=np.ones(1), omega0=120.0 * np.pi,
                            delta0=np.zeros(1))
@@ -660,19 +660,36 @@ def test_run_filter_error_names_frame(wecc9, wecc9_pf, wecc9_run):
                    wecc9_run.frames, b0)
 
 
-@pytest.mark.parametrize("kind,stage,method", [
-    ("ekf", "predict", "linearize"), ("ukf", "predict", "step"),
-    ("ekf", "update", "linearize"), ("ukf", "update", "observe"),
-], ids=["ekf-predict", "ukf-predict", "ekf-update", "ukf-update"])
+@pytest.mark.parametrize("kind,stage,method,poison,message", [
+    ("ekf", "predict", "linearize", "nan", "invalid value encountered in subtract"),
+    ("ukf", "predict", "step", "nan", "invalid value encountered in subtract"),
+    ("ekf", "update", "linearize", "nan", "invalid value encountered in subtract"),
+    ("ukf", "update", "observe", "nan", "invalid value encountered in subtract"),
+    ("ekf", "predict", "linearize", "overflow", "overflow encountered in multiply"),
+    ("ukf", "predict", "step", "overflow", "overflow encountered in multiply"),
+    ("ekf", "update", "linearize", "overflow", "overflow encountered in multiply"),
+    ("ukf", "update", "observe", "overflow", "overflow encountered in multiply"),
+], ids=["ekf-predict", "ukf-predict", "ekf-update", "ukf-update",
+        "ekf-predict-overflow", "ukf-predict-overflow", "ekf-update-overflow",
+        "ukf-update-overflow"])
 def test_run_filter_names_frame_of_a_nan_made_mid_run(kind, stage, method,
+                                                      poison, message,
                                                       wecc9, wecc9_pf,
                                                       wecc9_run, monkeypatch):
-    # the model's 200th evaluation, frame 200's, adds inf - inf to its
-    # value: the run stops there, naming the frame, instead of carrying NaN
+    # the model's 200th evaluation, frame 200's, adds inf - inf to its value,
+    # or scales it past the largest float: the run stops there, naming the
+    # frame and the cause, instead of carrying NaN or inf on
     factory = ("swing_process_model" if stage == "predict"
                else "swing_measurement_model")
     build = getattr(filters, factory)
     calls = itertools.count(1)
+
+    def spoil(value):
+        if poison == "nan":
+            inf = np.full(1, np.inf)
+            return value + (inf - inf)
+        big = np.full(1, 1e300)
+        return value * big * big
 
     def poisoned(*args):
         model = build(*args)
@@ -681,10 +698,9 @@ def test_run_filter_names_frame_of_a_nan_made_mid_run(kind, stage, method,
         def wrapped(vec):
             out = evaluate(vec)
             if next(calls) == 200:
-                inf = np.full(1, np.inf)
                 if isinstance(out, tuple):
-                    return (out[0] + (inf - inf), *out[1:])
-                return out + (inf - inf)
+                    return (spoil(out[0]), *out[1:])
+                return spoil(out)
             return out
 
         return dataclasses.replace(model, **{method: wrapped})
@@ -693,12 +709,26 @@ def test_run_filter_names_frame_of_a_nan_made_mid_run(kind, stage, method,
     b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
                      1e-2 * np.eye(6))
     with pytest.raises(FilterNumericsError,
-                       match=r"^frame 200 \(t=2\.0000s\): invalid value "
-                             r"encountered in subtract$") as err:
+                       match=rf"^frame 200 \(t=2\.0000s\): {message}$") as err:
         run_filter(preset_filter_config(kind, wecc9_run.cfg.noise), wecc9,
                    wecc9_pf, wecc9_run.cfg.scenario, wecc9_run.frames, b0)
     assert isinstance(err.value.__cause__, FloatingPointError)
     assert next(calls) == 201
+
+
+def test_run_filter_names_frame_of_an_overflowing_covariance(wecc9, wecc9_pf,
+                                                             wecc9_run):
+    # a finite q of 1e305 makes the first information matrix overflow: the
+    # error names frame 1 and the overflow, not a NaN a frame later
+    cfg = dataclasses.replace(preset_filter_config("ekf", wecc9_run.cfg.noise),
+                              q=1e305 * np.eye(6))
+    b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
+                     1e-2 * np.eye(6))
+    with pytest.raises(FilterNumericsError, match=r"^frame 1 \(t=0\.0100s\): "
+                       r"overflow encountered in dot$") as err:
+        run_filter(cfg, wecc9, wecc9_pf, wecc9_run.cfg.scenario,
+                   wecc9_run.frames, b0)
+    assert isinstance(err.value.__cause__, FloatingPointError)
 
 
 def preset_filter_config(kind, noise):

@@ -380,6 +380,34 @@ def test_measurements_writer_needs_a_frame(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("change,message", [
+    ("unknown-bus", r"buses \[99\] are not among the buses "
+                    r"\(1, 2, 3, 4, 5, 6, 7, 8, 9\)"),
+    ("short-p_g", r"p_g, q_g, v_mag and v_ang hold \[2, 3, 9, 9\] entries, "
+                  r"expected \[3, 3, 9, 9\]"),
+    ("long-v_mag", r"p_g, q_g, v_mag and v_ang hold \[3, 3, 10, 9\] "
+                   r"entries, expected \[3, 3, 9, 9\]"),
+], ids=["unknown-bus", "short-p_g", "long-v_mag"])
+def test_measurements_writer_rejects_malformed_frame(change, message, wecc9,
+                                                     wecc9_run, tmp_path):
+    # one bad frame in the middle: an error naming it, before the file is
+    # opened, not a KeyError or IndexError after 500 rows, nor (for the extra
+    # v_mag entry) a file whose frame-500 angles sit one column to the right
+    frames = list(wecc9_run.frames)
+    fr = frames[500]
+    if change == "unknown-bus":
+        frames[500] = replace(fr, bus_ids=fr.bus_ids[:-1] + (99,))
+    elif change == "short-p_g":
+        frames[500] = replace(fr, p_g=fr.p_g[:2])
+    else:
+        frames[500] = replace(fr, v_mag=np.append(fr.v_mag, 1.0))
+    path = tmp_path / "measurements.csv"
+    with pytest.raises(ValueError,
+                       match=rf"^frame 500 \(t=5\.0000s\): {message}$"):
+        write_measurements_csv(frames, tuple(b.id for b in wecc9.buses), path)
+    assert not path.exists()
+
+
 def test_writers_reject_row_count_mismatch(tmp_path):
     # 500 estimate rows for a 1,001-sample truth: an error naming both
     # counts, before the file is opened, not a 500-row file

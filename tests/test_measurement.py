@@ -27,7 +27,7 @@ from oracles import regime_at
 def reactance_net():
     y = np.array([[-1.0j]])
     return ReducedNetwork(y_red=y, r_v=np.zeros((0, 1), dtype=complex),
-                          bus_order=(), machine_order=(1,))
+                          bus_order=())
 
 
 def test_pure_reactance_self_terms():

@@ -50,10 +50,8 @@ def test_single_machine_blocks():
     ext = extend_network(single_bus_case(), flat_solution(1))
     assert np.allclose(ext.y11, [[1.0 - 10.0j]], atol=1e-12)
     assert np.allclose(ext.y12, [[10.0j]], atol=1e-12)
-    assert np.allclose(ext.y21, [[10.0j]], atol=1e-12)
     assert np.allclose(ext.y22, [[-10.0j]], atol=1e-12)
     assert ext.bus_order == (1,)
-    assert ext.machine_order == (1,)
 
 
 def test_machine_free_blocks_empty(wecc9, wecc9_pf):
@@ -61,7 +59,6 @@ def test_machine_free_blocks_empty(wecc9, wecc9_pf):
                        buses=wecc9.buses, branches=wecc9.branches, machines=())
     ext = extend_network(bare, wecc9_pf)
     assert ext.y12.shape == (9, 0)
-    assert ext.y21.shape == (0, 9)
     assert ext.y22.shape == (0, 0)
     expected = build_ybus(bare)
     for pos, bus in enumerate(bare.buses):
@@ -92,8 +89,7 @@ def test_network_rows_carry_no_injection_at_operating_point(wecc9, wecc9_pf,
 def scalar_ext():
     return ExtendedAdmittance(
         y11=np.array([[2.0 + 0j]]), y12=np.array([[-1.0 + 0j]]),
-        y21=np.array([[-1.0 + 0j]]), y22=np.array([[1.0 + 0j]]),
-        bus_order=(1,), machine_order=(2,),
+        y22=np.array([[1.0 + 0j]]), bus_order=(1,),
     )
 
 
@@ -107,9 +103,8 @@ def test_kron_decoupled_blocks():
     ext = ExtendedAdmittance(
         y11=np.diag([2.0 + 1j, 3.0 - 1j]),
         y12=np.zeros((2, 2), dtype=complex),
-        y21=np.zeros((2, 2), dtype=complex),
         y22=np.array([[1.0 - 5j, 0.5j], [0.5j, 2.0 - 4j]]),
-        bus_order=(1, 2), machine_order=(3, 4),
+        bus_order=(1, 2),
     )
     net = kron_reduce(ext)
     assert np.array_equal(net.y_red, ext.y22)
@@ -125,7 +120,8 @@ def test_kron_equivalence_random_voltages(name, request, rng):
     nm = len(case.machines)
     for _ in range(100):
         e = rng.normal(size=nm) + 1j * rng.normal(size=nm)
-        direct = extended_system_currents(ext.y11, ext.y12, ext.y21, ext.y22, e)
+        direct = extended_system_currents(ext.y11, ext.y12, ext.y12.T,
+                                          ext.y22, e)
         assert np.max(np.abs(net.y_red @ e - direct)) < 1e-9
 
 
@@ -165,9 +161,8 @@ def two_bus_block(y11):
     return ExtendedAdmittance(
         y11=np.asarray(y11, dtype=complex),
         y12=np.array([[1.0 + 0j], [0.0]]),
-        y21=np.array([[1.0 + 0j, 0.0]]),
         y22=np.array([[1.0 + 0j]]),
-        bus_order=(1, 2), machine_order=(3,),
+        bus_order=(1, 2),
     )
 
 
@@ -200,10 +195,9 @@ def test_fault_network_matches_removed_bus(name, request, rng):
         got = kron_reduce(ground_bus(ext, bus_id))
         want = remove_bus(ext, bus_id)
         assert got.bus_order == want.bus_order
-        assert got.machine_order == want.machine_order
         for e in emfs:
-            currents = extended_system_currents(want.y11, want.y12, want.y21,
-                                                want.y22, e)
+            currents = extended_system_currents(want.y11, want.y12,
+                                                want.y12.T, want.y22, e)
             assert relative_gap(got.y_red @ e, currents) <= 1e-12
             injected = want.y12 @ e
             residual = want.y11 @ (got.r_v @ e) + injected
@@ -232,9 +226,8 @@ def test_fault_network_singular_block_rejected(y22, monkeypatch):
     ext = ExtendedAdmittance(
         y11=np.asarray(y11, dtype=complex),
         y12=np.array([[1.0 + 0j], [0.0], [0.0]]),
-        y21=np.array([[1.0 + 0j, 0.0, 0.0]]),
         y22=np.array([[1.0 + 0j]]),
-        bus_order=(1, 2, 3), machine_order=(1,),
+        bus_order=(1, 2, 3),
     )
     with pytest.raises(ReductionError, match="singular"):
         kron_reduce(ground_bus(ext, 3))
@@ -248,7 +241,7 @@ def test_fault_network_singular_block_rejected(y22, monkeypatch):
     # without bus 2 the block is the identity
     want = remove_bus(ext, 2)
     e = np.array([0.8 + 0.6j])
-    currents = extended_system_currents(want.y11, want.y12, want.y21,
+    currents = extended_system_currents(want.y11, want.y12, want.y12.T,
                                         want.y22, e)
     assert np.allclose(kron_reduce(ground_bus(ext, 2)).y_red @ e, currents,
                        rtol=1e-12, atol=1e-12)
@@ -264,7 +257,7 @@ def test_reduction_base_read_only(wecc9, wecc9_pf):
         fault_bus=5, cleared_line=(5, 7)))
     assert dynamics._last_networks[2] is ext
     assert second.pre is first.pre
-    for array in (ext.y11, ext.y12, ext.y21, ext.y22,
+    for array in (ext.y11, ext.y12, ext.y22,
                   first.pre.y_red, first.pre.r_v):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.0
