@@ -69,7 +69,6 @@ from .filters import (
     ekf_update,
     init_belief,
     run_filter,
-    sigma_points,
     swing_measurement_model,
     swing_process_model,
     ukf_predict,

@@ -87,11 +87,11 @@ class MeasurementModel:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Which filter to run, one of ``FILTER_KINDS``, and its covariances.
+    """Which filter to run, one of ``FILTER_KINDS``, and its noise.
 
-    ``q`` and ``r`` are the process and measurement covariances; ``r`` spans
-    the intact measurement layout and is subset per frame.  The EKF updates
-    in information form, so each block of ``r`` it uses must be invertible.
+    The noise is independent per channel: ``q`` holds the 2n process noise
+    variances (angles, then speeds) and ``r`` the noise variance of each
+    channel of the intact measurement layout, subset per regime.
     """
 
     kind: str
@@ -164,19 +164,6 @@ def ekf_update(belief: GaussianBelief, z: np.ndarray, model: MeasurementModel,
     return GaussianBelief(x_hat=x, p=p)
 
 
-def _inverse(r: np.ndarray) -> np.ndarray:
-    """Inverse of a finite measurement covariance block, or
-    FilterNumericsError if it cannot be inverted."""
-    try:
-        r_inv = np.linalg.inv(r)
-        if np.isfinite(r_inv).all():
-            return r_inv
-    except np.linalg.LinAlgError:
-        pass
-    raise FilterNumericsError("measurement covariance block is singular "
-                              f"(cond {np.linalg.cond(r):.3e})")
-
-
 # --- unscented filter --------------------------------------------------------
 
 
@@ -203,16 +190,10 @@ def _equal_weights(count: int) -> np.ndarray:
     return w
 
 
-@_raise_nonfinite
-def sigma_points(belief: GaussianBelief) -> np.ndarray:
-    """Symmetric equal-weight point set: 2n points at x +- the columns of a
-    factor of n P, each carrying weight 1/(2n).  No point sits at the mean."""
-    return _sigma_points(belief)
-
-
 def _sigma_points(belief: GaussianBelief) -> np.ndarray:
-    """``sigma_points`` without its error state, for the frame functions
-    that are already in it."""
+    """Symmetric equal-weight point set: 2n points at x +- the columns of a
+    factor of n P, each carrying weight 1/(2n).  No point sits at the mean.
+    Called under ``_raise_nonfinite``."""
     n = belief.x_hat.size
     root = _psd_sqrt(n * belief.p)
     return np.concatenate([belief.x_hat + root.T, belief.x_hat - root.T])
@@ -322,19 +303,23 @@ def swing_measurement_model(params: MachineParams,
 
 
 def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
-                  flat: np.ndarray, ends: list[int], regimes: list[Regime],
-                  nets: ScenarioNetworks, dt: float) -> None:
+                  regimes: list[Regime], nets: ScenarioNetworks,
+                  dt: float) -> tuple[np.ndarray, list[int]]:
     """Raise FilterNumericsError naming the first frame, and its time, that
     is malformed (``check_frame_sizes``); else that holds a value that is not
     finite, naming its channel (the column name of ``measurements.csv``);
     else that is frame k stamped off k * dt by more than 1e-9 relative; else
-    whose buses are not the bus order of its regime's network.  Frame k's
-    vector is ``flat[ends[k - 1]:ends[k]]``."""
+    whose buses are not the bus order of its regime's network.  Returns
+    every frame's vector as one array ``flat`` and the list ``ends``: frame
+    k's vector is ``flat[ends[k - 1]:ends[k]]``."""
     nm = nets.params.n_machines
     try:
         check_frame_sizes(frames, nm)
     except ValueError as exc:
         raise FilterNumericsError(str(exc)) from exc
+    arrays = [a for fr in frames for a in (fr.p_g, fr.q_g, fr.v_mag, fr.v_ang)]
+    flat = np.concatenate(arrays)
+    ends = list(accumulate(map(len, arrays)))[3::4]
     if not (np.isfinite(times).all() and np.isfinite(flat).all()):
         for k, (fr, start, stop) in enumerate(zip(frames, [0, *ends], ends)):
             bad = np.flatnonzero(~np.isfinite(
@@ -357,17 +342,21 @@ def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
             raise FilterNumericsError(
                 f"frame {k} (t={fr.t:.4f}s): buses {fr.bus_ids} are not "
                 f"the {regime.value} network's bus order {order}")
+    return flat, ends
 
 
 def _check_inputs(cfg: FilterConfig, b0: GaussianBelief, n_states: int,
                   n_channels: int) -> None:
-    """Raise FilterNumericsError naming the first of q, R, the prior mean and
-    the prior covariance whose shape is wrong or that is not finite."""
-    for name, value, shape in (
-            ("process covariance q", cfg.q, (n_states, n_states)),
-            ("measurement covariance r", cfg.r, (n_channels, n_channels)),
-            ("prior mean", b0.x_hat, (n_states,)),
-            ("prior covariance", b0.p, (n_states, n_states))):
+    """Raise FilterNumericsError naming the first of q, r, the prior mean and
+    the prior covariance whose shape is wrong, that is not finite, or that
+    falls below its floor: 0 for q, and for r the smallest normal float, so
+    that every 1 / r is finite."""
+    for name, value, shape, floor in (
+            ("process variance q", cfg.q, (n_states,), 0.0),
+            ("measurement variance r", cfg.r, (n_channels,),
+             np.finfo(float).tiny),
+            ("prior mean", b0.x_hat, (n_states,), -np.inf),
+            ("prior covariance", b0.p, (n_states, n_states), -np.inf)):
         value = np.asarray(value, dtype=float)
         if value.shape != shape:
             raise FilterNumericsError(
@@ -376,6 +365,10 @@ def _check_inputs(cfg: FilterConfig, b0: GaussianBelief, n_states: int,
         if bad:
             raise FilterNumericsError(
                 f"{name} is not finite ({bad} of {value.size} entries)")
+        low = np.count_nonzero(value < floor)
+        if low:
+            raise FilterNumericsError(
+                f"{name} is below {floor:g} ({low} of {value.size} entries)")
 
 
 def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
@@ -387,10 +380,10 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     later frame triggers one predict with the topology in force at the start
     of the interval, then one update with the topology at the frame time.
     Every input is checked once, before the first step, the same for both
-    kinds: an empty frame list, a q, intact-layout ``cfg.r`` or ``b0`` of the
-    wrong size or not finite, a malformed frame (``_check_frames``), and an
-    R layout block the EKF cannot invert raise FilterNumericsError, the last
-    two naming the first frame at fault and its time.  A step that breaks
+    kinds: an empty frame list, a ``cfg.q``, ``cfg.r`` or ``b0`` of the
+    wrong size, not finite or below its floor (``_check_inputs``), and a
+    malformed frame (``_check_frames``) raise FilterNumericsError, the last
+    naming the first frame at fault and its time.  A step that breaks
     down (a failed factorization or solve, or a NaN or inf its arithmetic
     makes) raises FilterNumericsError naming its frame the same way.
     Returns the estimate trajectory and the belief after every frame.
@@ -404,38 +397,33 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     _check_inputs(cfg, b0, 2 * nm, 2 * nm + 2 * len(all_bus_ids))
 
     stamps = np.array([fr.t for fr in frames])
-    # every frame's vector as one array, frame k's ending at ends[k]
-    arrays = [a for fr in frames for a in (fr.p_g, fr.q_g, fr.v_mag, fr.v_ang)]
-    flat = np.concatenate(arrays)
-    ends = list(accumulate(map(len, arrays)))[3::4]
     regimes = scenario.regimes(stamps, case.frequency)
-    _check_frames(frames, stamps, flat, ends, regimes, nets, scenario.dt)
+    flat, ends = _check_frames(frames, stamps, regimes, nets, scenario.dt)
 
     # The EKF updates in information form, on the inverse of each R block;
     # the UKF conditions on the block itself.
     if cfg.kind == "ekf":
-        predict, update, r_form = ekf_predict, ekf_update, _inverse
+        predict, update, r_form = ekf_predict, ekf_update, np.reciprocal
     else:
         predict, update, r_form = ukf_predict, ukf_update, np.asarray
+    q, r = np.diag(cfg.q), np.asarray(cfg.r, dtype=float)
     # Every interval is one dt, so one process model per regime that starts
-    # an interval, and one measurement model per regime of a frame.
+    # an interval, and one measurement model with its R block per regime of
+    # a frame, whose frames all have its network's buses (_check_frames).
     processes = {reg: swing_process_model(params, nets.for_regime(reg), scenario.dt)
                  for reg in dict.fromkeys(regimes[:-1])}
-    observers = {reg: swing_measurement_model(params, nets.for_regime(reg))
-                 for reg in dict.fromkeys(regimes[1:])}
+    observers = {}
+    for reg in dict.fromkeys(regimes[1:]):
+        net = nets.for_regime(reg)
+        idx = measurement_indices(all_bus_ids, net.bus_order, nm)
+        observers[reg] = (swing_measurement_model(params, net),
+                          np.diag(r_form(r[idx])))
 
+    belief, beliefs = b0, [b0]
     try:
-        r_blocks = {}
         for k in range(1, len(frames)):
-            layout = frames[k].bus_ids
-            if layout not in r_blocks:
-                idx = measurement_indices(all_bus_ids, layout, nm)
-                r_blocks[layout] = r_form(cfg.r[np.ix_(idx, idx)])
-        belief, beliefs = b0, [b0]
-        for k in range(1, len(frames)):
-            belief = update(predict(belief, processes[regimes[k - 1]], cfg.q),
-                            flat[ends[k - 1]:ends[k]], observers[regimes[k]],
-                            r_blocks[frames[k].bus_ids])
+            belief = update(predict(belief, processes[regimes[k - 1]], q),
+                            flat[ends[k - 1]:ends[k]], *observers[regimes[k]])
             beliefs.append(belief)
     except (FilterNumericsError, FloatingPointError) as exc:
         raise FilterNumericsError(

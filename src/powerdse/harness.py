@@ -217,9 +217,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     prior = stage("prior", default_prior, nets.params.delta0,
                   cfg.prior_angle_shift, cfg.prior_cov)
     # Floor at a tiny variance so all-zero noise settings stay invertible.
-    q = np.diag(np.maximum(process_variances(cfg.noise, nm), 1e-12))
-    r = np.diag(np.maximum(
-        measurement_variances(cfg.noise, nm, len(all_bus_ids)), 1e-12))
+    q = np.maximum(process_variances(cfg.noise, nm), 1e-12)
+    r = np.maximum(measurement_variances(cfg.noise, nm, len(all_bus_ids)),
+                   1e-12)
 
     out_dir = Path(cfg.out_dir)
     stage("write", out_dir.mkdir, parents=True, exist_ok=True)
@@ -308,13 +308,19 @@ def write_measurements_csv(frames: list[MeasurementFrame],
     """Columns: t, machine powers, then voltage magnitude/angle per bus id.
 
     Buses absent from a frame's layout leave their cells empty.  An empty
-    frame list is an error: the frames give the machine count.  So are a
-    malformed frame (``check_frame_sizes``) and a bus not in ``all_bus_ids``,
-    raised as ValueError naming the frame before the file is opened.
+    frame list is an error: frame 0's p_g and q_g give the machine count, so
+    are an error too where they disagree.  So are a malformed frame
+    (``check_frame_sizes``) and a bus not in ``all_bus_ids``, raised as
+    ValueError naming the frame before the file is opened.
     """
     if not frames:
         raise ValueError("write_measurements_csv needs at least one frame")
-    nm = frames[0].p_g.size
+    first = frames[0]
+    nm = first.p_g.size
+    if first.q_g.size != nm:
+        raise ValueError(f"frame 0 (t={first.t:.4f}s): p_g holds {nm} "
+                         f"entries but q_g {first.q_g.size}, so the machine "
+                         "count is unknown")
     check_frame_sizes(frames, nm)
     header = channel_names(nm, all_bus_ids)
     # Per layout: a row template with a blank for every absent bus, and the

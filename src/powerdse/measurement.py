@@ -65,15 +65,19 @@ class MeasurementFrame:
 
 
 def check_frame_sizes(frames: list[MeasurementFrame], n_machines: int) -> None:
-    """Raise ValueError naming the first frame, and its time, whose p_g and
-    q_g do not hold ``n_machines`` entries each, or whose v_mag and v_ang do
-    not hold one entry per bus of its ``bus_ids``."""
+    """Raise ValueError naming the first frame, its time and its first array
+    whose shape is wrong: p_g and q_g must have shape ``(n_machines,)``, and
+    v_mag and v_ang one entry per bus of its ``bus_ids``."""
     for k, fr in enumerate(frames):
-        sizes = [len(fr.p_g), len(fr.q_g), len(fr.v_mag), len(fr.v_ang)]
-        want = [n_machines, n_machines, len(fr.bus_ids), len(fr.bus_ids)]
-        if sizes != want:
-            raise ValueError(f"frame {k} (t={fr.t:.4f}s): p_g, q_g, v_mag "
-                             f"and v_ang hold {sizes} entries, expected {want}")
+        nb = len(fr.bus_ids)
+        shapes = (fr.p_g.shape, fr.q_g.shape, fr.v_mag.shape, fr.v_ang.shape)
+        want = ((n_machines,), (n_machines,), (nb,), (nb,))
+        if shapes != want:
+            name, shape, expected = next(
+                bad for bad in zip(("p_g", "q_g", "v_mag", "v_ang"), shapes,
+                                   want) if bad[1] != bad[2])
+            raise ValueError(f"frame {k} (t={fr.t:.4f}s): {name} has shape "
+                             f"{shape}, expected {expected}")
 
 
 def channel_names(n_machines: int, bus_ids: tuple[int, ...]) -> list[str]:
@@ -190,8 +194,8 @@ def measurement_indices(all_bus_ids: tuple[int, ...],
                         n_machines: int) -> np.ndarray:
     """Positions of a frame's entries inside the full intact-layout vector.
 
-    Lets a covariance defined over the intact layout be subset to a frame
-    whose bus list is smaller (fault-on frames).
+    Lets a vector over the intact layout, such as the measurement variances,
+    be subset to a frame whose bus list is smaller (fault-on frames).
     """
     pos = {bus: i for i, bus in enumerate(all_bus_ids)}
     nb = len(all_bus_ids)

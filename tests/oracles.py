@@ -5,10 +5,10 @@ different route than the package (Gauss-Seidel instead of Newton, direct
 stamp summation instead of the builder loop, a textbook linear Kalman
 recursion, the covariance-form EKF update instead of the information form,
 the fault timing per instant instead of counted, dense block solves instead
-of the reduced matrix).  Only plain
-data types are imported from the package; no computational code is shared.
-The module also holds the case helpers that only the tests need:
-``dump_case`` and ``without_branch``.
+of the reduced matrix).  The oracles use only plain data types from the
+package; no computational code is shared.  The module also holds the helpers that only the tests need: the case
+helpers ``dump_case`` and ``without_branch``, and ``sigma_points``, which is
+no oracle but the filters' own point set under their frames' error state.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import scipy.linalg
 import scipy.optimize
 
 from powerdse.cases import Branch, BusKind, CaseError, NetworkCase
+from powerdse import filters
 from powerdse.dynamics import FaultScenario, Regime
 from powerdse.filters import GaussianBelief
 from powerdse.reduction import ExtendedAdmittance, ReductionError
@@ -144,6 +145,10 @@ def ekf_update_covariance_form(belief: GaussianBelief, z: np.ndarray, model,
     p = belief.p - gain @ jp
     return GaussianBelief(x_hat=belief.x_hat + gain @ (z - z_hat),
                           p=0.5 * (p + p.T))
+
+
+# The UKF's sigma points of a belief, as its frames make them.
+sigma_points = filters._raise_nonfinite(filters._sigma_points)
 
 
 def regime_at(scenario: FaultScenario, t: float, frequency: float) -> Regime:

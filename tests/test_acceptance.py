@@ -23,7 +23,6 @@ from powerdse import (
     load_case,
     measurement_variances,
     run_experiment,
-    sigma_points,
     simulate,
     solve_power_flow,
     swing_measurement_model,
@@ -38,6 +37,7 @@ from oracles import (
     extended_system_currents,
     gauss_seidel_power_flow,
     linear_kalman,
+    sigma_points,
     static_angle_inversion,
 )
 

@@ -28,7 +28,6 @@ from powerdse import (
     preset,
     process_variances,
     run_filter,
-    sigma_points,
     simulate,
     swing_measurement_model,
     swing_process_model,
@@ -37,7 +36,12 @@ from powerdse import (
     ukf_update,
 )
 
-from oracles import central_difference, ekf_update_covariance_form, linear_kalman
+from oracles import (
+    central_difference,
+    ekf_update_covariance_form,
+    linear_kalman,
+    sigma_points,
+)
 
 
 def linear_process(a):
@@ -103,7 +107,7 @@ def test_zero_prior_legal_and_grows_by_q():
 
 def test_filter_config_validation():
     with pytest.raises(ValueError, match="kind"):
-        FilterConfig(kind="particle", q=np.zeros((2, 2)), r=np.zeros((2, 2)))
+        FilterConfig(kind="particle", q=np.zeros(2), r=np.zeros(2))
 
 
 def test_models_have_one_interface():
@@ -130,7 +134,8 @@ def test_models_have_one_interface():
     for module, name in ((powerdse.reduction, "electrical_power_linearized"),
                          (powerdse.measurement, "measure"),
                          (powerdse.harness, "rmse"),
-                         (filters, "_sigma_set")):
+                         (filters, "_sigma_set"), (filters, "sigma_points"),
+                         (filters, "_inverse")):
         assert not hasattr(module, name), name
     assert not hasattr(DynamicState, "from_vector")
     # one way to set the step and one description of the machines: dt sets
@@ -596,8 +601,8 @@ def test_run_filter_tracks_noise_free_frames(kind, wecc9, wecc9_pf, wecc9_net,
                                              wecc9_params, wecc9_init):
     scen, truth, frames, b0 = quiet_run_inputs(
         wecc9, wecc9_pf, wecc9_net, wecc9_params, wecc9_init)
-    cfg = FilterConfig(kind=kind, q=1e-12 * np.eye(6),
-                       r=1e-12 * np.eye(2 * 3 + 2 * 9))
+    cfg = FilterConfig(kind=kind, q=np.full(6, 1e-12),
+                       r=np.full(2 * 3 + 2 * 9, 1e-12))
     estimate, beliefs = run_filter(cfg, wecc9, wecc9_pf, scen, frames, b0)
     assert len(beliefs) == len(frames)
     err = np.abs(estimate.delta_matrix() - truth.delta_matrix())
@@ -607,9 +612,8 @@ def test_run_filter_tracks_noise_free_frames(kind, wecc9, wecc9_pf, wecc9_net,
 def test_run_filter_deterministic(wecc9, wecc9_pf, wecc9_run):
     cfg = FilterConfig(
         kind="ekf",
-        q=np.diag(np.maximum(process_variances(wecc9_run.cfg.noise, 3), 1e-12)),
-        r=np.diag(np.maximum(
-            measurement_variances(wecc9_run.cfg.noise, 3, 9), 1e-12)),
+        q=np.maximum(process_variances(wecc9_run.cfg.noise, 3), 1e-12),
+        r=np.maximum(measurement_variances(wecc9_run.cfg.noise, 3, 9), 1e-12),
     )
     b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
                      1e-2 * np.eye(6))
@@ -625,8 +629,8 @@ def test_covariance_health_along_preset_run(kind, wecc9, wecc9_pf, wecc9_run):
     noise = wecc9_run.cfg.noise
     cfg = FilterConfig(
         kind=kind,
-        q=np.diag(np.maximum(process_variances(noise, 3), 1e-12)),
-        r=np.diag(np.maximum(measurement_variances(noise, 3, 9), 1e-12)),
+        q=np.maximum(process_variances(noise, 3), 1e-12),
+        r=np.maximum(measurement_variances(noise, 3, 9), 1e-12),
     )
     b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
                      1e-2 * np.eye(6))
@@ -641,8 +645,8 @@ def test_run_filter_needs_a_frame(wecc9, wecc9_pf, wecc9_run):
     # one error naming the need, not numpy's "need at least one array to
     # concatenate"
     nm, nb = wecc9_run.params.n_machines, len(wecc9.buses)
-    cfg = FilterConfig(kind="ekf", q=1e-6 * np.eye(2 * nm),
-                       r=1e-4 * np.eye(2 * nm + 2 * nb))
+    cfg = FilterConfig(kind="ekf", q=np.full(2 * nm, 1e-6),
+                       r=np.full(2 * nm + 2 * nb, 1e-4))
     b0 = init_belief(np.concatenate([wecc9_run.params.delta0, np.ones(nm)]),
                      1e-2 * np.eye(2 * nm))
     with pytest.raises(FilterNumericsError, match="at least one frame"):
@@ -650,14 +654,19 @@ def test_run_filter_needs_a_frame(wecc9, wecc9_pf, wecc9_run):
 
 
 def test_run_filter_error_names_frame(wecc9, wecc9_pf, wecc9_run):
-    # all-zero covariances make the very first innovation solve singular
-    cfg = FilterConfig(kind="ekf", q=np.zeros((6, 6)),
-                       r=np.zeros((2 * 3 + 2 * 9, 2 * 3 + 2 * 9)))
+    # zero q and a variance of r at its floor, the smallest normal float,
+    # pass the checks: 1 / r is finite, and the first update overflows on
+    # it, naming frame 1; half that floor is rejected before any frame
+    tiny = np.finfo(float).tiny
     b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
                      np.zeros((6, 6)))
-    with pytest.raises(FilterNumericsError, match="frame 1"):
-        run_filter(cfg, wecc9, wecc9_pf, wecc9_run.cfg.scenario,
-                   wecc9_run.frames, b0)
+    for r, message in ((tiny, r"^frame 1 \(t=0\.0100s\): overflow "),
+                       (tiny / 2, r"^measurement variance r is below ")):
+        cfg = FilterConfig(kind="ekf", q=np.zeros(6),
+                           r=np.full(2 * 3 + 2 * 9, r))
+        with pytest.raises(FilterNumericsError, match=message):
+            run_filter(cfg, wecc9, wecc9_pf, wecc9_run.cfg.scenario,
+                       wecc9_run.frames, b0)
 
 
 @pytest.mark.parametrize("kind,stage,method,poison,message", [
@@ -721,7 +730,7 @@ def test_run_filter_names_frame_of_an_overflowing_covariance(wecc9, wecc9_pf,
     # a finite q of 1e305 makes the first information matrix overflow: the
     # error names frame 1 and the overflow, not a NaN a frame later
     cfg = dataclasses.replace(preset_filter_config("ekf", wecc9_run.cfg.noise),
-                              q=1e305 * np.eye(6))
+                              q=np.full(6, 1e305))
     b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
                      1e-2 * np.eye(6))
     with pytest.raises(FilterNumericsError, match=r"^frame 1 \(t=0\.0100s\): "
@@ -734,8 +743,8 @@ def test_run_filter_names_frame_of_an_overflowing_covariance(wecc9, wecc9_pf,
 def preset_filter_config(kind, noise):
     return FilterConfig(
         kind=kind,
-        q=np.diag(np.maximum(process_variances(noise, 3), 1e-12)),
-        r=np.diag(np.maximum(measurement_variances(noise, 3, 9), 1e-12)))
+        q=np.maximum(process_variances(noise, 3), 1e-12),
+        r=np.maximum(measurement_variances(noise, 3, 9), 1e-12))
 
 
 def preset_ekf_inputs(run, quiet):
@@ -748,14 +757,14 @@ def preset_ekf_inputs(run, quiet):
         noise = run.cfg.noise
         cfg = FilterConfig(
             kind="ekf",
-            q=np.diag(np.maximum(process_variances(noise, nm), 1e-12)),
-            r=np.diag(np.maximum(measurement_variances(noise, nm, nb), 1e-12)))
+            q=np.maximum(process_variances(noise, nm), 1e-12),
+            r=np.maximum(measurement_variances(noise, nm, nb), 1e-12))
         return cfg, run.frames, b0
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0, q_delta=0.0, q_omega=0.0)
     frames = synthesize(run.truth, run.nets, silent, 0)
-    cfg = FilterConfig(kind="ekf", q=1e-12 * np.eye(2 * nm),
-                       r=1e-12 * np.eye(2 * nm + 2 * nb))
+    cfg = FilterConfig(kind="ekf", q=np.full(2 * nm, 1e-12),
+                       r=np.full(2 * nm + 2 * nb, 1e-12))
     return cfg, frames, b0
 
 
@@ -768,9 +777,12 @@ def test_information_form_matches_covariance_form(name, quiet, request,
     cfg, frames, b0 = preset_ekf_inputs(run, quiet)
     args = (cfg, run.case, run.pf, run.cfg.scenario, frames, b0)
     _, beliefs = run_filter(*args)
-    # the same plan, each frame updated in covariance form on R itself
-    monkeypatch.setattr(filters, "ekf_update", ekf_update_covariance_form)
-    monkeypatch.setattr(filters, "_inverse", lambda r: r)
+    # the same plan, each frame updated in covariance form on R itself,
+    # taken back from the diagonal R^-1 block the EKF is given
+    monkeypatch.setattr(
+        filters, "ekf_update", lambda belief, z, model, r_inv:
+        ekf_update_covariance_form(belief, z, model,
+                                   np.diag(1.0 / np.diag(r_inv))))
     _, reference = run_filter(*args)
     assert len(beliefs) == len(reference) == len(frames)
     for b, ref in zip(beliefs, reference):
@@ -778,49 +790,55 @@ def test_information_form_matches_covariance_form(name, quiet, request,
         assert np.max(np.abs(b.p - ref.p)) < 1e-14
 
 
-@pytest.mark.parametrize("kind,inversions", [("ekf", 2), ("ukf", 0)])
-def test_run_filter_inverts_each_r_block_once(kind, inversions, wecc9,
-                                              wecc9_pf, wecc9_run,
-                                              monkeypatch):
-    # wecc9 has two layouts: the intact one of the pre-fault and
-    # post-clearing frames, and the one without bus 8 while it is faulted
-    sizes = []
-    inverse = filters._inverse
+@pytest.mark.parametrize("kind", ["ekf", "ukf"])
+def test_run_filter_one_r_block_per_regime(kind, wecc9, wecc9_pf, wecc9_run,
+                                           monkeypatch):
+    # wecc9's frames are pre-fault, fault-on without bus 8, then
+    # post-clearing: one R block per regime, built once with its measurement
+    # model, R itself for the UKF and its inverse for the EKF
+    blocks = {}
+    name = f"{kind}_update"
+    update = getattr(filters, name)
 
-    def counting(r):
-        sizes.append(r.shape[0])
-        return inverse(r)
+    def recording(belief, z, model, r_block):
+        blocks.setdefault((id(model), id(r_block)), r_block)
+        return update(belief, z, model, r_block)
 
-    monkeypatch.setattr(filters, "_inverse", counting)
+    monkeypatch.setattr(filters, name, recording)
+    cfg = preset_filter_config(kind, wecc9_run.cfg.noise)
     b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
                      1e-2 * np.eye(6))
-    run_filter(preset_filter_config(kind, wecc9_run.cfg.noise), wecc9,
-               wecc9_pf, wecc9_run.cfg.scenario, wecc9_run.frames, b0)
-    assert sizes == [2 * 3 + 2 * 9, 2 * 3 + 2 * 8][:inversions]
+    run_filter(cfg, wecc9, wecc9_pf, wecc9_run.cfg.scenario,
+               wecc9_run.frames, b0)
+    intact = np.diag(cfg.r if kind == "ukf" else 1.0 / cfg.r)
+    # channels: p_g and q_g of 3 machines, then v_mag and v_ang of buses 1..9
+    bus_8 = [2 * 3 + 7, 2 * 3 + 9 + 7]
+    fault_on = np.delete(np.delete(intact, bus_8, 0), bus_8, 1)
+    pre, on, post = blocks.values()
+    assert [len(b) for b in (pre, on, post)] == [24, 22, 24]
+    for block, want in ((pre, intact), (on, fault_on), (post, intact)):
+        assert np.array_equal(block, want)
+    if kind == "ekf":
+        # bitwise the inverse of the diagonal block
+        assert np.array_equal(intact, np.linalg.inv(np.diag(cfg.r)))
 
 
 @pytest.mark.parametrize("change,message", [
-    ("zero", r"frame 1 \(t=0\.0100s\): measurement covariance block is "
-             r"singular \(cond"),
-    ("nan", r"^measurement covariance r is not finite \(1 of 576 entries\)$"),
-    ("fault-on", r"frame 100 \(t=1\.0000s\): measurement covariance block "
-                 r"is singular"),
-], ids=["zero", "nan", "fault-on"])
+    ("zero", r"^measurement variance r is below 2\.22507e-308 \(24 of 24 "
+             r"entries\)$"),
+    ("nan", r"^measurement variance r is not finite \(1 of 24 entries\)$"),
+], ids=["zero", "nan"])
 def test_run_filter_rejects_singular_r_block(change, message, wecc9, wecc9_pf,
-                                             wecc9_run):
+                                             wecc9_run, monkeypatch):
+    # the EKF takes 1 / r, so a zero variance is rejected before any predict
+    monkeypatch.setattr(filters, "ekf_predict",
+                        lambda *args: pytest.fail("predicted"))
     cfg = preset_filter_config("ekf", wecc9_run.cfg.noise)
     r = cfg.r.copy()
-    # channels: p_g and q_g of 3 machines, then v_mag of buses 1..9
-    v_mag_8, v_mag_9 = 2 * 3 + 7, 2 * 3 + 8
     if change == "zero":
         r[:] = 0.0
-    elif change == "nan":
-        r[v_mag_9, v_mag_9] = np.nan
     else:
-        # v_mag_9 has no variance of its own, only a coupling to v_mag_8:
-        # the intact block inverts, the fault-on block without bus 8 does not
-        r[v_mag_9, v_mag_9] = 0.0
-        r[v_mag_8, v_mag_9] = r[v_mag_9, v_mag_8] = r[v_mag_8, v_mag_8]
+        r[2 * 3 + 8] = np.nan   # v_mag of bus 9
     b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
                      1e-2 * np.eye(6))
     with pytest.raises(FilterNumericsError, match=message):
@@ -829,11 +847,16 @@ def test_run_filter_rejects_singular_r_block(change, message, wecc9, wecc9_pf,
 
 
 @pytest.mark.parametrize("change,message", [
-    ("nan-q", r"^process covariance q is not finite \(1 of 36 entries\)$"),
-    ("inf-r", r"^measurement covariance r is not finite \(1 of 576 entries\)$"),
-    ("q-shape", r"^process covariance q has shape \(5, 5\), expected \(6, 6\)$"),
-    ("r-shape", r"^measurement covariance r has shape \(22, 22\), "
-                r"expected \(24, 24\)$"),
+    ("nan-q", r"^process variance q is not finite \(1 of 6 entries\)$"),
+    ("inf-r", r"^measurement variance r is not finite \(1 of 24 entries\)$"),
+    ("q-shape", r"^process variance q has shape \(5,\), expected \(6,\)$"),
+    ("r-shape", r"^measurement variance r has shape \(22,\), "
+                r"expected \(24,\)$"),
+    ("neg-q", r"^process variance q is below 0 \(6 of 6 entries\)$"),
+    ("neg-r", r"^measurement variance r is below 2\.22507e-308 \(24 of 24 "
+              r"entries\)$"),
+    ("subnormal-r", r"^measurement variance r is below 2\.22507e-308 \(1 of "
+                    r"24 entries\)$"),
     ("b0-size", r"^prior mean has shape \(5,\), expected \(6,\)$"),
     ("nan-p0", r"^prior covariance is not finite \(1 of 36 entries\)$"),
     ("unknown-bus", r"^frame 500 \(t=5\.0000s\): buses \(1, 2, 3, 4, 5, 6, 7, "
@@ -842,10 +865,15 @@ def test_run_filter_rejects_singular_r_block(change, message, wecc9, wecc9_pf,
     ("intact-fault-on", r"^frame 102 \(t=1\.0200s\): buses \(1, 2, 3, 4, 5, "
                         r"6, 7, 8, 9\) are not the fault_on network's bus "
                         r"order \(1, 2, 3, 4, 5, 6, 7, 9\)$"),
-    ("short-p_g", r"^frame 500 \(t=5\.0000s\): p_g, q_g, v_mag and v_ang "
-                  r"hold \[2, 3, 9, 9\] entries, expected \[3, 3, 9, 9\]$"),
-], ids=["nan-q", "inf-r", "q-shape", "r-shape", "b0-size", "nan-p0",
-        "unknown-bus", "intact-fault-on", "short-p_g"])
+    ("short-p_g", r"^frame 500 \(t=5\.0000s\): p_g has shape \(2,\), "
+                  r"expected \(3,\)$"),
+    ("row-p_g", r"^frame 500 \(t=5\.0000s\): p_g has shape \(1, 3\), "
+                r"expected \(3,\)$"),
+    ("column-p_g", r"^frame 500 \(t=5\.0000s\): p_g has shape \(3, 1\), "
+                   r"expected \(3,\)$"),
+], ids=["nan-q", "inf-r", "q-shape", "r-shape", "neg-q", "neg-r",
+        "subnormal-r", "b0-size", "nan-p0", "unknown-bus", "intact-fault-on",
+        "short-p_g", "row-p_g", "column-p_g"])
 @pytest.mark.parametrize("kind", ["ekf", "ukf"])
 def test_run_filter_checks_inputs_before_any_step(kind, change, message, wecc9,
                                                  wecc9_pf, wecc9_run,
@@ -863,13 +891,19 @@ def test_run_filter_checks_inputs_before_any_step(kind, change, message, wecc9,
     q, r, x0, p0 = cfg.q.copy(), cfg.r.copy(), b0.x_hat, b0.p.copy()
     frames = list(wecc9_run.frames)
     if change == "nan-q":
-        q[2, 3] = np.nan
+        q[2] = np.nan
     elif change == "inf-r":
-        r[5, 5] = np.inf
+        r[5] = np.inf
     elif change == "q-shape":
-        q = q[:5, :5]
+        q = q[:5]
     elif change == "r-shape":
-        r = r[:22, :22]
+        r = r[:22]
+    elif change == "neg-q":
+        q = -q
+    elif change == "neg-r":
+        r = -r
+    elif change == "subnormal-r":
+        r[5] = np.finfo(float).tiny / 2
     elif change == "b0-size":
         x0 = x0[:5]
     elif change == "nan-p0":
@@ -884,8 +918,10 @@ def test_run_filter_checks_inputs_before_any_step(kind, change, message, wecc9,
             frames[102], v_mag=intact.v_mag, v_ang=intact.v_ang,
             bus_ids=intact.bus_ids)
     else:
-        frames[500] = dataclasses.replace(frames[500],
-                                          p_g=frames[500].p_g[:2])
+        p_g = frames[500].p_g
+        p_g = {"short-p_g": p_g[:2], "row-p_g": p_g[None, :],
+               "column-p_g": p_g[:, None]}[change]
+        frames[500] = dataclasses.replace(frames[500], p_g=p_g)
     args = (wecc9, wecc9_pf, wecc9_run.cfg.scenario)
     with pytest.raises(FilterNumericsError, match=message):
         run_filter(dataclasses.replace(cfg, q=q, r=r), *args, frames,

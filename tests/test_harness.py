@@ -381,29 +381,40 @@ def test_measurements_writer_needs_a_frame(tmp_path):
 
 
 @pytest.mark.parametrize("change,message", [
-    ("unknown-bus", r"buses \[99\] are not among the buses "
-                    r"\(1, 2, 3, 4, 5, 6, 7, 8, 9\)"),
-    ("short-p_g", r"p_g, q_g, v_mag and v_ang hold \[2, 3, 9, 9\] entries, "
-                  r"expected \[3, 3, 9, 9\]"),
-    ("long-v_mag", r"p_g, q_g, v_mag and v_ang hold \[3, 3, 10, 9\] "
-                   r"entries, expected \[3, 3, 9, 9\]"),
-], ids=["unknown-bus", "short-p_g", "long-v_mag"])
+    ("unknown-bus", r"frame 500 \(t=5\.0000s\): buses \[99\] are not among "
+                    r"the buses \(1, 2, 3, 4, 5, 6, 7, 8, 9\)"),
+    ("short-p_g", r"frame 500 \(t=5\.0000s\): p_g has shape \(2,\), "
+                  r"expected \(3,\)"),
+    ("long-v_mag", r"frame 500 \(t=5\.0000s\): v_mag has shape \(10,\), "
+                   r"expected \(9,\)"),
+    ("row-p_g", r"frame 500 \(t=5\.0000s\): p_g has shape \(1, 3\), "
+                r"expected \(3,\)"),
+    ("column-p_g", r"frame 500 \(t=5\.0000s\): p_g has shape \(3, 1\), "
+                   r"expected \(3,\)"),
+    ("short-p_g-0", r"frame 0 \(t=0\.0000s\): p_g holds 2 entries but q_g "
+                    r"3, so the machine count is unknown"),
+], ids=["unknown-bus", "short-p_g", "long-v_mag", "row-p_g", "column-p_g",
+        "short-p_g-0"])
 def test_measurements_writer_rejects_malformed_frame(change, message, wecc9,
                                                      wecc9_run, tmp_path):
-    # one bad frame in the middle: an error naming it, before the file is
-    # opened, not a KeyError or IndexError after 500 rows, nor (for the extra
-    # v_mag entry) a file whose frame-500 angles sit one column to the right
+    # one bad frame: an error naming it, before the file is opened, not a
+    # KeyError or IndexError after 500 rows, nor (for the extra v_mag entry)
+    # a file whose frame-500 angles sit one column to the right; a short
+    # frame 0 names both its machine arrays, not the one that is right
     frames = list(wecc9_run.frames)
     fr = frames[500]
     if change == "unknown-bus":
         frames[500] = replace(fr, bus_ids=fr.bus_ids[:-1] + (99,))
-    elif change == "short-p_g":
-        frames[500] = replace(fr, p_g=fr.p_g[:2])
-    else:
+    elif change == "long-v_mag":
         frames[500] = replace(fr, v_mag=np.append(fr.v_mag, 1.0))
+    elif change == "short-p_g-0":
+        frames[0] = replace(frames[0], p_g=frames[0].p_g[:2])
+    else:
+        p_g = {"short-p_g": fr.p_g[:2], "row-p_g": fr.p_g[None, :],
+               "column-p_g": fr.p_g[:, None]}[change]
+        frames[500] = replace(fr, p_g=p_g)
     path = tmp_path / "measurements.csv"
-    with pytest.raises(ValueError,
-                       match=rf"^frame 500 \(t=5\.0000s\): {message}$"):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
         write_measurements_csv(frames, tuple(b.id for b in wecc9.buses), path)
     assert not path.exists()
 
