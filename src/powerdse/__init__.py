@@ -53,10 +53,10 @@ from .dynamics import (
 from .measurement import (
     MeasurementFrame,
     NoiseSpec,
+    channel_sd,
+    filter_variances,
     machine_outputs,
     measurement_indices,
-    measurement_variances,
-    process_variances,
     synthesize,
 )
 from .filters import (

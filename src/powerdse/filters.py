@@ -119,12 +119,18 @@ def init_belief(x0: np.ndarray, p0: np.ndarray) -> GaussianBelief:
         if bad:
             raise ValueError(f"initial {name} is not finite "
                              f"({bad} of {value.size} entries)")
-    if np.max(np.abs(p0 - p0.T)) > 1e-9:
-        raise ValueError("initial covariance is not symmetric")
-    eigs = np.linalg.eigvalsh(_symmetrize(p0))
-    if eigs.min() < -1e-10:
-        raise ValueError(f"initial covariance has negative eigenvalue {eigs.min():.3e}")
+    _check_psd(p0, "initial covariance", ValueError)
     return GaussianBelief(x_hat=x0, p=_symmetrize(p0))
+
+
+def _check_psd(p: np.ndarray, name: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``name`` unless the finite square ``p`` is
+    symmetric within 1e-9 and has no eigenvalue below -1e-10."""
+    if np.max(np.abs(p - p.T)) > 1e-9:
+        raise error(f"{name} is not symmetric")
+    low = np.linalg.eigvalsh(_symmetrize(p)).min()
+    if low < -1e-10:
+        raise error(f"{name} has negative eigenvalue {low:.3e}")
 
 
 # --- extended filter ---------------------------------------------------------
@@ -350,7 +356,8 @@ def _check_inputs(cfg: FilterConfig, b0: GaussianBelief, n_states: int,
     """Raise FilterNumericsError naming the first of q, r, the prior mean and
     the prior covariance whose shape is wrong, that is not finite, or that
     falls below its floor: 0 for q, and for r the smallest normal float, so
-    that every 1 / r is finite."""
+    that every 1 / r is finite; else if the prior covariance fails
+    ``init_belief``'s rule (``_check_psd``)."""
     for name, value, shape, floor in (
             ("process variance q", cfg.q, (n_states,), 0.0),
             ("measurement variance r", cfg.r, (n_channels,),
@@ -369,6 +376,8 @@ def _check_inputs(cfg: FilterConfig, b0: GaussianBelief, n_states: int,
         if low:
             raise FilterNumericsError(
                 f"{name} is below {floor:g} ({low} of {value.size} entries)")
+    _check_psd(np.asarray(b0.p, dtype=float), "prior covariance",
+               FilterNumericsError)
 
 
 def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
@@ -381,11 +390,12 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     of the interval, then one update with the topology at the frame time.
     Every input is checked once, before the first step, the same for both
     kinds: an empty frame list, a ``cfg.q``, ``cfg.r`` or ``b0`` of the
-    wrong size, not finite or below its floor (``_check_inputs``), and a
-    malformed frame (``_check_frames``) raise FilterNumericsError, the last
-    naming the first frame at fault and its time.  A step that breaks
-    down (a failed factorization or solve, or a NaN or inf its arithmetic
-    makes) raises FilterNumericsError naming its frame the same way.
+    wrong size, not finite or below its floor, a prior covariance that is
+    not symmetric PSD (``_check_inputs``), and a malformed frame
+    (``_check_frames``) raise FilterNumericsError, the last naming the first
+    frame at fault and its time.  A step that breaks down (a failed
+    factorization or solve, or a NaN or inf its arithmetic makes) raises
+    FilterNumericsError naming its frame the same way.
     Returns the estimate trajectory and the belief after every frame.
     """
     if not frames:

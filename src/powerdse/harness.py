@@ -21,6 +21,7 @@ import numpy as np
 from .cases import load_case
 from .dynamics import (
     FaultScenario,
+    ScenarioNetworks,
     Trajectory,
     _joined_rows,
     scenario_networks,
@@ -38,9 +39,7 @@ from .measurement import (
     NoiseSpec,
     channel_names,
     check_frame_sizes,
-    measurement_indices,
-    measurement_variances,
-    process_variances,
+    filter_variances,
     synthesize,
 )
 from .powerflow import solve_power_flow
@@ -212,19 +211,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     truth = stage("simulate", simulate, case, pf, cfg.scenario)
     frames = stage("synthesize", synthesize, truth, nets, cfg.noise, cfg.seed)
 
-    nm = nets.params.n_machines
-    all_bus_ids = nets.pre.bus_order
     prior = stage("prior", default_prior, nets.params.delta0,
                   cfg.prior_angle_shift, cfg.prior_cov)
-    # Floor at a tiny variance so all-zero noise settings stay invertible.
-    q = np.maximum(process_variances(cfg.noise, nm), 1e-12)
-    r = np.maximum(measurement_variances(cfg.noise, nm, len(all_bus_ids)),
-                   1e-12)
+    q, r = filter_variances(cfg.noise, nets.params.n_machines,
+                            len(nets.pre.bus_order))
 
     out_dir = Path(cfg.out_dir)
     stage("write", out_dir.mkdir, parents=True, exist_ok=True)
     stage("write", write_trajectory_csv, truth, out_dir / "truth.csv")
-    stage("write", write_measurements_csv, frames, all_bus_ids,
+    stage("write", write_measurements_csv, frames, nets,
           out_dir / "measurements.csv")
 
     metrics: dict[str, FilterMetrics] = {}
@@ -304,41 +299,31 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 
 def write_measurements_csv(frames: list[MeasurementFrame],
-                           all_bus_ids: tuple[int, ...], path: Path) -> None:
-    """Columns: t, machine powers, then voltage magnitude/angle per bus id.
-
-    Buses absent from a frame's layout leave their cells empty.  An empty
-    frame list is an error: frame 0's p_g and q_g give the machine count, so
-    are an error too where they disagree.  So are a malformed frame
-    (``check_frame_sizes``) and a bus not in ``all_bus_ids``, raised as
-    ValueError naming the frame before the file is opened.
+                           nets: ScenarioNetworks, path: Path) -> None:
+    """Columns: t, machine powers, then voltage magnitude/angle per bus of
+    ``nets.pre``; a bus absent from a frame (the faulted bus while the fault
+    is on) leaves its cells empty.  An empty frame list, a malformed frame
+    (``check_frame_sizes``) and a frame whose buses are not the bus order of
+    a scenario network are ValueErrors, raised before the file is opened.
     """
     if not frames:
         raise ValueError("write_measurements_csv needs at least one frame")
-    first = frames[0]
-    nm = first.p_g.size
-    if first.q_g.size != nm:
-        raise ValueError(f"frame 0 (t={first.t:.4f}s): p_g holds {nm} "
-                         f"entries but q_g {first.q_g.size}, so the machine "
-                         "count is unknown")
+    nm, all_bus_ids = nets.params.n_machines, nets.pre.bus_order
     check_frame_sizes(frames, nm)
     header = channel_names(nm, all_bus_ids)
-    # Per layout: a row template with a blank for every absent bus, and the
-    # order that puts the frame vector in column order.
-    layouts: dict[tuple[int, ...], tuple[str, np.ndarray]] = {}
+    # Per network bus order, a row template with a blank for every absent bus.
+    templates = {}
+    for net in (nets.pre, nets.fault, nets.post):
+        present = set(channel_names(nm, net.bus_order))
+        templates[net.bus_order] = ",".join(
+            "%r" if name in present else "" for name in header)
     rows = []
     for k, fr in enumerate(frames):
-        if fr.bus_ids not in layouts:
-            unknown = [b for b in fr.bus_ids if b not in all_bus_ids]
-            if unknown:
-                raise ValueError(f"frame {k} (t={fr.t:.4f}s): buses {unknown}"
-                                 f" are not among the buses {all_bus_ids}")
-            cols = measurement_indices(all_bus_ids, fr.bus_ids, nm)
-            cells = np.full(len(header), "", dtype=object)
-            cells[0] = cells[1 + cols] = "%r"
-            layouts[fr.bus_ids] = (",".join(cells), np.argsort(cols))
-        template, take = layouts[fr.bus_ids]
-        rows.append(template % (float(fr.t), *fr.z_vector()[take].tolist()))
+        template = templates.get(fr.bus_ids)
+        if template is None:
+            raise ValueError(f"frame {k} (t={fr.t:.4f}s): buses {fr.bus_ids} "
+                             "are not the bus order of a scenario network")
+        rows.append(template % (float(fr.t), *fr.z_vector().tolist()))
     _write_rows(path, header, rows)
 
 

@@ -100,7 +100,8 @@ def machine_outputs(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
     turn; referencing the emfs to the mean rotor angle first keeps each bus
     angle a continuous function of the state, equal to ``np.angle`` modulo
     2pi and with the same Jacobian, and leaves powers and magnitudes as they
-    are.  Each row of a stack is bitwise the value that row gives alone.
+    are.  Each row of a C-ordered stack is bitwise the value that row gives
+    alone; see ``complex_power`` for other layouts.
     """
     ref, emf, power = complex_power(delta, e_mag, net)
     v = _apply(net.r_v, emf)
@@ -158,9 +159,7 @@ def synthesize(traj: Trajectory, nets: ScenarioNetworks, noise: NoiseSpec,
         ids, nb = net.bus_order, len(net.bus_order)
         z = np.concatenate(
             machine_outputs(delta[start:stop], e_mag, net), axis=1)
-        sigma = np.repeat([noise.sigma_p, noise.sigma_q, noise.sigma_vmag,
-                           noise.sigma_vang], [nm, nm, nb, nb])
-        z += sigma * rng.standard_normal(z.shape)
+        z += channel_sd(noise, nm, nb) * rng.standard_normal(z.shape)
         frames.extend(
             MeasurementFrame(t=t, p_g=zk[:nm], q_g=zk[nm:2 * nm],
                              v_mag=zk[2 * nm:2 * nm + nb],
@@ -170,23 +169,21 @@ def synthesize(traj: Trajectory, nets: ScenarioNetworks, noise: NoiseSpec,
     return frames
 
 
-def measurement_variances(noise: NoiseSpec, n_machines: int,
-                          n_buses: int) -> np.ndarray:
-    """Diagonal of the measurement covariance for a given frame layout."""
-    return np.concatenate([
-        np.full(n_machines, noise.sigma_p ** 2),
-        np.full(n_machines, noise.sigma_q ** 2),
-        np.full(n_buses, noise.sigma_vmag ** 2),
-        np.full(n_buses, noise.sigma_vang ** 2),
-    ])
+def channel_sd(noise: NoiseSpec, n_machines: int, n_buses: int) -> np.ndarray:
+    """The noise sd of each channel of a frame with ``n_buses`` buses."""
+    levels = [noise.sigma_p, noise.sigma_q, noise.sigma_vmag, noise.sigma_vang]
+    return np.repeat(levels, [n_machines, n_machines, n_buses, n_buses])
 
 
-def process_variances(noise: NoiseSpec, n_machines: int) -> np.ndarray:
-    """Diagonal of the process covariance (angles then speeds)."""
-    return np.concatenate([
-        np.full(n_machines, noise.q_delta),
-        np.full(n_machines, noise.q_omega),
-    ])
+def filter_variances(noise: NoiseSpec, n_machines: int,
+                     n_buses: int) -> tuple[np.ndarray, np.ndarray]:
+    """The filters' q (angles, then speeds) and r (the channels of
+    ``channel_sd``), floored at 1e-12 so that all-zero noise settings stay
+    invertible.  Each sd is squared as a Python float, whose ``**`` can
+    round differently from numpy's."""
+    q = [noise.q_delta] * n_machines + [noise.q_omega] * n_machines
+    r = [sd ** 2 for sd in channel_sd(noise, n_machines, n_buses).tolist()]
+    return tuple(np.maximum(v, 1e-12) for v in (q, r))
 
 
 def measurement_indices(all_bus_ids: tuple[int, ...],

@@ -154,8 +154,10 @@ def complex_power(delta: np.ndarray, e_mag: np.ndarray, net: ReducedNetwork
 
     The one expression of the machine power: the swing process model,
     ``machine_init`` and the measurement model all evaluate it.  The common
-    rotation cancels in S.  Each row of a stack is bitwise the value that row
-    gives alone.
+    rotation cancels in S.  Each row of a C-ordered stack is bitwise the
+    value that row gives alone.  A stack of another layout, such as a column
+    slice of the UKF's Fortran-ordered sigma points, may sum the mean angle
+    in another order and differ in the last bits.
     """
     ref = np.add.reduce(delta, -1, keepdims=True) / delta.shape[-1]
     emf = e_mag * np.exp(1j * (delta - ref))

@@ -18,10 +18,10 @@ from powerdse import (
     ekf_predict,
     ekf_update,
     extend_network,
+    filter_variances,
     init_belief,
     kron_reduce,
     load_case,
-    measurement_variances,
     run_experiment,
     simulate,
     solve_power_flow,
@@ -240,7 +240,7 @@ def test_criterion_8_filter_beats_static_inversion(verdict, wecc9_run,
         model = swing_measurement_model(run.params, run.nets.post)
         nm = run.params.n_machines
         weights = 1.0 / np.sqrt(
-            measurement_variances(run.cfg.noise, nm, len(run.case.buses)))
+            filter_variances(run.cfg.noise, nm, len(run.case.buses))[1])
         start = run.init.delta0.copy()
         errors = []
         for k, frame in enumerate(run.frames):

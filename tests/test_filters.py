@@ -24,9 +24,8 @@ from powerdse import (
     ekf_predict,
     ekf_update,
     electrical_power,
-    measurement_variances,
+    filter_variances,
     preset,
-    process_variances,
     run_filter,
     simulate,
     swing_measurement_model,
@@ -601,8 +600,10 @@ def test_run_filter_tracks_noise_free_frames(kind, wecc9, wecc9_pf, wecc9_net,
                                              wecc9_params, wecc9_init):
     scen, truth, frames, b0 = quiet_run_inputs(
         wecc9, wecc9_pf, wecc9_net, wecc9_params, wecc9_init)
-    cfg = FilterConfig(kind=kind, q=np.full(6, 1e-12),
-                       r=np.full(2 * 3 + 2 * 9, 1e-12))
+    silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
+                       sigma_vang=0.0, q_delta=0.0, q_omega=0.0)
+    q, r = filter_variances(silent, 3, 9)
+    cfg = FilterConfig(kind=kind, q=q, r=r)
     estimate, beliefs = run_filter(cfg, wecc9, wecc9_pf, scen, frames, b0)
     assert len(beliefs) == len(frames)
     err = np.abs(estimate.delta_matrix() - truth.delta_matrix())
@@ -610,11 +611,7 @@ def test_run_filter_tracks_noise_free_frames(kind, wecc9, wecc9_pf, wecc9_net,
 
 
 def test_run_filter_deterministic(wecc9, wecc9_pf, wecc9_run):
-    cfg = FilterConfig(
-        kind="ekf",
-        q=np.maximum(process_variances(wecc9_run.cfg.noise, 3), 1e-12),
-        r=np.maximum(measurement_variances(wecc9_run.cfg.noise, 3, 9), 1e-12),
-    )
+    cfg = preset_filter_config("ekf", wecc9_run.cfg.noise)
     b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
                      1e-2 * np.eye(6))
     scen = wecc9_run.cfg.scenario
@@ -626,12 +623,7 @@ def test_run_filter_deterministic(wecc9, wecc9_pf, wecc9_run):
 
 @pytest.mark.parametrize("kind", ["ekf", "ukf"])
 def test_covariance_health_along_preset_run(kind, wecc9, wecc9_pf, wecc9_run):
-    noise = wecc9_run.cfg.noise
-    cfg = FilterConfig(
-        kind=kind,
-        q=np.maximum(process_variances(noise, 3), 1e-12),
-        r=np.maximum(measurement_variances(noise, 3, 9), 1e-12),
-    )
+    cfg = preset_filter_config(kind, wecc9_run.cfg.noise)
     b0 = init_belief(np.concatenate([wecc9_run.init.delta0, np.ones(3)]),
                      1e-2 * np.eye(6))
     _, beliefs = run_filter(cfg, wecc9, wecc9_pf, wecc9_run.cfg.scenario,
@@ -741,31 +733,25 @@ def test_run_filter_names_frame_of_an_overflowing_covariance(wecc9, wecc9_pf,
 
 
 def preset_filter_config(kind, noise):
-    return FilterConfig(
-        kind=kind,
-        q=np.maximum(process_variances(noise, 3), 1e-12),
-        r=np.maximum(measurement_variances(noise, 3, 9), 1e-12))
+    q, r = filter_variances(noise, 3, 9)
+    return FilterConfig(kind=kind, q=q, r=r)
 
 
 def preset_ekf_inputs(run, quiet):
     """EKF config, frames and prior for a preset run: its own noise and
-    frames, or zero-noise frames with q and R at the 1e-12 floor."""
+    frames, or zero-noise frames with q and R at the floor of
+    ``filter_variances``."""
     nm, nb = run.params.n_machines, len(run.case.buses)
     b0 = init_belief(np.concatenate([run.params.delta0, np.ones(nm)]),
                      1e-2 * np.eye(2 * nm))
     if not quiet:
-        noise = run.cfg.noise
-        cfg = FilterConfig(
-            kind="ekf",
-            q=np.maximum(process_variances(noise, nm), 1e-12),
-            r=np.maximum(measurement_variances(noise, nm, nb), 1e-12))
-        return cfg, run.frames, b0
+        q, r = filter_variances(run.cfg.noise, nm, nb)
+        return FilterConfig(kind="ekf", q=q, r=r), run.frames, b0
     silent = NoiseSpec(sigma_p=0.0, sigma_q=0.0, sigma_vmag=0.0,
                        sigma_vang=0.0, q_delta=0.0, q_omega=0.0)
     frames = synthesize(run.truth, run.nets, silent, 0)
-    cfg = FilterConfig(kind="ekf", q=np.full(2 * nm, 1e-12),
-                       r=np.full(2 * nm + 2 * nb, 1e-12))
-    return cfg, frames, b0
+    q, r = filter_variances(silent, nm, nb)
+    return FilterConfig(kind="ekf", q=q, r=r), frames, b0
 
 
 @pytest.mark.parametrize("name,quiet", [
@@ -859,6 +845,8 @@ def test_run_filter_rejects_singular_r_block(change, message, wecc9, wecc9_pf,
                     r"24 entries\)$"),
     ("b0-size", r"^prior mean has shape \(5,\), expected \(6,\)$"),
     ("nan-p0", r"^prior covariance is not finite \(1 of 36 entries\)$"),
+    ("neg-p0", r"^prior covariance has negative eigenvalue -1\.000e-02$"),
+    ("asym-p0", r"^prior covariance is not symmetric$"),
     ("unknown-bus", r"^frame 500 \(t=5\.0000s\): buses \(1, 2, 3, 4, 5, 6, 7, "
                     r"8, 99\) are not the post_fault network's bus order "
                     r"\(1, 2, 3, 4, 5, 6, 7, 8, 9\)$"),
@@ -872,7 +860,8 @@ def test_run_filter_rejects_singular_r_block(change, message, wecc9, wecc9_pf,
     ("column-p_g", r"^frame 500 \(t=5\.0000s\): p_g has shape \(3, 1\), "
                    r"expected \(3,\)$"),
 ], ids=["nan-q", "inf-r", "q-shape", "r-shape", "neg-q", "neg-r",
-        "subnormal-r", "b0-size", "nan-p0", "unknown-bus", "intact-fault-on",
+        "subnormal-r", "b0-size", "nan-p0", "neg-p0", "asym-p0",
+        "unknown-bus", "intact-fault-on",
         "short-p_g", "row-p_g", "column-p_g"])
 @pytest.mark.parametrize("kind", ["ekf", "ukf"])
 def test_run_filter_checks_inputs_before_any_step(kind, change, message, wecc9,
@@ -908,6 +897,10 @@ def test_run_filter_checks_inputs_before_any_step(kind, change, message, wecc9,
         x0 = x0[:5]
     elif change == "nan-p0":
         p0[0, 0] = np.nan
+    elif change == "neg-p0":
+        p0 = -p0
+    elif change == "asym-p0":
+        p0[0, 1] += 1.0
     elif change == "unknown-bus":
         frames[500] = dataclasses.replace(frames[500],
                                           bus_ids=(*range(1, 9), 99))

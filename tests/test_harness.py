@@ -17,9 +17,12 @@ from powerdse import (
     ExperimentConfig,
     ExperimentError,
     FaultScenario,
+    MachineParams,
     MeasurementFrame,
     NoiseSpec,
+    ReducedNetwork,
     Regime,
+    ScenarioNetworks,
     Trajectory,
     config_from_dict,
     format_report,
@@ -372,17 +375,35 @@ def test_pipeline_never_builds_state_tuples(tmp_path, monkeypatch):
         assert "states" not in traj.__dict__
 
 
+def stub_networks(n_machines, intact, fault_on):
+    """Scenario networks with the machine count and the bus orders the
+    measurements writer reads, and zero admittances."""
+    def net(buses):
+        return ReducedNetwork(
+            y_red=np.zeros((n_machines, n_machines), dtype=complex),
+            r_v=np.zeros((len(buses), n_machines), dtype=complex),
+            bus_order=buses)
+
+    ones = np.ones(n_machines)
+    params = MachineParams(h=ones, d=ones, e_mag=ones, p_mech=ones,
+                           omega0=1.0, delta0=ones)
+    return ScenarioNetworks(pre=net(intact), fault=net(fault_on),
+                            post=net(intact), params=params)
+
+
 def test_measurements_writer_needs_a_frame(tmp_path):
     # one error naming the need, not an IndexError on frames[0]
     path = tmp_path / "measurements.csv"
     with pytest.raises(ValueError, match="at least one frame"):
-        write_measurements_csv([], (1, 2, 3), path)
+        write_measurements_csv([], stub_networks(2, (1, 2, 3), (1, 3)), path)
     assert not path.exists()
 
 
 @pytest.mark.parametrize("change,message", [
-    ("unknown-bus", r"frame 500 \(t=5\.0000s\): buses \[99\] are not among "
-                    r"the buses \(1, 2, 3, 4, 5, 6, 7, 8, 9\)"),
+    ("unknown-bus", r"frame 500 \(t=5\.0000s\): buses \(1, 2, 3, 4, 5, 6, 7, 8, "
+                    r"99\) are not the bus order of a scenario network"),
+    ("out-of-order", r"frame 500 \(t=5\.0000s\): buses \(9, 8, 7, 6, 5, 4, 3, "
+                     r"2, 1\) are not the bus order of a scenario network"),
     ("short-p_g", r"frame 500 \(t=5\.0000s\): p_g has shape \(2,\), "
                   r"expected \(3,\)"),
     ("long-v_mag", r"frame 500 \(t=5\.0000s\): v_mag has shape \(10,\), "
@@ -391,20 +412,23 @@ def test_measurements_writer_needs_a_frame(tmp_path):
                 r"expected \(3,\)"),
     ("column-p_g", r"frame 500 \(t=5\.0000s\): p_g has shape \(3, 1\), "
                    r"expected \(3,\)"),
-    ("short-p_g-0", r"frame 0 \(t=0\.0000s\): p_g holds 2 entries but q_g "
-                    r"3, so the machine count is unknown"),
-], ids=["unknown-bus", "short-p_g", "long-v_mag", "row-p_g", "column-p_g",
-        "short-p_g-0"])
-def test_measurements_writer_rejects_malformed_frame(change, message, wecc9,
+    ("short-p_g-0", r"frame 0 \(t=0\.0000s\): p_g has shape \(2,\), "
+                    r"expected \(3,\)"),
+], ids=["unknown-bus", "out-of-order", "short-p_g", "long-v_mag", "row-p_g",
+        "column-p_g", "short-p_g-0"])
+def test_measurements_writer_rejects_malformed_frame(change, message,
                                                      wecc9_run, tmp_path):
     # one bad frame: an error naming it, before the file is opened, not a
     # KeyError or IndexError after 500 rows, nor (for the extra v_mag entry)
-    # a file whose frame-500 angles sit one column to the right; a short
-    # frame 0 names both its machine arrays, not the one that is right
+    # a file whose frame-500 angles sit one column to the right; the machine
+    # count comes from the networks, so a short frame 0 is held to it
     frames = list(wecc9_run.frames)
     fr = frames[500]
     if change == "unknown-bus":
         frames[500] = replace(fr, bus_ids=fr.bus_ids[:-1] + (99,))
+    elif change == "out-of-order":
+        frames[500] = replace(fr, v_mag=fr.v_mag[::-1], v_ang=fr.v_ang[::-1],
+                              bus_ids=fr.bus_ids[::-1])
     elif change == "long-v_mag":
         frames[500] = replace(fr, v_mag=np.append(fr.v_mag, 1.0))
     elif change == "short-p_g-0":
@@ -415,7 +439,7 @@ def test_measurements_writer_rejects_malformed_frame(change, message, wecc9,
         frames[500] = replace(fr, p_g=p_g)
     path = tmp_path / "measurements.csv"
     with pytest.raises(ValueError, match=rf"^{message}$"):
-        write_measurements_csv(frames, tuple(b.id for b in wecc9.buses), path)
+        write_measurements_csv(frames, wecc9_run.nets, path)
     assert not path.exists()
 
 
@@ -716,18 +740,19 @@ def test_writers_match_csv_writer(tmp_path):
                       states=[DynamicState(delta=d, omega=w)
                               for d, w in zip(deltas, omegas)],
                       regime=[Regime.PreFault, Regime.FaultOn, Regime.PostFault])
-    # the fault-on frame lacks bus 2; the last one lists its buses out of order
+    # the fault-on frame lacks bus 2
     frames = [MeasurementFrame(t=0.0, p_g=odd[:2], q_g=odd[2:4],
                                v_mag=odd[:3], v_ang=odd[3:], bus_ids=(1, 2, 3)),
               MeasurementFrame(t=0.1 + 0.2, p_g=odd[4:], q_g=-odd[:2],
                                v_mag=odd[1:3], v_ang=odd[4:], bus_ids=(1, 3)),
               MeasurementFrame(t=0.5, p_g=odd[1:3], q_g=odd[3:5],
-                               v_mag=odd[2:5], v_ang=odd[1:4], bus_ids=(3, 1, 2))]
+                               v_mag=odd[2:5], v_ang=odd[1:4], bus_ids=(1, 2, 3))]
     x_hat = np.column_stack([odd[::-1][:3], odd[:3], odd[1:4], odd[3:]])
     p_diag = 1e-3 * x_hat[:, ::-1] ** 2
 
     write_trajectory_csv(traj, tmp_path / "truth.csv")
-    write_measurements_csv(frames, (1, 2, 3), tmp_path / "measurements.csv")
+    nets = stub_networks(2, (1, 2, 3), (1, 3))
+    write_measurements_csv(frames, nets, tmp_path / "measurements.csv")
     write_estimates_csv(traj, x_hat, p_diag, tmp_path / "estimate.csv")
 
     def cells(values):
@@ -751,6 +776,17 @@ def test_writers_match_csv_writer(tmp_path):
         tmp_path / "measurements_ref.csv",
         ["t", "p_g_1", "p_g_2", "q_g_1", "q_g_2", "v_mag_1", "v_mag_2",
          "v_mag_3", "v_ang_1", "v_ang_2", "v_ang_3"], rows)
+    # the last frame's buses listed out of order are no network's bus
+    # order: rejected before the file is opened
+    last = frames[2]
+    shuffled = replace(last, v_mag=last.v_mag[[2, 0, 1]],
+                       v_ang=last.v_ang[[2, 0, 1]], bus_ids=(3, 1, 2))
+    path = tmp_path / "shuffled.csv"
+    with pytest.raises(ValueError, match=r"^frame 2 \(t=0\.5000s\): buses "
+                       r"\(3, 1, 2\) are not the bus order of a scenario "
+                       r"network$"):
+        write_measurements_csv([*frames[:2], shuffled], nets, path)
+    assert not path.exists()
 
     header = ["t"] + [f"{name}_{i}" for name in
                       ("delta_true", "delta_est", "omega_true", "omega_est",

@@ -12,10 +12,10 @@ from powerdse import (
     ScenarioNetworks,
     Trajectory,
     electrical_power,
+    channel_sd,
+    filter_variances,
     machine_outputs,
     measurement_indices,
-    measurement_variances,
-    process_variances,
     simulate,
     swing_measurement_model,
     synthesize,
@@ -73,17 +73,22 @@ def test_continuous_angles_agree_with_principal_values(wecc9_net, rng):
 
 @pytest.mark.parametrize("name", ["wecc9", "ne39"])
 def test_stacked_outputs_match_single_states(name, request, rng):
-    # synthesize evaluates a whole regime as one stack; zero-noise frames
-    # equal the outputs of their state alone only if each row is bitwise its
-    # own
+    # synthesize evaluates a whole regime as one C-ordered stack; zero-noise
+    # frames equal the outputs of their state alone only if each row is
+    # bitwise its own.  A Fortran-ordered stack, like a column slice of the
+    # UKF's sigma points, may sum the mean angle in another order: its rows
+    # are held to 1e-13 relative, against at most 6e-15 seen on ne39
     net = request.getfixturevalue(f"{name}_net")
     init = request.getfixturevalue(f"{name}_init")
     stack = init.delta0 + rng.uniform(-3.0, 3.0, size=(257, init.delta0.size))
     batched = machine_outputs(stack, init.e_mag, net)
+    fortran = machine_outputs(np.asfortranarray(stack), init.e_mag, net)
     for k in (0, 1, 128, 256):
         single = machine_outputs(stack[k], init.e_mag, net)
-        for got, want in zip(batched, single):
+        for got, loose, want in zip(batched, fortran, single):
             assert np.array_equal(got[k], want)
+            assert np.all(np.abs(loose[k] - want)
+                          <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def frozen_trajectory(state, n, dt=0.01):
@@ -257,13 +262,29 @@ def test_non_finite_noise_rejected(name, value):
 
 
 def test_variance_layout_helpers():
+    # the layout and the squares of the old per-array formulas, bitwise;
+    # Python's ** and numpy's square round the last sd's square apart on
+    # some platforms
     noise = NoiseSpec(sigma_p=0.1, sigma_q=0.2, sigma_vmag=0.3,
-                      sigma_vang=0.4, q_delta=1e-4, q_omega=1e-5)
-    r = measurement_variances(noise, n_machines=2, n_buses=3)
-    assert np.allclose(r, [0.01, 0.01, 0.04, 0.04, 0.09, 0.09, 0.09,
-                           0.16, 0.16, 0.16], rtol=1e-15)
-    q = process_variances(noise, n_machines=2)
+                      sigma_vang=0.42672114373024106, q_delta=1e-4,
+                      q_omega=1e-5)
+    sd = channel_sd(noise, n_machines=2, n_buses=3)
+    assert np.array_equal(sd, [0.1] * 2 + [0.2] * 2 + [0.3] * 3
+                          + [noise.sigma_vang] * 3)
+    q, r = filter_variances(noise, n_machines=2, n_buses=3)
+    assert np.array_equal(r, np.concatenate([
+        np.full(2, noise.sigma_p ** 2), np.full(2, noise.sigma_q ** 2),
+        np.full(3, noise.sigma_vmag ** 2), np.full(3, noise.sigma_vang ** 2)]))
     assert np.array_equal(q, np.array([1e-4, 1e-4, 1e-5, 1e-5]))
+    # zero noise, and an sd of 1e-7 whose square is below the floor, all
+    # read as the one positive floor
+    silent = NoiseSpec(sigma_p=0.0, sigma_q=1e-7, sigma_vmag=0.0,
+                       sigma_vang=0.0, q_delta=0.0, q_omega=0.0)
+    q, r = filter_variances(silent, n_machines=2, n_buses=3)
+    floor = q[0]
+    assert floor > 1e-7 ** 2
+    assert np.array_equal(q, np.full(4, floor))
+    assert np.array_equal(r, np.full(10, floor))
 
     idx = measurement_indices(all_bus_ids=(1, 2, 3), frame_bus_ids=(1, 3),
                               n_machines=2)
