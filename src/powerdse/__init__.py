@@ -56,7 +56,6 @@ from .measurement import (
     channel_sd,
     filter_variances,
     machine_outputs,
-    measurement_indices,
     synthesize,
 )
 from .filters import (

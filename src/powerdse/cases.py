@@ -26,8 +26,9 @@ the machine indexing used by the simulator and the estimators.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -94,9 +95,18 @@ class NetworkCase:
         return any({br.from_bus, br.to_bus} == ends for br in self.branches)
 
 
+def _not_finite(row) -> list[str]:
+    """A problem line for each numeric field of the dataclass ``row`` whose
+    value is not finite."""
+    return [f"{f.name} is not finite" for f in fields(row)
+            if isinstance(v := getattr(row, f.name), (int, float, complex))
+            and not cmath.isfinite(v)]
+
+
 def validate_case(case: NetworkCase) -> None:
-    """Check structural invariants, raising CaseError listing every violation."""
-    problems: list[str] = []
+    """Check structural invariants, raising CaseError listing every violation.
+    Every number the case gives must be finite."""
+    problems = _not_finite(case)
 
     ids = [b.id for b in case.buses]
     if len(ids) != len(set(ids)):
@@ -106,21 +116,16 @@ def validate_case(case: NetworkCase) -> None:
     if len(slack) != 1:
         problems.append(f"need exactly one slack bus, found {slack}")
     for b in case.buses:
-        if not (math.isfinite(b.p_load) and math.isfinite(b.q_load)):
-            problems.append(f"bus {b.id}: non-finite load")
-        if not (math.isfinite(b.shunt.real) and math.isfinite(b.shunt.imag)):
-            problems.append(f"bus {b.id}: non-finite shunt admittance")
-        if b.kind in (BusKind.SLACK, BusKind.PV):
-            if b.v_setpoint is None:
-                problems.append(f"bus {b.id}: {b.kind.value} bus needs a voltage setpoint")
-            elif not b.v_setpoint > 0:
-                problems.append(f"bus {b.id}: voltage setpoint must be positive")
-        elif b.v_setpoint is not None and not b.v_setpoint > 0:
+        problems += [f"bus {b.id}: {bad}" for bad in _not_finite(b)]
+        if b.v_setpoint is None and b.kind is not BusKind.PQ:
+            problems.append(f"bus {b.id}: {b.kind.value} bus needs a voltage setpoint")
+        if b.v_setpoint is not None and not b.v_setpoint > 0:
             problems.append(f"bus {b.id}: voltage setpoint must be positive")
 
     known = set(ids)
     for br in case.branches:
         tag = f"branch {br.from_bus}-{br.to_bus}"
+        problems += [f"{tag}: {bad}" for bad in _not_finite(br)]
         if br.from_bus == br.to_bus:
             problems.append(f"{tag}: self loop")
         for end in (br.from_bus, br.to_bus):
@@ -136,6 +141,7 @@ def validate_case(case: NetworkCase) -> None:
     seen_mbus: set[int] = set()
     for pos, m in enumerate(case.machines, start=1):
         tag = f"machine {pos} (bus {m.bus})"
+        problems += [f"{tag}: {bad}" for bad in _not_finite(m)]
         if m.bus not in known:
             problems.append(f"{tag}: unknown terminal bus")
         if m.bus in seen_mbus:

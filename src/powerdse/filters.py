@@ -27,11 +27,12 @@ from .dynamics import (
 )
 from .measurement import (
     MeasurementFrame,
+    NoiseSpec,
     channel_names,
     check_frame_sizes,
+    filter_variances,
     machine_outputs,
     machine_outputs_linearized,
-    measurement_indices,
 )
 from .powerflow import PowerFlowSolution
 from .reduction import (
@@ -87,16 +88,12 @@ class MeasurementModel:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Which filter to run, one of ``FILTER_KINDS``, and its noise.
-
-    The noise is independent per channel: ``q`` holds the 2n process noise
-    variances (angles, then speeds) and ``r`` the noise variance of each
-    channel of the intact measurement layout, subset per regime.
+    """Which filter to run, one of ``FILTER_KINDS``, and the noise it
+    assumes: its q and each regime's r are ``filter_variances`` of ``noise``.
     """
 
     kind: str
-    q: np.ndarray
-    r: np.ndarray
+    noise: NoiseSpec
 
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
@@ -108,29 +105,32 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def init_belief(x0: np.ndarray, p0: np.ndarray) -> GaussianBelief:
-    """Validated initial belief: x0 and p0 must be finite, p0 symmetric
-    positive semidefinite."""
+    """Validated initial belief: x0 and p0 must pass ``_check_belief``."""
     x0 = np.asarray(x0, dtype=float).copy()
     p0 = np.asarray(p0, dtype=float).copy()
-    if x0.ndim != 1 or p0.shape != (x0.size, x0.size):
-        raise ValueError(f"shape mismatch: state {x0.shape}, covariance {p0.shape}")
-    for name, value in (("mean x0", x0), ("covariance p0", p0)):
-        bad = value.size - np.count_nonzero(np.isfinite(value))
-        if bad:
-            raise ValueError(f"initial {name} is not finite "
-                             f"({bad} of {value.size} entries)")
-    _check_psd(p0, "initial covariance", ValueError)
+    _check_belief(x0, p0, x0.size, "initial mean x0", "initial covariance p0",
+                  ValueError)
     return GaussianBelief(x_hat=x0, p=_symmetrize(p0))
 
 
-def _check_psd(p: np.ndarray, name: str, error: type[Exception]) -> None:
-    """Raise ``error`` naming ``name`` unless the finite square ``p`` is
-    symmetric within 1e-9 and has no eigenvalue below -1e-10."""
+def _check_belief(x: np.ndarray, p: np.ndarray, n: int, mean: str, cov: str,
+                  error: type[Exception]) -> None:
+    """Raise ``error`` naming the first of the mean ``x`` and the covariance
+    ``p`` whose shape is not (n,) or (n, n), or that is not finite; else if
+    ``p`` is not symmetric within 1e-9 or has an eigenvalue below -1e-10."""
+    for name, value, shape in ((mean, x, (n,)), (cov, p, (n, n))):
+        value = np.asarray(value, dtype=float)
+        if value.shape != shape:
+            raise error(f"{name} has shape {value.shape}, expected {shape}")
+        bad = value.size - np.count_nonzero(np.isfinite(value))
+        if bad:
+            raise error(f"{name} is not finite ({bad} of {value.size} entries)")
+    p = np.asarray(p, dtype=float)
     if np.max(np.abs(p - p.T)) > 1e-9:
-        raise error(f"{name} is not symmetric")
+        raise error(f"{cov} is not symmetric")
     low = np.linalg.eigvalsh(_symmetrize(p)).min()
     if low < -1e-10:
-        raise error(f"{name} has negative eigenvalue {low:.3e}")
+        raise error(f"{cov} has negative eigenvalue {low:.3e}")
 
 
 # --- extended filter ---------------------------------------------------------
@@ -351,35 +351,6 @@ def _check_frames(frames: list[MeasurementFrame], times: np.ndarray,
     return flat, ends
 
 
-def _check_inputs(cfg: FilterConfig, b0: GaussianBelief, n_states: int,
-                  n_channels: int) -> None:
-    """Raise FilterNumericsError naming the first of q, r, the prior mean and
-    the prior covariance whose shape is wrong, that is not finite, or that
-    falls below its floor: 0 for q, and for r the smallest normal float, so
-    that every 1 / r is finite; else if the prior covariance fails
-    ``init_belief``'s rule (``_check_psd``)."""
-    for name, value, shape, floor in (
-            ("process variance q", cfg.q, (n_states,), 0.0),
-            ("measurement variance r", cfg.r, (n_channels,),
-             np.finfo(float).tiny),
-            ("prior mean", b0.x_hat, (n_states,), -np.inf),
-            ("prior covariance", b0.p, (n_states, n_states), -np.inf)):
-        value = np.asarray(value, dtype=float)
-        if value.shape != shape:
-            raise FilterNumericsError(
-                f"{name} has shape {value.shape}, expected {shape}")
-        bad = value.size - np.count_nonzero(np.isfinite(value))
-        if bad:
-            raise FilterNumericsError(
-                f"{name} is not finite ({bad} of {value.size} entries)")
-        low = np.count_nonzero(value < floor)
-        if low:
-            raise FilterNumericsError(
-                f"{name} is below {floor:g} ({low} of {value.size} entries)")
-    _check_psd(np.asarray(b0.p, dtype=float), "prior covariance",
-               FilterNumericsError)
-
-
 def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
                scenario: FaultScenario, frames: list[MeasurementFrame],
                b0: GaussianBelief) -> tuple[Trajectory, list[GaussianBelief]]:
@@ -388,10 +359,10 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     The first frame seeds nothing: the estimate at its time is ``b0``.  Each
     later frame triggers one predict with the topology in force at the start
     of the interval, then one update with the topology at the frame time.
-    Every input is checked once, before the first step, the same for both
-    kinds: an empty frame list, a ``cfg.q``, ``cfg.r`` or ``b0`` of the
-    wrong size, not finite or below its floor, a prior covariance that is
-    not symmetric PSD (``_check_inputs``), and a malformed frame
+    q, and the r of each regime's bus layout, are ``filter_variances`` of
+    ``cfg.noise``.  Every input is checked once, before the first step, the
+    same for both kinds: an empty frame list, a ``b0`` that fails
+    ``init_belief``'s rule (``_check_belief``), and a malformed frame
     (``_check_frames``) raise FilterNumericsError, the last naming the first
     frame at fault and its time.  A step that breaks down (a failed
     factorization or solve, or a NaN or inf its arithmetic makes) raises
@@ -403,8 +374,8 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     nets = scenario_networks(case, pf, scenario)
     params = nets.params
     nm = params.n_machines
-    all_bus_ids = nets.pre.bus_order
-    _check_inputs(cfg, b0, 2 * nm, 2 * nm + 2 * len(all_bus_ids))
+    _check_belief(b0.x_hat, b0.p, 2 * nm, "prior mean", "prior covariance",
+                  FilterNumericsError)
 
     stamps = np.array([fr.t for fr in frames])
     regimes = scenario.regimes(stamps, case.frequency)
@@ -416,7 +387,7 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
         predict, update, r_form = ekf_predict, ekf_update, np.reciprocal
     else:
         predict, update, r_form = ukf_predict, ukf_update, np.asarray
-    q, r = np.diag(cfg.q), np.asarray(cfg.r, dtype=float)
+    q = np.diag(filter_variances(cfg.noise, nm, 0)[0])   # q has no bus term
     # Every interval is one dt, so one process model per regime that starts
     # an interval, and one measurement model with its R block per regime of
     # a frame, whose frames all have its network's buses (_check_frames).
@@ -425,9 +396,9 @@ def run_filter(cfg: FilterConfig, case: NetworkCase, pf: PowerFlowSolution,
     observers = {}
     for reg in dict.fromkeys(regimes[1:]):
         net = nets.for_regime(reg)
-        idx = measurement_indices(all_bus_ids, net.bus_order, nm)
+        r = filter_variances(cfg.noise, nm, len(net.bus_order))[1]
         observers[reg] = (swing_measurement_model(params, net),
-                          np.diag(r_form(r[idx])))
+                          np.diag(r_form(r)))
 
     belief, beliefs = b0, [b0]
     try:

@@ -39,7 +39,6 @@ from .measurement import (
     NoiseSpec,
     channel_names,
     check_frame_sizes,
-    filter_variances,
     synthesize,
 )
 from .powerflow import solve_power_flow
@@ -213,8 +212,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     prior = stage("prior", default_prior, nets.params.delta0,
                   cfg.prior_angle_shift, cfg.prior_cov)
-    q, r = filter_variances(cfg.noise, nets.params.n_machines,
-                            len(nets.pre.bus_order))
 
     out_dir = Path(cfg.out_dir)
     stage("write", out_dir.mkdir, parents=True, exist_ok=True)
@@ -225,8 +222,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     metrics: dict[str, FilterMetrics] = {}
     for kind in cfg.filters:
         estimate, beliefs = stage(f"filter-{kind}", run_filter,
-                                  FilterConfig(kind=kind, q=q, r=r), case,
-                                  pf, cfg.scenario, frames, prior)
+                                  FilterConfig(kind=kind, noise=cfg.noise),
+                                  case, pf, cfg.scenario, frames, prior)
         x_hat = estimate.state_matrix()
         metrics[kind] = _metrics(truth, x_hat, clear_time)
         p_diag = np.array([b.p.diagonal() for b in beliefs])

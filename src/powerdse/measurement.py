@@ -26,8 +26,9 @@ from .reduction import (
 @dataclass(frozen=True)
 class NoiseSpec:
     """Standard deviations of the sensor noise and variances of the process
-    disturbance.  The seed of the draws is not a noise level: it is passed to
-    ``synthesize`` on its own."""
+    disturbance.  Every level is finite and at least 0, and the square of
+    every sd a finite float.  The seed of the draws is not a noise level: it
+    is passed to ``synthesize`` on its own."""
 
     sigma_p: float = 0.01
     sigma_q: float = 0.01
@@ -43,6 +44,11 @@ class NoiseSpec:
         if bad:
             raise ValueError("noise levels must be finite and at least 0: "
                              + ", ".join(bad))
+        huge = [f"{name}={value!r}" for name, value in levels.items()
+                if name.startswith("sigma") and math.isinf(value * value)]
+        if huge:
+            raise ValueError("noise sds must square to a finite float: "
+                             + ", ".join(huge))
 
 
 @dataclass(frozen=True)
@@ -184,19 +190,3 @@ def filter_variances(noise: NoiseSpec, n_machines: int,
     q = [noise.q_delta] * n_machines + [noise.q_omega] * n_machines
     r = [sd ** 2 for sd in channel_sd(noise, n_machines, n_buses).tolist()]
     return tuple(np.maximum(v, 1e-12) for v in (q, r))
-
-
-def measurement_indices(all_bus_ids: tuple[int, ...],
-                        frame_bus_ids: tuple[int, ...],
-                        n_machines: int) -> np.ndarray:
-    """Positions of a frame's entries inside the full intact-layout vector.
-
-    Lets a vector over the intact layout, such as the measurement variances,
-    be subset to a frame whose bus list is smaller (fault-on frames).
-    """
-    pos = {bus: i for i, bus in enumerate(all_bus_ids)}
-    nb = len(all_bus_ids)
-    keep = list(range(2 * n_machines))
-    keep += [2 * n_machines + pos[b] for b in frame_bus_ids]
-    keep += [2 * n_machines + nb + pos[b] for b in frame_bus_ids]
-    return np.array(keep, dtype=int)

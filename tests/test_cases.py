@@ -147,6 +147,36 @@ def test_validation_collects_all_problems():
     assert "no machines" in msg
 
 
+@pytest.mark.parametrize("row,col,value,message", [
+    ("1      23.64", 2, "nan", "machine 1 (bus 1): d is not finite"),
+    ("2      6.40", 1, "inf", "machine 2 (bus 2): h is not finite"),
+    ("3      3.01", 3, "inf", "machine 3 (bus 3): xd_prime is not finite"),
+    ("2      6.40", 4, "nan", "machine 2 (bus 2): p_gen is not finite"),
+    ("2     pv", 4, "inf", "bus 2: v_setpoint is not finite"),
+    ("5     pq", 2, "nan", "bus 5: p_load is not finite"),
+    ("7       8", 2, "nan", "branch 7-8: r is not finite"),
+    ("7       8", 3, "-inf", "branch 7-8: x is not finite"),
+    ("7       8", 4, "nan", "branch 7-8: b_shunt is not finite"),
+    ("7       8", 5, "inf", "branch 7-8: tap is not finite"),
+    ("base_mva", 1, "inf", "base_mva is not finite"),
+    ("frequency", 1, "inf", "frequency is not finite"),
+], ids=["machine-d", "machine-h", "machine-xd_prime", "machine-p_gen",
+        "bus-v_set", "bus-p_load", "branch-r", "branch-x", "branch-b_total",
+        "branch-tap", "base_mva", "frequency"])
+def test_non_finite_case_number_rejected(row, col, value, message):
+    # a NaN failed no `< 0` or `> 0` rule, and an inf passed every `> 0`
+    # rule: a wecc9 with d = nan simulated to 900 non-finite rows, no error
+    lines = bundled_case_path("wecc9").read_text().splitlines()
+    # the one line that starts with ``row``; ``col`` is its column to spoil
+    k = next(i for i, line in enumerate(lines) if line.startswith(row))
+    cols = lines[k].split()
+    cols[col] = value
+    lines[k] = " ".join(cols)
+    with pytest.raises(CaseError) as err:
+        parse_case("\n".join(lines))
+    assert f"  {message}" in str(err.value).splitlines()
+
+
 def test_without_branch(wecc9):
     trimmed = without_branch(wecc9, 8, 9)
     assert len(trimmed.branches) == len(wecc9.branches) - 1

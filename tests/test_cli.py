@@ -360,6 +360,24 @@ def test_run_nan_noise_level_is_one_line(runner, tmp_path):
     assert not out_dir.exists()
 
 
+def test_run_overflowing_noise_sd_is_one_line(runner, tmp_path):
+    # an sd of 1e200 used to pass the config, write nothing, and die with a
+    # bare OverflowError from squaring it for the filters
+    cfg = tmp_path / "exp.yaml"
+    out_dir = tmp_path / "results"
+    cfg.write_text(
+        "case: wecc9\n"
+        "scenario: {fault_bus: 8, cleared_line: [8, 9], t_end: 2.0}\n"
+        "noise: {sigma_p: 1.0e+200}\n"
+        f"out_dir: {out_dir}\n"
+    )
+    result = runner.invoke(main, ["run", str(cfg)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: noise sds must square to a finite float: sigma_p=1e+200"]
+    assert not out_dir.exists()
+
+
 def test_run_negative_seed_is_one_line(runner, tmp_path):
     out_dir = tmp_path / "results"
     result = runner.invoke(main, ["run", "wecc9-fault8", "--seed", "-1",

@@ -15,7 +15,6 @@ from powerdse import (
     channel_sd,
     filter_variances,
     machine_outputs,
-    measurement_indices,
     simulate,
     swing_measurement_model,
     synthesize,
@@ -261,6 +260,19 @@ def test_non_finite_noise_rejected(name, value):
         NoiseSpec(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["sigma_p", "sigma_q", "sigma_vmag",
+                                  "sigma_vang"])
+def test_sd_whose_square_overflows_rejected(name):
+    # an sd of 1e200 used to pass, and filter_variances' sd ** 2 then raised
+    # a bare OverflowError; the largest sd that squares finitely passes
+    with pytest.raises(ValueError, match=rf"^noise sds must square to a "
+                                         rf"finite float: {name}=1e\+200$"):
+        NoiseSpec(**{name: 1e200})
+    NoiseSpec(**{name: 1e154})
+    # a variance is not squared: a q of 1e200 is a level like any other
+    NoiseSpec(q_delta=1e200, q_omega=1e200)
+
+
 def test_variance_layout_helpers():
     # the layout and the squares of the old per-array formulas, bitwise;
     # Python's ** and numpy's square round the last sd's square apart on
@@ -285,8 +297,3 @@ def test_variance_layout_helpers():
     assert floor > 1e-7 ** 2
     assert np.array_equal(q, np.full(4, floor))
     assert np.array_equal(r, np.full(10, floor))
-
-    idx = measurement_indices(all_bus_ids=(1, 2, 3), frame_bus_ids=(1, 3),
-                              n_machines=2)
-    # drops the magnitude and angle rows of the missing bus 2
-    assert np.array_equal(idx, np.array([0, 1, 2, 3, 4, 6, 7, 9]))
